@@ -16,7 +16,7 @@ from math import lcm
 
 import numpy as np
 
-from .field import PrimeField
+from .field import PrimeField, coalesce, match_pairs
 from .quiver import BoundAlgebra, PathWord, Quiver, path_source, path_target
 
 
@@ -338,29 +338,14 @@ def validate_action(algebra: BoundAlgebra, group: AbelianGroup,
                 issues.append(ValidationIssue(
                     "relations-preserved", f"generator {gi}, relation #{ridx}"))
 
-    # multiplicativity of the induced basis automorphism (exhaustive, small)
+    # multiplicativity of the induced basis automorphism, exhaustive over
+    # group elements and basis pairs
     if not issues:
-        for g in group.elements:
-            Mg = action.matrix(g)
-            for k1 in range(algebra.dim):
-                x = F.zeros(1, algebra.dim)[0]
-                x[k1] = 1
-                gx = F.mul(Mg, x.reshape(-1, 1))[:, 0]
-                for k2 in range(algebra.dim):
-                    y = F.zeros(1, algebra.dim)[0]
-                    y[k2] = 1
-                    gy = F.mul(Mg, y.reshape(-1, 1))[:, 0]
-                    lhs = action.apply(g, algebra.multiply(x, y))
-                    rhs = algebra.multiply(gx, gy)
-                    if not np.array_equal(lhs, rhs):
-                        issues.append(ValidationIssue(
-                            "automorphism-multiplicative",
-                            f"g={g}, basis ({k1},{k2})"))
-                        break
-                if issues:
-                    break
-            if issues:
-                break
+        witness = _first_non_multiplicative(algebra, group, action)
+        if witness is not None:
+            g, k1, k2 = witness
+            issues.append(ValidationIssue(
+                "automorphism-multiplicative", f"g={g}, basis ({k1},{k2})"))
 
     # trivial-or-full stabilizers (the standing assumption)
     for v in range(q.n_vertices):
@@ -371,6 +356,38 @@ def validate_action(algebra: BoundAlgebra, group: AbelianGroup,
                 f"vertex {q.vertices[v]} has stabilizer of order {len(stab)}"))
 
     return ValidationReport(issues)
+
+
+def _first_non_multiplicative(algebra: BoundAlgebra, group: AbelianGroup,
+                              action: QuiverAction):
+    """First (g, k1, k2), by group element and then basis pair, with
+    g(b_k1 b_k2) != g(b_k1) g(b_k2); None if every g is multiplicative.
+
+    With T[k1, k2, :] the product b_k1 b_k2, both sides are sparse tensors
+    over (k1, k2, m): M_g T and T(M_g (x) M_g).  Their difference is built
+    term by term, and its least nonzero key names the witness.
+    """
+    F, T, n = algebra.F, algebra.structure, algebra.dim
+    for g in group.elements:
+        Mg = action.matrix(g)
+        rows, cols = np.nonzero(Mg)
+        vals = Mg[rows, cols]
+        # M_g T: T[k1, k2, k] M_g[m, k]
+        e, f = match_pairs(T.K, cols)
+        lhs_keys = (T.I[e] * n + T.J[e]) * n + rows[f]
+        lhs_vals = T.C[e] * vals[f] % F.p
+        # T(M_g (x) M_g): M_g[a, k1] M_g[b, k2] T[a, b, m]
+        e, f = match_pairs(T.I, rows)
+        e2, f2 = match_pairs(T.J[e], rows)
+        e, f = e[e2], f[e2]
+        rhs_keys = (cols[f] * n + cols[f2]) * n + T.K[e]
+        rhs_vals = T.C[e] * vals[f] % F.p * vals[f2] % F.p
+        keys, _ = coalesce(F, np.concatenate([lhs_keys, rhs_keys]),
+                           np.concatenate([lhs_vals, F.p - rhs_vals]))
+        if keys.size:
+            k1, k2 = divmod(int(keys[0]) // n, n)
+            return g, k1, k2
+    return None
 
 
 @dataclass

@@ -1,21 +1,30 @@
-"""Exact dense linear algebra over prime fields F_p.
+"""Exact linear algebra over prime fields F_p.
 
 Matrices are numpy int64 arrays with entries reduced to [0, p).  All pivoting
 is deterministic (first nonzero entry scanning rows top to bottom), so every
-basis produced here is reproducible across runs.
+basis produced here is reproducible across runs.  Primes are kept below
+2^26, so a product of two entries times an inner dimension up to 2048 stays
+below 2^63.
 
 Also provides the algebra-level primitives consumed by the module-category
-code: structure-constant algebras, Jacobson radical via the trace form
-(valid since char > dim), and idempotent lifting.
+code: sparse tensors over F_p, structure-constant algebras stored by their
+nonzero constants, Jacobson radical via the trace form (valid since
+char > dim), and idempotent lifting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 import sympy
+
+
+# Largest admissible prime, exclusive: p^2 * 2048 < 2^63 keeps every matrix
+# product with inner dimension up to 2048 exact in int64.
+PRIME_LIMIT = 2 ** 26
 
 
 class FieldTooSmallError(Exception):
@@ -38,14 +47,19 @@ def _is_prime(n: int) -> bool:
 class PrimeField:
     """The prime field F_p.
 
-    p must be prime, not divide the group order in play, exceed the
-    dimension cap, and satisfy p = 1 (mod exp G) so that all characters of
-    the acting group take values in F_p.  `for_group` picks the default.
+    p must be prime and below 2^26, not divide the group order in play,
+    exceed the dimension cap, and satisfy p = 1 (mod exp G) so that all
+    characters of the acting group take values in F_p.  `for_group` picks
+    the default.
     """
 
     p: int
 
     def __post_init__(self):
+        if self.p >= PRIME_LIMIT:
+            raise ValueError(
+                f"field prime {self.p} is too large: p must be below "
+                f"2^26 = {PRIME_LIMIT} so that products stay exact in int64")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -62,9 +76,6 @@ class PrimeField:
     def red(self, a) -> np.ndarray:
         return np.asarray(a, dtype=np.int64) % self.p
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         a = int(a) % self.p
         if a == 0:
@@ -76,14 +87,20 @@ class PrimeField:
 
     @lru_cache(maxsize=None)
     def primitive_root_of_unity(self, n: int) -> int:
-        """Least r in [1, p) of exact multiplicative order n."""
-        if (self.p - 1) % n != 0:
-            raise ValueError(f"F_{self.p} has no primitive {n}-th root of unity")
-        for r in range(1, self.p):
-            if pow(r, n, self.p) != 1:
-                continue
-            if all(pow(r, n // q, self.p) != 1 for q in _prime_divisors(n)):
-                return r
+        """Least r in [1, p) of exact multiplicative order n.
+
+        Some a^((p-1)/n) has order exactly n (any generator a of F_p^*
+        does), and the elements of order n are its powers with exponent
+        prime to n; the least of those is returned.
+        """
+        p = self.p
+        if (p - 1) % n != 0:
+            raise ValueError(f"F_{p} has no primitive {n}-th root of unity")
+        qs = _prime_divisors(n)
+        for a in range(1, p):
+            r = pow(a, (p - 1) // n, p)
+            if all(pow(r, n // q, p) != 1 for q in qs):
+                return min(pow(r, k, p) for k in range(1, n + 1) if gcd(k, n) == 1)
         raise AssertionError("unreachable")
 
     # -- matrices ---------------------------------------------------------
@@ -98,8 +115,8 @@ class PrimeField:
         return np.asarray(rows, dtype=np.int64) % self.p
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product reduced mod p.  Entries stay < p**2 * cols < 2**63
-        for the dimensions in scope (p ~ 1000, dims <= a few hundred)."""
+        """Matrix product reduced mod p.  Exact while the inner dimension is
+        at most 2048, since p < 2^26 gives p**2 * 2048 < 2**63."""
         return (a @ b) % self.p
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -247,71 +264,121 @@ def intersect_row_spaces(F: PrimeField, A: np.ndarray, B: np.ndarray) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
+# Sparse tensors
+# ---------------------------------------------------------------------------
+
+def match_pairs(a: np.ndarray, b: np.ndarray):
+    """All index pairs (i, j) with a[i] == b[j], as two index arrays ordered
+    by i, then by j."""
+    order = np.argsort(b, kind="stable")
+    sb = b[order]
+    lo = np.searchsorted(sb, a, side="left")
+    cnt = np.searchsorted(sb, a, side="right") - lo
+    ia = np.repeat(np.arange(a.size), cnt)
+    first = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+    return ia, order[first + np.arange(ia.size)]
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in a sorted array."""
+    return np.flatnonzero(np.concatenate((a[:1] == a[:1], a[1:] != a[:-1])))
+
+
+def coalesce(F: PrimeField, keys: np.ndarray, vals: np.ndarray):
+    """Canonical form of a sparse tensor given as (linear key, value) terms:
+    keys sorted and distinct, values of equal keys summed mod p, zeros
+    dropped.  Terms are reduced mod p before summing."""
+    if keys.size == 0:
+        return keys, vals
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    heads = _run_starts(keys)
+    sums = np.add.reduceat(vals[order] % F.p, heads) % F.p
+    nz = sums != 0
+    return keys[heads][nz], sums[nz]
+
+
+# ---------------------------------------------------------------------------
 # Structure-constant algebras
 # ---------------------------------------------------------------------------
 
 class StructureConstants:
     """A finite-dimensional associative unital algebra over F_p.
 
-    `table[i, j]` holds the coordinate vector of b_i * b_j.  `one` is the
-    coordinate vector of the identity.
+    The structure constants are stored sparsely, as COO arrays
+    (I, J, K, C) sorted by K: b_I * b_J has coefficient C at b_K, and
+    entries with the same (I, J, K) add up.  `one` is the coordinate vector
+    of the identity.
     """
 
     def __init__(self, F: PrimeField, table: np.ndarray, one: np.ndarray):
-        self.F = F
-        self.table = table % F.p
-        self.one = one % F.p
-        self.dim = table.shape[0]
-        if table.shape != (self.dim, self.dim, self.dim):
+        """From a dense table: `table[i, j]` is the coordinate vector of
+        b_i * b_j."""
+        table = np.asarray(table, dtype=np.int64) % F.p
+        n = table.shape[0]
+        if table.shape != (n, n, n):
             raise ValueError("bad table shape")
+        K, I, J = np.nonzero(table.transpose(2, 0, 1))
+        self._store(F, n, I, J, K, table[I, J, K], one)
+
+    @classmethod
+    def from_coo(cls, F: PrimeField, dim: int, I, J, K, C,
+                 one: np.ndarray) -> "StructureConstants":
+        """From entries in any order; repeated (I, J, K) entries add up."""
+        I, J, K, C = (np.asarray(a, dtype=np.int64) for a in (I, J, K, C))
+        order = np.argsort(K, kind="stable")
+        A = cls.__new__(cls)
+        A._store(F, dim, I[order], J[order], K[order], C[order] % F.p, one)
+        return A
+
+    def _store(self, F, dim, I, J, K, C, one):
+        """Entries must be reduced and sorted by K, so a product reduces
+        over the runs of equal K that start at `_heads`."""
+        self.F = F
+        self.dim = dim
+        self.one = np.asarray(one, dtype=np.int64) % F.p
+        self.I, self.J, self.K, self.C = I, J, K, C
+        self._heads = _run_starts(K)
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        F = self.F
-        # (x_i b_i)(y_j b_j) = x_i y_j table[i,j]
-        out = np.tensordot(x % F.p, self.table, axes=(0, 0)) % F.p
-        return (y % F.p) @ out % F.p
+        p = self.F.p
+        out = np.zeros(self.dim, dtype=np.int64)
+        if self.C.size:
+            # (x_i b_i)(y_j b_j) = sum x_i y_j C b_K, each term below p
+            terms = (x % p)[self.I] * (y % p)[self.J] % p * self.C % p
+            out[self.K[self._heads]] = np.add.reduceat(terms, self._heads) % p
+        return out
 
     def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of y -> x*y acting on coordinate columns."""
-        F = self.F
-        M = np.tensordot(x % F.p, self.table, axes=(0, 0)) % F.p  # M[j, k]
-        return M.T % F.p
+        return self._mult_matrix(x, self.I, self.J)
 
-    def right_mult_matrix(self, x: np.ndarray) -> np.ndarray:
-        F = self.F
-        M = np.tensordot(x % F.p, np.swapaxes(self.table, 0, 1), axes=(0, 0)) % F.p
-        return M.T % F.p
-
-    def power(self, x: np.ndarray, k: int) -> np.ndarray:
-        out = self.one.copy()
-        for _ in range(k):
-            out = self.multiply(out, x)
-        return out
+    def _mult_matrix(self, x, fixed, free) -> np.ndarray:
+        """M[k, free] = sum of x[fixed] * C over the entries at k."""
+        p, n = self.F.p, self.dim
+        M = np.zeros(n * n, dtype=np.int64)
+        np.add.at(M, self.K * n + free, (x % p)[fixed] * self.C % p)
+        return (M % p).reshape(n, n)
 
     def check_associativity(self) -> bool:
-        F = self.F
-        n = self.dim
-        for i in range(n):
-            bi = _unit(n, i)
-            Li = self.left_mult_matrix(bi)
-            for j in range(n):
-                bj = _unit(n, j)
-                bij = self.table[i, j]
-                Lij = self.left_mult_matrix(bij)
-                # (b_i b_j) b_k == b_i (b_j b_k) for all k at once
-                if not np.array_equal(Lij % F.p, F.mul(Li, self.left_mult_matrix(bj))):
-                    return False
-        return True
+        """(b_i b_j) b_k == b_i (b_j b_k) for all i, j, k, compared as
+        sparse tensors over (i, j, k, m)."""
+        F, n = self.F, self.dim
+        I, J, K, C = self.I, self.J, self.K, self.C
+        # (b_i b_j) b_k: entry e gives b_i b_j at l, entry f gives b_l b_k
+        e, f = match_pairs(K, I)
+        left = coalesce(F, ((I[e] * n + J[e]) * n + J[f]) * n + K[f],
+                        C[e] * C[f])
+        # b_i (b_j b_k): entry e gives b_j b_k at l, entry f gives b_i b_l
+        e, f = match_pairs(K, J)
+        right = coalesce(F, ((I[f] * n + I[e]) * n + J[e]) * n + K[f],
+                         C[e] * C[f])
+        return all(np.array_equal(a, b) for a, b in zip(left, right))
 
     def check_identity(self) -> bool:
-        n = self.dim
-        for i in range(n):
-            bi = _unit(n, i)
-            if not np.array_equal(self.multiply(self.one, bi), bi % self.F.p):
-                return False
-            if not np.array_equal(self.multiply(bi, self.one), bi % self.F.p):
-                return False
-        return True
+        eye = self.F.eye(self.dim)
+        return (np.array_equal(self._mult_matrix(self.one, self.I, self.J), eye)
+                and np.array_equal(self._mult_matrix(self.one, self.J, self.I), eye))
 
 
 def _unit(n: int, i: int) -> np.ndarray:

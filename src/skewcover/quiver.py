@@ -149,6 +149,29 @@ def check_relation(q: Quiver, rel: RelationElement):
         raise ValueError("relation contains a trivial path")
 
 
+def ideal_closure(F: PrimeField, q: Quiver,
+                  vectors: list[dict[PathWord, int]]) -> list[dict[PathWord, int]]:
+    """Generators of the next degree of the two-sided ideal spanned by
+    `vectors` (same-degree combinations of paths): a*x and x*a for every
+    vector x and arrow a, left products before right ones, zeros dropped."""
+    gens: list[dict[PathWord, int]] = []
+    for x in vectors:
+        by_left: dict[int, dict[PathWord, int]] = {}
+        by_right: dict[int, dict[PathWord, int]] = {}
+        for w, c in x.items():
+            for ai in q.arrows_from(path_target(q, w)):
+                nw = PathWord(path_source(q, w), (ai,) + w.arrows)
+                blk = by_left.setdefault(ai, {})
+                blk[nw] = (blk.get(nw, 0) + c) % F.p
+            for ai in q.arrows_into(path_source(q, w)):
+                nw = PathWord(q.arrows[ai].source, w.arrows + (ai,))
+                blk = by_right.setdefault(ai, {})
+                blk[nw] = (blk.get(nw, 0) + c) % F.p
+        gens.extend(v for v in by_left.values() if any(v.values()))
+        gens.extend(v for v in by_right.values() if any(v.values()))
+    return gens
+
+
 class BoundAlgebra:
     """Lambda = KQ / <relations>, with a normal-form path basis.
 
@@ -211,23 +234,7 @@ class BoundAlgebra:
 
             # degree-d component of the ideal: arrows * ideal_{d-1},
             # ideal_{d-1} * arrows, and relations of degree d
-            gens: list[dict[PathWord, int]] = []
-            for x in ideal_prev:
-                by_arrow_left: dict[int, dict[PathWord, int]] = {}
-                by_arrow_right: dict[int, dict[PathWord, int]] = {}
-                for w, c in x.items():
-                    for ai in q.arrows_from(path_target(q, w)):
-                        nw = PathWord(path_source(q, w), (ai,) + w.arrows)
-                        by_arrow_left.setdefault(ai, {})[nw] = (
-                            by_arrow_left.get(ai, {}).get(nw, 0) + c
-                        ) % F.p
-                    for ai in q.arrows_into(path_source(q, w)):
-                        nw = PathWord(q.arrows[ai].source, w.arrows + (ai,))
-                        by_arrow_right.setdefault(ai, {})[nw] = (
-                            by_arrow_right.get(ai, {}).get(nw, 0) + c
-                        ) % F.p
-                gens.extend(v for v in by_arrow_left.values() if any(v.values()))
-                gens.extend(v for v in by_arrow_right.values() if any(v.values()))
+            gens = ideal_closure(F, q, ideal_prev)
             for r in rels_by_deg.get(d, []):
                 vec: dict[PathWord, int] = {}
                 for c, w in r.terms:
@@ -285,30 +292,28 @@ class BoundAlgebra:
         self.bindex = {w: i for i, w in enumerate(self.basis)}
 
     def _build_structure(self):
+        """Nonzero structure constants straight from the normal forms,
+        visiting only composable pairs (b_i after b_j needs s(b_i) = t(b_j))."""
         F, q = self.F, self.quiver
-        n = self.dim
-        table = F.zeros(n * n, n).reshape(n, n, n)
-        for i, wi in enumerate(self.basis):
-            for j, wj in enumerate(self.basis):
-                vec = self._mult_basis(wi, wj)
-                for k, c in vec.items():
-                    table[i, j, k] = c
-        one = F.zeros(1, n)[0]
+        by_source: dict[int, list[int]] = {}
+        for i, w in enumerate(self.basis):
+            by_source.setdefault(path_source(q, w), []).append(i)
+        entries = []
+        for j, wj in enumerate(self.basis):
+            for i in by_source.get(path_target(q, wj), ()):
+                wi = self.basis[i]
+                if wi.is_trivial():
+                    nf = self.nf[wj]
+                elif wj.is_trivial():
+                    nf = self.nf[wi]
+                else:
+                    nf = self.nf.get(PathWord(path_source(q, wj), wi.arrows + wj.arrows), {})
+                entries.extend((i, j, k, c) for k, c in nf.items())
+        I, J, K, C = np.array(entries, dtype=np.int64).reshape(-1, 4).T
+        one = F.zeros(1, self.dim)[0]
         for v in range(q.n_vertices):
             one[self.bindex[PathWord(v)]] = 1
-        self.structure = StructureConstants(F, table, one)
-
-    def _mult_basis(self, wi: PathWord, wj: PathWord) -> dict[int, int]:
-        """Normal form of wi o wj (wj applied first)."""
-        q = self.quiver
-        if path_target(q, wj) != path_source(q, wi):
-            return {}
-        if wi.is_trivial():
-            return dict(self.nf[wj])
-        if wj.is_trivial():
-            return dict(self.nf[wi])
-        w = PathWord(path_source(q, wj), wi.arrows + wj.arrows)
-        return dict(self.nf.get(w, {}))
+        self.structure = StructureConstants.from_coo(F, self.dim, I, J, K, C, one)
 
     # -- public API -------------------------------------------------------
 
@@ -320,20 +325,9 @@ class BoundAlgebra:
     def idempotent(self, vertex: int) -> np.ndarray:
         return self.unit_vector(PathWord(vertex))
 
-    def path_vector(self, arrow_indices: tuple[int, ...]) -> np.ndarray:
-        """Normal form of a path given by arrow indices (functional order)."""
-        w = make_path(self.quiver, arrow_indices)
-        v = self.F.zeros(1, self.dim)[0]
-        for k, c in self.nf.get(w, {}).items():
-            v[k] = c
-        return v
-
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x o y with y applied first (functional order)."""
         return self.structure.multiply(x, y)
-
-    def degree_of_basis(self, k: int) -> int:
-        return self.basis[k].length()
 
     def basis_by_blocks(self):
         """Indices of basis paths grouped by (target vertex, source vertex)."""

@@ -20,7 +20,8 @@ import numpy as np
 from .field import (PrimeField, in_row_space, nullspace_basis, rank,
                     row_space)
 from .quiver import (BoundAlgebra, NotAdmissibleError, PathWord, Quiver,
-                     RelationElement, make_path, path_source, path_target)
+                     RelationElement, ideal_closure, make_path, path_source,
+                     path_target)
 from .action import (AbelianGroup, Character, CharacterGroup,
                      QuiverAction, arrow_character, character_group,
                      orbits_stabilizers, validate_action)
@@ -39,14 +40,9 @@ class SkewAlgebra:
         self.action = action
         self.F = algebra.F
         self.dim = algebra.dim * group.n
-
-    def index(self, k: int, g) -> int:
-        return k * self.group.n + self.group.eindex[g]
-
-    def basis_element(self, k: int, g) -> np.ndarray:
-        v = self.F.zeros(1, self.dim)[0]
-        v[self.index(k, g)] = 1
-        return v
+        # index(g) x index(h) -> index(gh)
+        self._gmul = [[group.eindex[group.mul(g, h)] for h in group.elements]
+                      for g in group.elements]
 
     def include(self, x: np.ndarray) -> np.ndarray:
         """Lambda -> Lambda G, l -> l (x) 1."""
@@ -54,38 +50,26 @@ class SkewAlgebra:
 
     def group_element(self, x: np.ndarray, g) -> np.ndarray:
         """l (x) g for l in Lambda."""
-        v = self.F.zeros(1, self.dim)[0]
-        for k in np.nonzero(x % self.F.p)[0]:
-            v[self.index(int(k), g)] = x[k] % self.F.p
-        return v
+        v = self.F.zeros(self.algebra.dim, self.group.n)
+        v[:, self.group.eindex[g]] = x % self.F.p
+        return v.reshape(-1)
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """(sum_g x_g (x) g)(sum_h y_h (x) h) = sum x_g g(y_h) (x) gh: one
+        algebra product per pair of nonzero group columns."""
         F, G, A = self.F, self.group, self.algebra
-        out = F.zeros(1, self.dim)[0]
-        for ix in np.nonzero(x % F.p)[0]:
-            k1, gi1 = divmod(int(ix), G.n)
-            g1 = G.elements[gi1]
-            b1 = F.zeros(1, A.dim)[0]
-            b1[k1] = 1
-            for iy in np.nonzero(y % F.p)[0]:
-                k2, gi2 = divmod(int(iy), G.n)
-                b2 = F.zeros(1, A.dim)[0]
-                b2[k2] = 1
-                prod_alg = A.multiply(b1, self.action.apply(g1, b2))
-                c = int(x[ix]) * int(y[iy]) % F.p
-                gh = G.mul(g1, G.elements[gi2])
-                for k in np.nonzero(prod_alg)[0]:
-                    j = self.index(int(k), gh)
-                    out[j] = (out[j] + c * int(prod_alg[k])) % F.p
-        return out
-
-    def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
-        cols = []
-        for i in range(self.dim):
-            v = self.F.zeros(1, self.dim)[0]
-            v[i] = 1
-            cols.append(self.multiply(x, v))
-        return np.stack(cols, axis=1)
+        X = (x % F.p).reshape(A.dim, G.n)
+        Y = (y % F.p).reshape(A.dim, G.n)
+        out = F.zeros(A.dim, G.n)
+        ys = [h for h in range(G.n) if Y[:, h].any()]
+        for g in range(G.n):
+            if not X[:, g].any():
+                continue
+            gY = F.mul(self.action.matrix(G.elements[g]), Y[:, ys])
+            for col, h in enumerate(ys):
+                gh = self._gmul[g][h]
+                out[:, gh] = (out[:, gh] + A.multiply(X[:, g], gY[:, col])) % F.p
+        return out.reshape(-1)
 
     def element_str(self, x: np.ndarray) -> str:
         F, G, A = self.F, self.group, self.algebra
@@ -409,21 +393,7 @@ class SkewPresentation:
                 break
 
             # ideal component generated by lower-degree kernels
-            closure: list[dict[PathWord, int]] = []
-            for x in kernel_prev:
-                by_left: dict[int, dict[PathWord, int]] = {}
-                by_right: dict[int, dict[PathWord, int]] = {}
-                for w, c in x.items():
-                    for ai in qg.arrows_from(path_target(qg, w)):
-                        nw = PathWord(path_source(qg, w), (ai,) + w.arrows)
-                        blk = by_left.setdefault(ai, {})
-                        blk[nw] = (blk.get(nw, 0) + c) % F.p
-                    for ai in qg.arrows_into(path_source(qg, w)):
-                        nw = PathWord(qg.arrows[ai].source, w.arrows + (ai,))
-                        blk = by_right.setdefault(ai, {})
-                        blk[nw] = (blk.get(nw, 0) + c) % F.p
-                closure.extend(v for v in by_left.values() if any(v.values()))
-                closure.extend(v for v in by_right.values() if any(v.values()))
+            closure = ideal_closure(F, qg, kernel_prev)
             C = F.zeros(len(closure), len(paths_d))
             for i, x in enumerate(closure):
                 for w, c in x.items():
@@ -501,11 +471,6 @@ class SkewPresentation:
         ri, rj = ctx.rep_of_vertex(i), ctx.rep_of_vertex(j)
         return sum(1 for ar in self.arrows
                    if ar.source.rep == ri and ar.target.rep == rj)
-
-    def vertex_fiber(self, rep: int) -> list[int]:
-        """Q_G vertex indices over the given orbit representative."""
-        ctx = self.context
-        return [i for i, v in enumerate(ctx.vertices) if v.rep == rep]
 
     # -- dual group action ----------------------------------------------------
 

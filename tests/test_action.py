@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import load_built
+from oracle_dense import first_non_multiplicative
 from skewcover.field import PrimeField
 from skewcover.quiver import BoundAlgebra, Quiver, RelationElement, make_path
 from skewcover.action import (AbelianGroup, QuiverAction, arrow_character,
@@ -218,3 +220,32 @@ def test_arrow_character_dual_side(fig2):
     chi_b = arrow_character(fig2.action, ch, q.aindex["x1_b2"])
     assert chi_a == ch.trivial()
     assert ch.value(chi_b, (1,)) == F.p - 1
+
+
+@pytest.mark.parametrize("name,column,kind", [
+    ("fig5.skw", 3, "scale"), ("fig1.skw", 7, "scale"),
+    ("fig1.skw", 12, "extra"), ("kronecker_z3.skw", 0, "extra")])
+def test_corrupted_matrix_gives_first_witness(name, column, kind):
+    # a fresh copy: the session-scoped fixtures must keep their valid action
+    built = load_built(name)
+    alg, G, act = built.algebra, built.group, built.action
+    g = G.elements[-1]
+    M = act.matrix(g).copy()
+    if kind == "scale":
+        M[:, column] = 2 * M[:, column] % F.p
+    else:
+        M[(column + 1) % alg.dim, column] += 1
+    act._matrices[g] = M
+    expected = first_non_multiplicative(alg, G, act)
+    assert expected is not None and expected[0] == g
+    rep = validate_action(alg, G, act)
+    assert [(i.check, i.witness) for i in rep.issues] == [
+        ("automorphism-multiplicative",
+         f"g={g}, basis ({expected[1]},{expected[2]})")]
+
+
+def test_multiplicativity_oracle_agrees_on_valid_actions(fig1, kronecker):
+    for built in (fig1, kronecker):
+        assert first_non_multiplicative(built.algebra, built.group,
+                                        built.action) is None
+        assert validate_action(built.algebra, built.group, built.action).valid

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import skewcover
 from skewcover.cli import main
 from skewcover.inputfmt import ParseError, parse_input, build_input
 
@@ -150,9 +153,24 @@ def test_cli_missing_file(capsys):
 
 
 def test_cli_entrypoint_subprocess():
+    # the child imports the same skewcover as this process, installed or not
+    src = str(Path(skewcover.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-m", "skewcover.cli", "hom",
          _data_path("fig5.skw"), "S2", "S2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "dim: 1" in out.stdout
+
+
+def test_cli_refuses_too_large_field(capsys, tmp_path):
+    text = data_text("fig5.skw").replace("field p = 1009", "field p = 4294967311")
+    assert "4294967311" in text
+    path = tmp_path / "fig5_big_p.skw"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "skew", str(path))
+    assert code == 1
+    assert out == ""
+    assert "too large" in err and "2^26" in err

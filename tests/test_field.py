@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewcover.field import (FieldTooSmallError, PrimeField, StructureConstants,
+from skewcover.field import (PRIME_LIMIT, FieldTooSmallError, PrimeField,
+                             StructureConstants, _is_prime,
                              algebra_radical, factor_poly, in_row_space,
                              inverse, lift_idempotent, minimal_polynomial,
                              nullspace_basis, poly_eval_matrix, rank, rref,
@@ -179,3 +182,48 @@ def test_inverse():
     Ai = inverse(F101, A)
     assert np.array_equal(F101.mul(A, Ai), F101.eye(2))
     assert inverse(F101, F101.mat([[1, 2], [2, 4]])) is None
+
+
+def _brute_force_root(p, n):
+    for r in range(1, p):
+        if pow(r, n, p) == 1 and all(pow(r, m, p) != 1 for m in range(1, n)):
+            return r
+    return None
+
+
+def test_primitive_root_matches_brute_force():
+    for p in [q for q in range(2, 200) if all(q % d for d in range(2, q))]:
+        Fp = PrimeField(p)
+        for n in range(1, p):
+            if (p - 1) % n == 0:
+                assert Fp.primitive_root_of_unity(n) == _brute_force_root(p, n), (p, n)
+            else:
+                with pytest.raises(ValueError):
+                    Fp.primitive_root_of_unity(n)
+
+
+def test_primitive_root_near_the_prime_limit():
+    # the largest admissible prime, and one with many small divisors of p - 1
+    p = next(q for q in range(PRIME_LIMIT - 1, 0, -2) if _is_prime(q))
+    q6 = next(q for q in range(PRIME_LIMIT - 1, 0, -2)
+              if _is_prime(q) and (q - 1) % 2520 == 0)
+    t0 = time.perf_counter()
+    for prime in (p, q6):
+        Fp = PrimeField(prime)
+        for n in [d for d in range(1, 2521) if (prime - 1) % d == 0]:
+            r = Fp.primitive_root_of_unity(n)
+            assert pow(r, n, prime) == 1
+            assert all(pow(r, n // d, prime) != 1 for d in range(2, n + 1)
+                       if n % d == 0 and _is_prime(d))
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_field_size_limit():
+    assert PRIME_LIMIT == 2 ** 26
+    largest = next(q for q in range(PRIME_LIMIT - 1, 0, -2) if _is_prime(q))
+    assert PrimeField(largest).p == largest
+    for big in (67108879, 4294967311, 2 ** 61 - 1):  # primes above the limit
+        with pytest.raises(ValueError, match=r"2\^26"):
+            PrimeField(big)
+    with pytest.raises(ValueError, match=r"2\^26"):
+        PrimeField(PRIME_LIMIT)
