@@ -11,11 +11,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (PrimeField, algebra_radical, in_row_space,
-                    nullspace_basis, rank, row_space, rref, solve_linear)
+from .field import (in_row_space, nullspace_basis, rank, row_space, rref,
+                    solve_linear)
 from .quiver import BoundAlgebra, PathWord, path_source, path_target
 from .rep import (HomSpace, RadicalCalculator, RepMorphism, Representation,
-                  Summand, decompose, end_algebra, hom_basis,
+                  Summand, combine, decompose, end_radical, hom_basis,
                   identity_morphism, irr_space, is_isomorphic, isomorphism,
                   morphism_from_vector, zero_morphism)
 
@@ -144,24 +144,6 @@ def kernel_subrep(f: RepMorphism):
     F = f.source.F
     rows = [nullspace_basis(F, b) for b in f.blocks]
     return sub_from_rows(f.source, rows)
-
-
-def image_subrep(f: RepMorphism):
-    """(im f, inclusion im f -> target, corestriction source -> im f)."""
-    F = f.source.F
-    rows = [row_space(F, b.T) for b in f.blocks]
-    S, incl = sub_from_rows(f.target, rows)
-    cores_blocks = []
-    for v in range(f.source.algebra.quiver.n_vertices):
-        if S.dims[v] == 0:
-            cores_blocks.append(F.zeros(0, f.source.dims[v]))
-            continue
-        sol = solve_linear(F, incl.blocks[v], f.blocks[v])
-        cores_blocks.append(sol)
-    cores = RepMorphism(f.source, S, cores_blocks)
-    if not cores.is_valid():
-        raise AssertionError("image corestriction fails commutation")
-    return S, incl, cores
 
 
 def cokernel_rep(f: RepMorphism):
@@ -489,12 +471,12 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
     W = row_space(F, W_rows) if W_rows.shape[0] else W_rows
 
     # right End(T)-action on Hom(K, X) via lifts through the cover
-    E_T, H_T = end_algebra(T)
-    radT = algebra_radical(E_T)
+    H_T = hom_basis(T, T)
+    radT = end_radical(T)
     homP0P0 = hom_basis(P0, P0)
     lift_actions = []
     for r in range(radT.shape[0]):
-        phi = _combine_morphisms(H_T, radT[r])
+        phi = combine(H_T, radT[r])
         phi_hat = _lift_through_cover(d0, phi, homP0P0)
         # restrict to K: solve incl . psi = phi_hat . incl
         psi_blocks = []
@@ -573,18 +555,29 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
 
     seq = AlmostSplitSequence(X, Emod, T, left_map, right_map)
     _check_exact(seq)
-    if is_isomorphic(Emod, direct_sum(alg, [X, T])[0]):
+    if split_section(right_map) is not None:
         raise AssertionError("candidate sequence splits; socle class wrong")
     seq.middle_summands = decompose(Emod)
     return seq
 
 
-def _combine_morphisms(H: HomSpace, coeffs) -> RepMorphism:
-    F = H.source.F
-    blocks = [F.zeros(dn, dm) for dm, dn in zip(H.source.dims, H.target.dims)]
-    for c, f in zip(coeffs, H.basis):
-        blocks = [F.add(b, F.smul(int(c), fb)) for b, fb in zip(blocks, f.blocks)]
-    return RepMorphism(H.source, H.target, blocks)
+def split_section(proj: RepMorphism) -> RepMorphism | None:
+    """A section s of proj: E -> T (proj s = 1_T), or None if there is none.
+
+    A short exact sequence ending in proj splits iff the section exists,
+    i.e. iff 1_T lies in the span of proj g over g in Hom(T, E): one hom
+    basis and one linear solve certify that the sequence does not split.
+    """
+    E, T = proj.source, proj.target
+    if T.is_zero():
+        return zero_morphism(T, E)
+    H = hom_basis(T, E)
+    if not H.basis:
+        return None
+    A = np.stack([proj.compose(g).to_vector() for g in H.basis], axis=1)
+    one = identity_morphism(T).to_vector().reshape(-1, 1)
+    coeffs = solve_linear(T.F, A, one)
+    return None if coeffs is None else combine(H, coeffs[:, 0])
 
 
 def _combine_vec(H: HomSpace, coeffs) -> np.ndarray:
@@ -604,7 +597,7 @@ def _lift_through_cover(d0: RepMorphism, phi: RepMorphism,
     sol = solve_linear(F, rows.T, target.to_vector().reshape(-1, 1))
     if sol is None:
         raise AssertionError("no lift through projective cover")
-    return _combine_morphisms(homP0P0, sol[:, 0])
+    return combine(homP0P0, sol[:, 0])
 
 
 def _check_exact(seq: AlmostSplitSequence):
@@ -689,12 +682,9 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
     summands until stable.  Complete for representation-finite algebras."""
     tk = ARToolkit(alg)
     known: list[Representation] = []
-
-    def find(M: Representation):
-        for i, R in enumerate(known):
-            if R.dims == M.dims and is_isomorphic(R, M):
-                return i
-        return None
+    by_dims: dict[tuple[int, ...], list[int]] = {}
+    proj_flags: list[bool] = []
+    inj_flags: list[bool] = []
 
     def add(M: Representation):
         if M.is_zero():
@@ -702,9 +692,10 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
         if M.total_dim > max_dimension:
             raise CapExceededError(
                 f"module of total dimension {M.total_dim} exceeds cap {max_dimension}")
-        i = find(M)
-        if i is not None:
-            return i
+        same = by_dims.setdefault(M.dims, [])
+        for i in same:
+            if is_isomorphic(known[i], M):
+                return i
         parts = decompose(M)
         if len(parts) > 1:
             for s in parts:
@@ -713,6 +704,9 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
         known.append(M)
         if len(known) > max_modules:
             raise CapExceededError(f"more than {max_modules} indecomposables")
+        same.append(len(known) - 1)
+        proj_flags.append(tk.is_projective(M))
+        inj_flags.append(tk.is_injective(M))
         return len(known) - 1
 
     for P in tk.projectives:
@@ -723,21 +717,24 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
         add(S)
 
     sequences: dict[int, AlmostSplitSequence] = {}
+    tau_of: dict[int, int] = {}
     processed_tau = set()
     processed_tminus = set()
     while True:
         progressed = False
         for i in list(range(len(known))):
             M = known[i]
-            if i not in processed_tau and not tk.is_projective(M):
+            if i not in processed_tau and not proj_flags[i]:
                 processed_tau.add(i)
                 progressed = True
                 seq = almost_split_sequence(tk, M)
                 sequences[i] = seq
-                add(seq.left)
+                tau_of[i] = add(seq.left)
+                if tau_of[i] is None:
+                    raise AssertionError("tau of an indecomposable is not indecomposable")
                 for s in seq.middle_summands:
                     add(s.rep)
-            if i not in processed_tminus and not tk.is_injective(M):
+            if i not in processed_tminus and not inj_flags[i]:
                 processed_tminus.add(i)
                 progressed = True
                 add(tk.tau_minus(M))
@@ -751,6 +748,7 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
     perm = {old: new for new, old in enumerate(order)}
     modules = [known[i] for i in order]
     seqs = {perm[i]: s for i, s in sequences.items()}
+    tau_map = {perm[i]: perm[l] for i, l in tau_of.items()}
 
     calc = RadicalCalculator(modules)
     arrows: dict[tuple[int, int], int] = {}
@@ -759,15 +757,8 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
             d, _ = irr_space(calc, modules[i], modules[j])
             if d:
                 arrows[(i, j)] = d
-    tau_map = {}
-    for i, s in seqs.items():
-        li = next(k for k, R in enumerate(modules)
-                  if R.dims == s.left.dims and is_isomorphic(R, s.left))
-        tau_map[i] = li
-    proj_flags = [any(is_isomorphic(m, P) for P in tk.projectives if P.dims == m.dims)
-                  for m in modules]
-    inj_flags = [any(is_isomorphic(m, I) for I in tk.injectives if I.dims == m.dims)
-                 for m in modules]
+    proj_flags = [proj_flags[i] for i in order]
+    inj_flags = [inj_flags[i] for i in order]
     return ARQuiver(alg, modules, arrows, tau_map, seqs, proj_flags, inj_flags, calc)
 
 

@@ -19,7 +19,6 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
-import sympy
 
 
 # Largest admissible prime, exclusive: p^2 * 2048 < 2^63 keeps every matrix
@@ -250,19 +249,6 @@ def in_row_space(F: PrimeField, basis: np.ndarray, v: np.ndarray) -> bool:
     return solve_linear(F, basis.T % F.p, (v % F.p).reshape(-1, 1)) is not None
 
 
-def intersect_row_spaces(F: PrimeField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Echelon basis of rowspace(A) & rowspace(B)."""
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return F.zeros(0, A.shape[1])
-    # x in both spans: x = u A = v B; kernel of [A^T | -B^T]
-    M = np.concatenate([A.T % F.p, (-B.T) % F.p], axis=1)
-    ker = nullspace_basis(F, M)
-    if ker.shape[0] == 0:
-        return F.zeros(0, A.shape[1])
-    combos = F.mul(ker[:, : A.shape[0]], A)
-    return row_space(F, combos)
-
-
 # ---------------------------------------------------------------------------
 # Sparse tensors
 # ---------------------------------------------------------------------------
@@ -462,7 +448,11 @@ def factor_poly(F: PrimeField, coeffs: list[int]):
     """Primary factorization over F_p via sympy.
 
     Returns a list of (factor coefficients low-to-high, multiplicity).
+    sympy is imported here, its only use, so that loading the package and
+    commands that never split an endomorphism ring do not pay for it.
     """
+    import sympy
+
     x = sympy.symbols("x")
     poly = sympy.Poly(list(reversed(coeffs)), x, modulus=F.p)
     _, factors = poly.factor_list()

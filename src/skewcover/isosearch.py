@@ -3,19 +3,20 @@ a vertex bijection, an endpoint-compatible arrow bijection, and per-arrow
 scalars such that every relation of the source maps into the target ideal.
 Together with equal dimensions this certifies an algebra isomorphism.
 
-Intended for the double-skew round trip on desk-scale quivers; the search
-space is tiny there (at most a few hundred bijections, scalars drawn from
-the roots of unity in play).
+Intended for the double-skew round trip on desk-scale quivers.  Vertex
+and arrow bijections are generated lazily by backtracking, vertex ones
+pruned by arrow counts between assigned vertices; scalars are drawn from
+the roots of unity in play.  Candidates come in the order of
+itertools.product over permutations, so the first isomorphism found does
+not depend on the pruning.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
-
-import numpy as np
+from itertools import product
 
 from .field import PrimeField
-from .quiver import BoundAlgebra, PathWord, path_source, path_target
+from .quiver import BoundAlgebra, PathWord, path_source
 
 
 def roots_of_unity(F: PrimeField, n: int) -> list[int]:
@@ -23,6 +24,56 @@ def roots_of_unity(F: PrimeField, n: int) -> list[int]:
         return [1]
     z = F.primitive_root_of_unity(n)
     return sorted({pow(z, k, F.p) for k in range(n)})
+
+
+def ordered_bijections(classes, fits):
+    """Bijections class by class, each class mapping its sources onto as
+    many targets, in the order of itertools.product over the permutations of
+    each class's targets, but keeping only the maps every partial
+    assignment of which passes `fits(partial map, source, target)`.
+
+    A backtracking search: memory stays linear in the number of sources,
+    and one rejected test prunes every completion of that partial map.
+    Yields a fresh dict per bijection.
+    """
+    slots = [(va, targets) for sources, targets in classes for va in sources]
+    if not slots:
+        yield {}
+        return
+    vmap: dict = {}
+    used: set = set()
+    choice = [-1] * len(slots)  # index into the targets of each slot
+    depth = 0
+    while depth >= 0:
+        va, targets = slots[depth]
+        if choice[depth] >= 0:
+            used.discard(vmap.pop(va))
+        k = choice[depth] + 1
+        while k < len(targets) and (targets[k] in used
+                                    or not fits(vmap, va, targets[k])):
+            k += 1
+        if k == len(targets):
+            choice[depth] = -1
+            depth -= 1
+            continue
+        choice[depth] = k
+        vmap[va] = targets[k]
+        used.add(targets[k])
+        if depth == len(slots) - 1:
+            yield dict(vmap)
+        else:
+            depth += 1
+
+
+def _any_target(vmap, source, target) -> bool:
+    return True
+
+
+def _arrow_counts(q) -> dict[tuple[int, int], int]:
+    counts: dict[tuple[int, int], int] = {}
+    for a in q.arrows:
+        counts[(a.source, a.target)] = counts.get((a.source, a.target), 0) + 1
+    return counts
 
 
 def _degree_profile(alg: BoundAlgebra, v: int):
@@ -73,38 +124,28 @@ def find_algebra_isomorphism(A: BoundAlgebra, B: BoundAlgebra,
             {k: len(v) for k, v in profs_b.items()}:
         return None
 
-    pools = [1] if scalar_pool is None else scalar_pool
     groups = sorted(by_prof.keys())
+    count_a, count_b = _arrow_counts(qa), _arrow_counts(qb)
 
-    def vertex_bijections():
-        perms_per_group = [permutations(profs_b[g]) for g in groups]
-        for combo in product(*perms_per_group):
-            vmap = {}
-            for g, perm in zip(groups, combo):
-                for va, vb in zip(by_prof[g], perm):
-                    vmap[va] = vb
-            yield vmap
+    def same_arrows(vmap, va, vb):
+        if count_a.get((va, va), 0) != count_b.get((vb, vb), 0):
+            return False
+        return all(count_a.get((va, u), 0) == count_b.get((vb, w), 0)
+                   and count_a.get((u, va), 0) == count_b.get((w, vb), 0)
+                   for u, w in vmap.items())
 
-    for vmap in vertex_bijections():
-        slots_a: dict[tuple[int, int], list[int]] = {}
-        for i, a in enumerate(qa.arrows):
-            slots_a.setdefault((a.source, a.target), []).append(i)
-        ok = True
-        slot_choices = []
-        for (s, t), arrs in sorted(slots_a.items()):
-            targets = [i for i, b in enumerate(qb.arrows)
-                       if b.source == vmap[s] and b.target == vmap[t]]
-            if len(targets) != len(arrs):
-                ok = False
-                break
-            slot_choices.append((arrs, list(permutations(targets))))
-        if not ok:
-            continue
-        for assignment in product(*[c for _, c in slot_choices]):
-            amap = {}
-            for (arrs, _), perm in zip(slot_choices, assignment):
-                for a, b in zip(arrs, perm):
-                    amap[a] = b
+    slots_a: dict[tuple[int, int], list[int]] = {}
+    for i, a in enumerate(qa.arrows):
+        slots_a.setdefault((a.source, a.target), []).append(i)
+
+    for vmap in ordered_bijections([(by_prof[g], profs_b[g]) for g in groups],
+                                   same_arrows):
+        # same_arrows makes every slot's target count match
+        arrow_classes = [
+            (arrs, [i for i, b in enumerate(qb.arrows)
+                    if b.source == vmap[s] and b.target == vmap[t]])
+            for (s, t), arrs in sorted(slots_a.items())]
+        for amap in ordered_bijections(arrow_classes, _any_target):
             # all-ones scalars first
             ones = {a: 1 for a in range(qa.n_arrows)}
             if all(_relation_maps_to_zero(A, B, r, vmap, amap, ones)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (PrimeField, factor_poly, in_row_space,
+from .field import (factor_poly, in_row_space,
                     minimal_polynomial, nullspace_basis, poly_gcd_ext,
                     poly_mul, poly_eval_matrix, algebra_radical, rank,
                     row_space, solve_linear, StructureConstants, inverse)
@@ -58,9 +58,6 @@ class Representation:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def dim_vector(self) -> tuple[int, ...]:
-        return self.dims
-
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
@@ -71,17 +68,6 @@ class Representation:
         out = None
         for a in reversed(w.arrows):  # rightmost applied first
             out = self.maps[a] if out is None else self.F.mul(self.maps[a], out)
-        return out
-
-    def element_matrix(self, x: np.ndarray, src: int, tgt: int) -> np.ndarray:
-        """Matrix of an algebra element restricted to paths src -> tgt."""
-        A, F = self.algebra, self.F
-        out = F.zeros(self.dims[tgt], self.dims[src])
-        for k in np.nonzero(x % F.p)[0]:
-            w = A.basis[int(k)]
-            if path_source(A.quiver, w) != src or path_target(A.quiver, w) != tgt:
-                continue
-            out = F.add(out, F.smul(int(x[k]), self.path_matrix(w)))
         return out
 
     def relation_defects(self):
@@ -205,17 +191,70 @@ class HomSpace:
         return len(self.basis)
 
 
+class ModuleTable:
+    """Memo of Hom bases, endomorphism algebras with their radicals, and
+    Krull-Schmidt decompositions over one algebra, keyed on module
+    contents: the dimension vector plus the bytes of the arrow matrices.
+
+    A table is owned by its algebra (`module_table`) and lives exactly as
+    long as it.  Entries hold arrays and structure constants only, never a
+    Representation, so they keep no module alive and make no reference
+    cycle through the algebra; each lookup rebinds them to the caller's
+    modules.  Stored arrays are read-only.
+    """
+
+    def __init__(self):
+        self._entries: dict[tuple, object] = {}
+
+    @staticmethod
+    def key(M: Representation) -> tuple:
+        return M.dims, b"".join(m.tobytes() for m in M.maps)
+
+    def lookup(self, kind: str, modules: tuple, compute):
+        """The entry `kind` for `modules`, from `compute()` on first use."""
+        key = (kind, *map(self.key, modules))
+        try:
+            return self._entries[key]
+        except KeyError:
+            value = self._entries[key] = compute()
+            return value
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def module_table(alg: BoundAlgebra) -> ModuleTable:
+    """The module table owned by `alg`, made on first use."""
+    table = alg.__dict__.get("_module_table")
+    if table is None:
+        table = alg._module_table = ModuleTable()
+    return table
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def hom_basis(M: Representation, N: Representation) -> HomSpace:
     """Solve the commuting-square system; echelon-normalized basis.
 
     Unknowns are the per-vertex blocks flattened row-major in vertex order.
+    Memoized in the module table of M's algebra.
     """
     if M.algebra is not N.algebra and M.algebra.dim != N.algebra.dim:
         raise ValueError("representations over different algebras")
+    basis = module_table(M.algebra).lookup("hom", (M, N),
+                                           lambda: _solve_hom(M, N))
+    return HomSpace(M, N, [RepMorphism(M, N, list(b)) for b in basis])
+
+
+def _solve_hom(M: Representation, N: Representation) -> list[list[np.ndarray]]:
+    """The hom basis as per-vertex block lists, each checked to commute."""
     F, q = M.F, M.algebra.quiver
     nunk = sum(dm * dn for dm, dn in zip(M.dims, N.dims))
     if nunk == 0:
-        return HomSpace(M, N, [])
+        return []
     offsets = []
     off = 0
     for dm, dn in zip(M.dims, N.dims):
@@ -246,12 +285,13 @@ def hom_basis(M: Representation, N: Representation) -> HomSpace:
         rows.append(block)
     A = np.concatenate(rows, axis=0) if rows else F.zeros(0, nunk)
     basis_vecs = nullspace_basis(F, A)
-    basis = [morphism_from_vector(M, N, basis_vecs[i])
-             for i in range(basis_vecs.shape[0])]
-    for f in basis:
+    basis = []
+    for i in range(basis_vecs.shape[0]):
+        f = morphism_from_vector(M, N, basis_vecs[i])
         if not f.is_valid():
             raise AssertionError("hom basis element fails commuting squares")
-    return HomSpace(M, N, basis)
+        basis.append([_frozen(b) for b in f.blocks])
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -293,26 +333,41 @@ def module_stabilizer(action: QuiverAction, M: Representation) -> list:
 
 def end_algebra(M: Representation):
     """(StructureConstants of End(M), hom basis).  The identity is included
-    in the span automatically; its coordinates are solved for."""
-    F = M.F
+    in the span automatically; its coordinates are solved for.  Memoized
+    in the module table of M's algebra."""
     H = hom_basis(M, M)
-    n = H.dimension
-    if n == 0:
+    if not H.basis:
         raise ValueError("End of the zero module is not an algebra here")
+    E = module_table(M.algebra).lookup("end", (M,),
+                                       lambda: _end_structure(M, H))
+    return E, H
+
+
+def _end_structure(M: Representation, H: HomSpace) -> StructureConstants:
+    """Structure constants of End(M) over the basis H: all n^2 products
+    b_i after b_j solved for in one elimination."""
+    F, n = M.F, H.dimension
     vecs = np.stack([f.to_vector() for f in H.basis], axis=0)
-    table = F.zeros(n * n, n).reshape(n, n, n)
-    for i in range(n):
-        for j in range(n):
-            prod = H.basis[i].compose(H.basis[j])  # b_i after b_j
-            coords = solve_linear(F, vecs.T, prod.to_vector().reshape(-1, 1))
-            if coords is None:
-                raise AssertionError("End(M) not closed under composition")
-            table[i, j] = coords[:, 0]
-    idv = identity_morphism(M).to_vector()
-    one = solve_linear(F, vecs.T, idv.reshape(-1, 1))
+    parts = []
+    for v, d in enumerate(M.dims):
+        S = np.stack([f.blocks[v] for f in H.basis])
+        parts.append((np.einsum("ixy,jyz->ijxz", S, S) % F.p).reshape(n * n, d * d))
+    prods = np.concatenate(parts, axis=1)
+    coords = solve_linear(F, vecs.T, prods.T)
+    if coords is None:
+        raise AssertionError("End(M) not closed under composition")
+    one = solve_linear(F, vecs.T, identity_morphism(M).to_vector().reshape(-1, 1))
     if one is None:
         raise AssertionError("identity not in End(M) span")
-    return StructureConstants(F, table, one[:, 0]), H
+    return StructureConstants(F, coords.T.reshape(n, n, n), one[:, 0])
+
+
+def end_radical(M: Representation) -> np.ndarray:
+    """Echelon basis (rows) of rad End(M), in coordinates over the basis of
+    end_algebra(M); memoized with it."""
+    E, _ = end_algebra(M)
+    return module_table(M.algebra).lookup(
+        "rad", (M,), lambda: _frozen(algebra_radical(E)))
 
 
 def is_indecomposable(M: Representation) -> bool:
@@ -325,8 +380,7 @@ def is_indecomposable(M: Representation) -> bool:
     if M.is_zero():
         raise ValueError("zero module")
     E, _ = end_algebra(M)
-    radb = algebra_radical(E)
-    return E.dim - radb.shape[0] == 1
+    return E.dim - end_radical(M).shape[0] == 1
 
 
 def _find_splitting_idempotent(M: Representation):
@@ -335,7 +389,7 @@ def _find_splitting_idempotent(M: Representation):
     and products, by primary decomposition of minimal polynomials."""
     F = M.F
     E, H = end_algebra(M)
-    radb = algebra_radical(E)
+    radb = end_radical(M)
     if E.dim - radb.shape[0] == 1:
         return None
 
@@ -458,10 +512,26 @@ def decompose(M: Representation) -> list[Summand]:
 
     Summands are returned in canonical order (dim vector lex, then Loewy
     label).  The inclusion/projection pairs compose to idempotents of M
-    summing to the identity.
+    summing to the identity.  An indecomposable M is its own summand, with
+    identity witnesses.  Memoized in the module table of M's algebra.
     """
     if M.is_zero():
         return []
+    parts = module_table(M.algebra).lookup("decompose", (M,),
+                                           lambda: _krull_schmidt(M))
+    if parts is None:
+        return [Summand(M, identity_morphism(M), identity_morphism(M))]
+    out = []
+    for dims, maps, inc, prj in parts:
+        S = Representation(M.algebra, dims, maps, check=False)
+        out.append(Summand(S, RepMorphism(S, M, list(inc)),
+                           RepMorphism(M, S, list(prj))))
+    return out
+
+
+def _krull_schmidt(M: Representation):
+    """The summands of M as (dims, maps, inclusion blocks, projection
+    blocks), or None when M is indecomposable."""
     work = [Summand(M, identity_morphism(M), identity_morphism(M))]
     out: list[Summand] = []
     while work:
@@ -474,17 +544,21 @@ def decompose(M: Representation) -> list[Summand]:
             inc = cur.inclusion.compose(piece.inclusion)
             prj = piece.projection.compose(cur.projection)
             work.append(Summand(piece.rep, inc, prj))
+    if len(out) == 1:
+        return None
     out.sort(key=lambda s: (s.rep.dims, s.rep.label()))
     total = sum(s.rep.total_dim for s in out)
     if total != M.total_dim:
         raise AssertionError("decomposition loses dimension")
     # verify the witnesses: projections . inclusions = identity blocks
     F = M.F
-    for i, s in enumerate(out):
+    for s in out:
         pi = s.projection.compose(s.inclusion)
         if not all(np.array_equal(b, F.eye(b.shape[0])) for b in pi.blocks):
             raise AssertionError("summand witness is not a splitting")
-    return out
+    return [(s.rep.dims, [_frozen(m) for m in s.rep.maps],
+             [_frozen(b) for b in s.inclusion.blocks],
+             [_frozen(b) for b in s.projection.blocks]) for s in out]
 
 
 def is_isomorphic(M: Representation, N: Representation) -> bool:
@@ -492,11 +566,16 @@ def is_isomorphic(M: Representation, N: Representation) -> bool:
 
 
 def isomorphism(M: Representation, N: Representation):
-    """An explicit isomorphism M -> N, or None.
+    """An explicit isomorphism M -> N, or None.  Exact and deterministic.
 
-    For indecomposables this is exact: M ~ N iff some product
-    g_j f_i of hom-basis elements is invertible (local End rings).  For
-    general inputs the summand matching handles it.
+    First a scan: a hom basis element that is invertible, or one f with
+    some g f invertible (g in the hom basis of N -> M), which makes f a
+    split mono and hence an isomorphism at equal dims.  The scan is
+    complete when End(M) is local: an isomorphism u = sum c_i f_i with
+    inverse sum d_j g_j writes 1 as a sum of the products g_j f_i, and
+    non-units of a local ring do not sum to a unit.  Otherwise both modules
+    are decomposed and their Krull-Schmidt summands matched by the same
+    scan, and the isomorphism is assembled from the matched pieces.
     """
     if M.dims != N.dims:
         return None
@@ -512,19 +591,40 @@ def isomorphism(M: Representation, N: Representation):
     for f in H1.basis:
         for g in H2.basis:
             if g.compose(f).is_invertible():
-                # g f invertible makes f a split mono, hence iso (equal dims);
-                # this pairwise scan is exact when End(M) is local
                 if not f.is_invertible():
                     raise AssertionError("split mono with equal dims must be iso")
                 return f
-    # decomposable inputs: seeded combinations, each verified invertible
-    rng = np.random.RandomState(20240915)
-    for _ in range(200):
-        coeffs = rng.randint(0, M.F.p, len(H1.basis))
-        f = combine(H1, coeffs)
-        if f.is_invertible():
-            return f
-    return None
+    # an indecomposable N isomorphic to M would make End(M) local too
+    if is_indecomposable(M) or is_indecomposable(N):
+        return None
+    return _match_summands(M, N)
+
+
+def _match_summands(M: Representation, N: Representation):
+    """Isomorphism of decomposable modules by Krull-Schmidt: each summand
+    of M is matched to an unused isomorphic summand of N (greedy matching
+    is exact, isomorphism being an equivalence), and the isomorphism is the
+    sum of incl_N u proj_M over the matched pairs."""
+    F = M.F
+    msum, nsum = decompose(M), decompose(N)
+    if len(msum) != len(nsum):
+        return None
+    free = list(range(len(nsum)))
+    blocks = zero_morphism(M, N).blocks
+    for s in msum:
+        for k in free:
+            u = isomorphism(s.rep, nsum[k].rep)
+            if u is not None:
+                break
+        else:
+            return None
+        free.remove(k)
+        piece = nsum[k].inclusion.compose(u).compose(s.projection)
+        blocks = [F.add(b, pb) for b, pb in zip(blocks, piece.blocks)]
+    iso = RepMorphism(M, N, blocks)
+    if not iso.is_valid() or not iso.is_invertible():
+        raise AssertionError("matched summands do not assemble an isomorphism")
+    return iso
 
 
 def combine(H: HomSpace, coeffs) -> RepMorphism:
@@ -551,14 +651,11 @@ class RadicalCalculator:
         self.reps = reps
         self.cutoff = cutoff
         self.F = reps[0].F if reps else None
-        self._hom: dict[tuple[int, int], HomSpace] = {}
         self._rad: list[dict[tuple[int, int], np.ndarray]] = []  # [n-1][i,j]
         self._build_rad1()
 
     def hom(self, i: int, j: int) -> HomSpace:
-        if (i, j) not in self._hom:
-            self._hom[(i, j)] = hom_basis(self.reps[i], self.reps[j])
-        return self._hom[(i, j)]
+        return hom_basis(self.reps[i], self.reps[j])
 
     def _build_rad1(self):
         F = self.F
@@ -572,11 +669,9 @@ class RadicalCalculator:
                 if i != j:
                     level[(i, j)] = vecs
                 else:
-                    E, HE = end_algebra(self.reps[i])
-                    radb = algebra_radical(E)
+                    radb = end_radical(self.reps[i])
                     if radb.shape[0]:
-                        base = np.stack([f.to_vector() for f in HE.basis], axis=0)
-                        level[(i, j)] = row_space(F, F.mul(radb, base))
+                        level[(i, j)] = row_space(F, F.mul(radb, vecs))
         self._rad.append(level)
 
     def rad(self, i: int, j: int, n: int) -> np.ndarray:
