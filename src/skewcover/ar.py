@@ -11,8 +11,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (in_row_space, nullspace_basis, rank, row_space, rref,
-                    solve_linear)
+from .field import (in_row_space, nullspace_basis, quotient_map, rank,
+                    row_space, rref, solve_linear)
 from .quiver import BoundAlgebra, PathWord, path_source, path_target
 from .rep import (HomSpace, RadicalCalculator, RepMorphism, Representation,
                   Summand, combine, decompose, end_radical, hom_basis,
@@ -153,19 +153,7 @@ def cokernel_rep(f: RepMorphism):
     proj_blocks = []
     for v in range(q.n_vertices):
         img = row_space(F, f.blocks[v].T)
-        n = N.dims[v]
-        _, piv = rref(F, img) if img.shape[0] else (img, [])
-        free = [c for c in range(n) if c not in piv]
-        # basis of N(v): image rows then complement units; the quotient reads
-        # off the complement coordinates, i.e. the lower rows of (B^T)^{-1}
-        B = F.zeros(n, n)
-        B[: img.shape[0]] = img
-        for i, c in enumerate(free):
-            B[img.shape[0] + i, c] = 1
-        Bt_inv = solve_linear(F, B.T, F.eye(n))
-        if Bt_inv is None:
-            raise AssertionError("cokernel basis completion singular")
-        proj_blocks.append(Bt_inv[img.shape[0]:, :])
+        proj_blocks.append(quotient_map(F, img, N.dims[v]))
     dims = [b.shape[0] for b in proj_blocks]
     maps = []
     for a, arr in enumerate(q.arrows):
@@ -196,11 +184,8 @@ def top_generators(M: Representation):
     gens = []
     for v in range(q.n_vertices):
         pieces = [M.maps[a].T for a in q.arrows_into(v) if M.maps[a].size]
-        radrows = (row_space(F, np.concatenate(pieces, axis=0))
-                   if pieces else F.zeros(0, M.dims[v]))
-        _, piv = rref(F, radrows) if radrows.shape[0] else (radrows, [])
-        free = [c for c in range(M.dims[v]) if c not in piv]
-        gens.append(free)
+        piv = rref(F, np.concatenate(pieces, axis=0))[1] if pieces else []
+        gens.append([c for c in range(M.dims[v]) if c not in piv])
     return gens
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 property-check failure, 1 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -260,7 +261,11 @@ def cmd_double_skew(args):
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later
+    ones: `parse_args` keeps no state, and building it costs about a
+    millisecond, a large share of a short command."""
     ap = argparse.ArgumentParser(
         prog="skewcover",
         description="skew group algebras of bound quiver algebras and their "
@@ -315,8 +320,11 @@ def main(argv=None) -> int:
                         help="skew twice and compare with the original")
     sp.add_argument("file")
     sp.set_defaults(func=cmd_double_skew)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PropertyFailure as exc:

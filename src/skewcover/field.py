@@ -6,6 +6,17 @@ basis produced here is reproducible across runs.  Primes are kept below
 2^26, so a product of two entries times an inner dimension up to 2048 stays
 below 2^63.
 
+Every elimination (`rref`, `rank`, `row_space`, `solve_linear`,
+`nullspace_basis`, `inverse`, `in_row_space`) runs one Gauss-Jordan kernel
+with two paths chosen by size.  A matrix of at most 64 entries, the bulk of
+the traffic, is eliminated on Python int lists: one `tolist()` in, one
+array out, and no array at all for `rank` and `in_row_space`.  A larger one
+stays an int64 array; each pivot updates only the columns from the pivot
+on, and only the rows with a nonzero in the pivot column unless those are
+most of the rows.  Both stay exact in int64: every update term is a product
+of two reduced entries, below p^2 < 2^52, and is reduced at once.  The
+reduced row echelon form is unique, so both paths return the same matrix.
+
 Also provides the algebra-level primitives consumed by the module-category
 code: sparse tensors over F_p, structure-constant algebras stored by their
 nonzero constants, Jacobson radical via the trace form (valid since
@@ -146,14 +157,53 @@ def _prime_divisors(n: int):
 # Row reduction
 # ---------------------------------------------------------------------------
 
-def rref(F: PrimeField, A: np.ndarray):
-    """Reduced row echelon form.  Returns (R, pivot column list)."""
-    R = A.copy() % F.p
-    rows, cols = R.shape
+# Matrices with at most this many entries are eliminated on Python int
+# lists: below it the fixed cost of each numpy call outweighs the work.
+_LIST_CELLS = 64
+
+
+def _eliminate_rows(p: int, rows: list, ncols: int):
+    """Gauss-Jordan elimination of reduced int lists, in place."""
+    nrows = len(rows)
     pivots = []
     r = 0
-    for c in range(cols):
-        if r >= rows:
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i] = rows[r]
+        inv = pow(prow[c], -1, p)
+        if inv != 1:
+            prow = [x * inv % p for x in prow]
+        rows[r] = prow
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _eliminate_array(p: int, R: np.ndarray):
+    """Gauss-Jordan elimination of a reduced int64 array, which it may
+    overwrite.
+
+    Each pivot updates only columns from the pivot onward (the pivot row is
+    zero before it) and, when at most half the rows have a nonzero in the
+    pivot column, only those rows; otherwise one whole-matrix update is
+    cheaper than gathering the rows.
+    """
+    nrows, ncols = R.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
             break
         nz = np.nonzero(R[r:, c])[0]
         if nz.size == 0:
@@ -161,19 +211,43 @@ def rref(F: PrimeField, A: np.ndarray):
         i = r + int(nz[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
-        R[r] = (R[r] * F.inv(int(R[r, c]))) % F.p
+        inv = pow(int(R[r, c]), -1, p)
+        if inv != 1:
+            R[r] = R[r] * inv % p
         col = R[:, c].copy()
         col[r] = 0
-        R = (R - np.outer(col, R[r])) % F.p
+        hits = np.count_nonzero(col)
+        if 2 * hits > nrows:
+            R = (R - np.outer(col, R[r])) % p
+        elif hits:
+            hit = np.nonzero(col)[0]
+            R[hit, c:] = (R[hit, c:] - np.outer(col[hit], R[r, c:])) % p
         pivots.append(c)
         r += 1
+    return R, pivots
+
+
+def _eliminate(p: int, A: np.ndarray):
+    """(R, pivot columns) of the reduced row echelon form of A mod p; R is a
+    list of int lists for small A and an int64 array otherwise.  A is never
+    written."""
+    if A.size <= _LIST_CELLS:
+        return _eliminate_rows(p, (A % p).tolist(), A.shape[1])
+    return _eliminate_array(p, A % p)
+
+
+def rref(F: PrimeField, A: np.ndarray):
+    """Reduced row echelon form.  Returns (R, pivot column list)."""
+    R, pivots = _eliminate(F.p, A)
+    if isinstance(R, list):
+        R = np.array(R, dtype=np.int64).reshape(A.shape)
     return R, pivots
 
 
 def rank(F: PrimeField, A: np.ndarray) -> int:
     if A.size == 0:
         return 0
-    return len(rref(F, A)[1])
+    return len(_eliminate(F.p, A)[1])
 
 
 def row_space(F: PrimeField, A: np.ndarray) -> np.ndarray:
@@ -182,6 +256,31 @@ def row_space(F: PrimeField, A: np.ndarray) -> np.ndarray:
         return A.copy()
     R, piv = rref(F, A)
     return R[: len(piv)]
+
+
+def _complement(F: PrimeField, R: np.ndarray, piv: list, n: int) -> np.ndarray:
+    """Q with Q[:, free] = I and Q[:, piv] = -R[:, free]^T for the reduced
+    echelon rows R with pivot columns piv; Q R^T = 0."""
+    pivset = set(piv)
+    free = [c for c in range(n) if c not in pivset]
+    Q = np.zeros((len(free), n), dtype=np.int64)
+    Q[range(len(free)), free] = 1
+    if piv:
+        Q[:, piv] = -R[: len(piv)][:, free].T % F.p
+    return Q
+
+
+def quotient_map(F: PrimeField, rows: np.ndarray, n: int) -> np.ndarray:
+    """Matrix of the quotient map F^n -> F^n / span(rows).
+
+    `rows` must be a reduced row echelon basis, as `row_space` returns.  The
+    quotient is coordinatized by the free (non-pivot) columns: the map is the
+    identity on them and minus the transposed free part of `rows` on the
+    pivots, so it kills every row and sends each free unit vector to a unit
+    vector.
+    """
+    piv = [int(c) for c in np.argmax(rows != 0, axis=1)] if rows.size else []
+    return _complement(F, rows, piv, n)
 
 
 def solve_linear(F: PrimeField, A: np.ndarray, B: np.ndarray):
@@ -194,15 +293,12 @@ def solve_linear(F: PrimeField, A: np.ndarray, B: np.ndarray):
         raise ValueError(f"row mismatch: {A.shape} vs {B.shape}")
     n = A.shape[1]
     k = B.shape[1] if B.ndim == 2 else 1
-    Bm = B.reshape(A.shape[0], k)
-    aug = np.concatenate([A % F.p, Bm % F.p], axis=1)
-    R, piv = rref(F, aug)
+    R, piv = rref(F, np.concatenate([A, B.reshape(A.shape[0], k)], axis=1))
     # any pivot in the B-block means inconsistency
-    if any(c >= n for c in piv):
+    if piv and piv[-1] >= n:
         return None
     X = F.zeros(n, k)
-    for r, c in enumerate(piv):
-        X[c] = R[r, n:]
+    X[piv] = R[: len(piv), n:]
     return X if B.ndim == 2 else X[:, 0]
 
 
@@ -218,35 +314,29 @@ def nullspace_basis(F: PrimeField, A: np.ndarray) -> np.ndarray:
     if rows == 0:
         return F.eye(cols)
     R, piv = rref(F, A)
-    free = [c for c in range(cols) if c not in piv]
-    basis = F.zeros(len(free), cols)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, c in enumerate(piv):
-            basis[i, c] = (-R[r, fc]) % F.p
-    return basis
+    return _complement(F, R, piv, cols)
 
 
 def inverse(F: PrimeField, A: np.ndarray):
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix, or None if singular: one elimination of
+    [A | I], whose left block reduces to I exactly when A is invertible."""
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("not square")
-    X = solve_linear(F, A, F.eye(n))
-    if X is None or rank(F, A) < n:
+    R, piv = rref(F, np.concatenate([A, F.eye(n)], axis=1))
+    if n and piv[n - 1] != n - 1:
         return None
-    return X
-
-
-def is_invertible(F: PrimeField, A: np.ndarray) -> bool:
-    return A.shape[0] == A.shape[1] and rank(F, A) == A.shape[0]
+    return R[:, n:].copy()
 
 
 def in_row_space(F: PrimeField, basis: np.ndarray, v: np.ndarray) -> bool:
-    """Membership of vector v in the row space of `basis`."""
-    if basis.shape[0] == 0:
+    """Membership of vector v in the row space of `basis`: v is a
+    combination of the rows exactly when it adds no pivot to them."""
+    k = basis.shape[0]
+    if k == 0:
         return not np.any(v % F.p)
-    return solve_linear(F, basis.T % F.p, (v % F.p).reshape(-1, 1)) is not None
+    piv = _eliminate(F.p, np.concatenate([basis.T, v.reshape(-1, 1)], axis=1))[1]
+    return not piv or piv[-1] != k
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,12 @@ def parse_input(text: str) -> InputDocument:
             if m:
                 try:
                     rows = ast.literal_eval(m.group(2))
-                except (ValueError, SyntaxError) as exc:
+                except (ValueError, SyntaxError, TypeError) as exc:
                     raise ParseError(line_no, f"bad matrix literal: {exc}")
+                if not (isinstance(rows, list) and all(
+                        isinstance(r, list) and all(type(x) is int for x in r)
+                        for r in rows)):
+                    raise ParseError(line_no, "a matrix is a list of rows of integers")
                 cur_module.maps[m.group(1)] = rows
                 continue
             raise ParseError(line_no, f"unrecognized module line: {line!r}")
@@ -256,7 +260,8 @@ def build_input(doc: InputDocument, length_bound: int | None = None,
             maps = []
             for a in quiver.arrows:
                 rows = spec.maps.get(a.name)
-                maps.append(None if rows is None else F.mat(rows))
+                maps.append(None if rows is None else
+                            F.mat([[x % F.p for x in r] for r in rows]))
             modules[name] = Representation(algebra, dims, maps)
     return BuiltInput(F, quiver, relations, algebra, group, action, modules,
                       list(doc.special_loops), doc.digest)

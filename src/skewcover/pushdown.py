@@ -22,8 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (PrimeField, in_row_space, nullspace_basis, rank,
-                    row_space, rref, solve_linear)
+from .field import quotient_map, row_space, solve_linear
 from .quiver import BoundAlgebra, PathWord, make_path, path_source, path_target
 from .action import AbelianGroup, Character, QuiverAction
 from .rep import (RepMorphism, Representation, Summand, decompose, hom_basis,
@@ -248,16 +247,7 @@ class GLambda:
                         relrows.append(vec)
         rel = (np.stack(relrows, axis=0) if relrows
                else F.zeros(0, self.zdim * ntot))
-        img = row_space(F, rel)
-        n = self.zdim * ntot
-        _, piv = rref(F, img) if img.shape[0] else (img, [])
-        free = [c for c in range(n) if c not in piv]
-        Bfull = F.zeros(n, n)
-        Bfull[: img.shape[0]] = img
-        for i, c in enumerate(free):
-            Bfull[img.shape[0] + i, c] = 1
-        Bt_inv = solve_linear(F, Bfull.T, F.eye(n))
-        proj = Bt_inv[img.shape[0]:, :]
+        proj = quotient_map(F, row_space(F, rel), self.zdim * ntot)
         return proj, ntot
 
     def materialize(self, N: Representation):

@@ -1,10 +1,16 @@
-"""Dense product oracles for the sparse kernel.
+"""Dense oracles for the sparse product kernel and the elimination kernel.
 
-These rebuild the dense dim^3 structure tensor from the normal forms and
+The product oracles rebuild the dense dim^3 structure tensor from the normal forms and
 multiply through it, multiply skew elements one pair of nonzero coordinates
 at a time, straight from the definition (l (x) g)(m (x) h) = l g(m) (x) gh,
 and run the multiplicativity check of an action as the exhaustive loop over
 (g, k1, k2).  None of them touches the COO arrays.
+
+The elimination oracles are the dense Gauss-Jordan kernel the package used
+before its list and row-sparse paths: a whole-matrix `outer` update per
+pivot, with `solve_linear`, `nullspace_basis`, `inverse` and `in_row_space`
+built on it, and the basis completion that quotient maps were read from.
+They are kept verbatim so the new kernel can be checked against them.
 """
 
 import numpy as np
@@ -65,3 +71,112 @@ def first_non_multiplicative(algebra, group, action):
                 if not np.array_equal(lhs, rhs):
                     return g, k1, k2
     return None
+
+
+# ---------------------------------------------------------------------------
+# Dense elimination
+# ---------------------------------------------------------------------------
+
+def rref(F, A: np.ndarray):
+    """Reduced row echelon form.  Returns (R, pivot column list)."""
+    R = A.copy() % F.p
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        R[r] = (R[r] * F.inv(int(R[r, c]))) % F.p
+        col = R[:, c].copy()
+        col[r] = 0
+        R = (R - np.outer(col, R[r])) % F.p
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def rank(F, A: np.ndarray) -> int:
+    if A.size == 0:
+        return 0
+    return len(rref(F, A)[1])
+
+
+def solve_linear(F, A: np.ndarray, B: np.ndarray):
+    """Solve A X = B exactly.
+
+    Returns the lexicographically first solution under reduced row echelon
+    pivots (free variables set to 0), or None if the system is inconsistent.
+    """
+    if A.shape[0] != B.shape[0]:
+        raise ValueError(f"row mismatch: {A.shape} vs {B.shape}")
+    n = A.shape[1]
+    k = B.shape[1] if B.ndim == 2 else 1
+    Bm = B.reshape(A.shape[0], k)
+    aug = np.concatenate([A % F.p, Bm % F.p], axis=1)
+    R, piv = rref(F, aug)
+    # any pivot in the B-block means inconsistency
+    if any(c >= n for c in piv):
+        return None
+    X = F.zeros(n, k)
+    for r, c in enumerate(piv):
+        X[c] = R[r, n:]
+    return X if B.ndim == 2 else X[:, 0]
+
+
+def nullspace_basis(F, A: np.ndarray) -> np.ndarray:
+    """Echelon-normalized basis of {x : A x = 0}, rows of the result.
+
+    Basis size is cols - rank(A).  Free variable order (ascending column
+    index) fixes the basis deterministically.
+    """
+    rows, cols = A.shape
+    if cols == 0:
+        return F.zeros(0, 0)
+    if rows == 0:
+        return F.eye(cols)
+    R, piv = rref(F, A)
+    free = [c for c in range(cols) if c not in piv]
+    basis = F.zeros(len(free), cols)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for r, c in enumerate(piv):
+            basis[i, c] = (-R[r, fc]) % F.p
+    return basis
+
+
+def inverse(F, A: np.ndarray):
+    """Inverse of a square matrix, or None if singular."""
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError("not square")
+    X = solve_linear(F, A, F.eye(n))
+    if X is None or rank(F, A) < n:
+        return None
+    return X
+
+
+def in_row_space(F, basis: np.ndarray, v: np.ndarray) -> bool:
+    """Membership of vector v in the row space of `basis`."""
+    if basis.shape[0] == 0:
+        return not np.any(v % F.p)
+    return solve_linear(F, basis.T % F.p, (v % F.p).reshape(-1, 1)) is not None
+
+
+def quotient_by_completion(F, img: np.ndarray, n: int) -> np.ndarray:
+    """The quotient map F^n -> F^n / span(img) for echelon rows img, as the
+    lower rows of (B^T)^{-1}, B being img followed by the unit vectors of
+    the non-pivot columns."""
+    _, piv = rref(F, img) if img.shape[0] else (img, [])
+    free = [c for c in range(n) if c not in piv]
+    B = F.zeros(n, n)
+    B[: img.shape[0]] = img
+    for i, c in enumerate(free):
+        B[img.shape[0] + i, c] = 1
+    Bt_inv = solve_linear(F, B.T, F.eye(n))
+    return Bt_inv[img.shape[0]:, :]

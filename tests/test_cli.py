@@ -174,3 +174,40 @@ def test_cli_refuses_too_large_field(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "too large" in err and "2^26" in err
+
+
+# Calls in one process share one parser; each must behave like a fresh
+# process, so options given to one call (--json, --bound, --special) must not
+# reach the next, and argparse's own exits (errors, --help) stay exit 2 / 0.
+_SEQUENCE = [
+    ("--json", "--bound", "6", "hom", "{fig5}", "S2", "S2"),
+    ("hom", "{fig5}", "S2", "N_3_2"),
+    ("--bound", "1", "hom", "{fig5}", "S2", "S2"),
+    ("hom", "{fig5}", "S2", "S2"),
+    ("check-gentle", "--special", "x", "{a2}"),
+    ("check-gentle", "{a2}"),
+    ("bogus",),
+    ("--help",),
+]
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    from skewcover import cli
+    monkeypatch.setenv("COLUMNS", "80")
+    files = {"{fig5}": _data_path("fig5.skw"),
+             "{a2}": _data_path("a2_specialloop.skw")}
+    src = str(Path(skewcover.__file__).resolve().parent.parent)
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for args in _SEQUENCE:
+        argv = [files.get(a, a) for a in args]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "skewcover.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, got.out, got.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), args
+    assert cli._parser() is cli._parser()
