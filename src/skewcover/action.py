@@ -17,7 +17,7 @@ from math import lcm
 import numpy as np
 
 from .field import PrimeField, coalesce, match_pairs
-from .quiver import BoundAlgebra, PathWord, Quiver, path_source, path_target
+from .quiver import BoundAlgebra, PathWord, path_source
 
 
 class AbelianGroup:

@@ -14,10 +14,10 @@ import numpy as np
 from .field import (in_row_space, nullspace_basis, quotient_map, rank,
                     row_space, rref, solve_linear)
 from .quiver import BoundAlgebra, PathWord, path_source, path_target
-from .rep import (HomSpace, RadicalCalculator, RepMorphism, Representation,
-                  Summand, combine, decompose, end_radical, hom_basis,
-                  identity_morphism, irr_space, is_isomorphic, isomorphism,
-                  morphism_from_vector, zero_morphism)
+from .rep import (HomSpace, IsoClasses, RadicalCalculator, RepMorphism,
+                  Representation, Summand, combine, decompose, end_radical,
+                  hom_basis, identity_morphism, irr_space,
+                  morphism_from_vector, sub_from_rows, zero_morphism)
 
 
 class CapExceededError(Exception):
@@ -115,30 +115,6 @@ def direct_sum(alg: BoundAlgebra, reps: list[Representation]):
 # Sub / quotient constructions with witnesses
 # ---------------------------------------------------------------------------
 
-def sub_from_rows(N: Representation, rows: list[np.ndarray]):
-    """Subrepresentation spanned per vertex by the given row bases (must be
-    arrow-closed).  Returns (S, inclusion)."""
-    F, q = N.F, N.algebra.quiver
-    rows = [row_space(F, r) if r.shape[0] else r for r in rows]
-    dims = [r.shape[0] for r in rows]
-    maps = []
-    for a, arr in enumerate(q.arrows):
-        s, t = arr.source, arr.target
-        if dims[s] == 0 or dims[t] == 0:
-            maps.append(F.zeros(dims[t], dims[s]))
-            continue
-        img = F.mul(N.maps[a], rows[s].T)
-        coords = solve_linear(F, rows[t].T, img)
-        if coords is None:
-            raise ValueError("row spaces are not arrow-closed")
-        maps.append(coords)
-    S = Representation(N.algebra, dims, maps)
-    incl = RepMorphism(S, N, [rows[v].T.copy() for v in range(q.n_vertices)])
-    if not incl.is_valid():
-        raise AssertionError("subrep inclusion fails commutation")
-    return S, incl
-
-
 def kernel_subrep(f: RepMorphism):
     """(K, inclusion K -> source)."""
     F = f.source.F
@@ -229,14 +205,9 @@ def projective_cover(M: Representation):
     return P0, d0, verts
 
 
-def is_projective(M: Representation, projectives: list[Representation]) -> bool:
-    if M.is_zero():
-        return True
-    parts = decompose(M)
-    for s in parts:
-        if not any(is_isomorphic(s.rep, P) for P in projectives if P.dims == s.rep.dims):
-            return False
-    return True
+def _summands_in(M: Representation, classes: IsoClasses) -> bool:
+    """Every Krull-Schmidt summand of M is isomorphic to one of `classes`."""
+    return all(classes.locate(s.rep) is not None for s in decompose(M))
 
 
 def _morphism_between_projectives(alg: BoundAlgebra, x: int, y: int,
@@ -395,6 +366,8 @@ class ARToolkit:
         self.alg_op = alg.opposite()
         self.projectives = projective_modules(alg)
         self.injectives = injective_modules(alg, self.alg_op)
+        self._projective_classes = IsoClasses(self.projectives)
+        self._injective_classes = IsoClasses(self.injectives)
         self.simples = simple_modules(alg)
 
     def tau(self, M: Representation) -> Representation:
@@ -406,10 +379,10 @@ class ARToolkit:
         return transpose(self.alg_op, self.alg, DM)
 
     def is_projective(self, M: Representation) -> bool:
-        return is_projective(M, self.projectives)
+        return _summands_in(M, self._projective_classes)
 
     def is_injective(self, M: Representation) -> bool:
-        return is_projective(M, self.injectives)
+        return _summands_in(M, self._injective_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +471,7 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
             sysrows.append(blk)
         sol_space = nullspace_basis(F, np.concatenate(sysrows, axis=0))
         for r in range(sol_space.shape[0]):
-            hv = _combine_vec(homKX, sol_space[r, :nbasis])
+            hv = combine(homKX, sol_space[r, :nbasis]).to_vector()
             if not np.any(hv):
                 continue
             if W.shape[0] and in_row_space(F, W, hv):
@@ -565,14 +538,6 @@ def split_section(proj: RepMorphism) -> RepMorphism | None:
     return None if coeffs is None else combine(H, coeffs[:, 0])
 
 
-def _combine_vec(H: HomSpace, coeffs) -> np.ndarray:
-    F = H.source.F
-    out = np.zeros(H.basis[0].to_vector().shape[0], dtype=np.int64)
-    for c, f in zip(coeffs, H.basis):
-        out = (out + int(c) * f.to_vector()) % F.p
-    return out
-
-
 def _lift_through_cover(d0: RepMorphism, phi: RepMorphism,
                         homP0P0: HomSpace) -> RepMorphism:
     """phi_hat: P0 -> P0 with d0 phi_hat = phi d0 (exists, P0 projective)."""
@@ -599,6 +564,14 @@ def _check_exact(seq: AlmostSplitSequence):
             raise AssertionError("composite of sequence maps nonzero")
 
 
+def _locate(calc: RadicalCalculator, M: Representation):
+    """(i, u: calc.reps[i] -> M); KeyError when M is not in the list."""
+    found = calc.classes.locate(M)
+    if found is None:
+        raise KeyError(f"module {M.dims} is not in the indecomposable list")
+    return found
+
+
 def verify_almost_split(seq: AlmostSplitSequence, ind_list: list[Representation],
                         calc: RadicalCalculator) -> bool:
     """Factorization test against a complete list of indecomposables:
@@ -606,12 +579,10 @@ def verify_almost_split(seq: AlmostSplitSequence, ind_list: list[Representation]
     dually every radical X -> Y factors through the left-hand map."""
     F = seq.left.F
     T, X = seq.right, seq.left
-    iT, iX = calc.index_of(T), calc.index_of(X)
-    uT = isomorphism(calc.reps[iT], T)
-    uX = isomorphism(calc.reps[iX], X)
+    iT, uT = _locate(calc, T)
+    iX, uX = _locate(calc, X)
     for Y in ind_list:
-        iY = calc.index_of(Y)
-        uY = isomorphism(calc.reps[iY], Y)
+        iY, uY = _locate(calc, Y)
         radYT = calc.rad(iY, iT, 1)
         if radYT.shape[0]:
             homYE = hom_basis(Y, seq.middle)
@@ -666,8 +637,7 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
     repeatedly adjoin tau / tau-minus targets and AR-sequence middle
     summands until stable.  Complete for representation-finite algebras."""
     tk = ARToolkit(alg)
-    known: list[Representation] = []
-    by_dims: dict[tuple[int, ...], list[int]] = {}
+    known = IsoClasses()
     proj_flags: list[bool] = []
     inj_flags: list[bool] = []
 
@@ -677,22 +647,20 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
         if M.total_dim > max_dimension:
             raise CapExceededError(
                 f"module of total dimension {M.total_dim} exceeds cap {max_dimension}")
-        same = by_dims.setdefault(M.dims, [])
-        for i in same:
-            if is_isomorphic(known[i], M):
-                return i
+        found = known.locate(M)
+        if found is not None:
+            return found[0]
         parts = decompose(M)
         if len(parts) > 1:
             for s in parts:
                 add(s.rep)
             return None
-        known.append(M)
+        i = known.append(M)
         if len(known) > max_modules:
             raise CapExceededError(f"more than {max_modules} indecomposables")
-        same.append(len(known) - 1)
         proj_flags.append(tk.is_projective(M))
         inj_flags.append(tk.is_injective(M))
-        return len(known) - 1
+        return i
 
     for P in tk.projectives:
         add(P)
@@ -708,7 +676,7 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
     while True:
         progressed = False
         for i in list(range(len(known))):
-            M = known[i]
+            M = known.reps[i]
             if i not in processed_tau and not proj_flags[i]:
                 processed_tau.add(i)
                 progressed = True
@@ -727,11 +695,11 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
             break
 
     # canonical order
-    order = sorted(range(len(known)), key=lambda i: (known[i].total_dim,
-                                                     known[i].dims,
-                                                     known[i].label()))
+    order = sorted(range(len(known)), key=lambda i: (known.reps[i].total_dim,
+                                                     known.reps[i].dims,
+                                                     known.reps[i].label()))
     perm = {old: new for new, old in enumerate(order)}
-    modules = [known[i] for i in order]
+    modules = [known.reps[i] for i in order]
     seqs = {perm[i]: s for i, s in sequences.items()}
     tau_map = {perm[i]: perm[l] for i, l in tau_of.items()}
 

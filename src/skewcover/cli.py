@@ -10,16 +10,12 @@ import argparse
 import functools
 import json
 import sys
-import time
 
-import numpy as np
-
-from .field import PrimeField
 from .quiver import is_gentle, is_skew_gentle
 from .inputfmt import build_input, parse_input, serialize_presentation
 from .skew import build_presentation
-from .rep import RadicalCalculator, decompose, hom_basis, is_isomorphic
-from .ar import ar_quiver_dot, category_rank, knit_ar_quiver, quiver_dot
+from .rep import decompose, hom_basis
+from .ar import ar_quiver_dot, category_rank, knit_ar_quiver
 from .pushdown import pushdown_module, verify_semi_covering
 from .transport import pushdown_sequence
 from .isosearch import find_algebra_isomorphism, roots_of_unity

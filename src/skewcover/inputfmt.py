@@ -27,12 +27,9 @@ import hashlib
 import re
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .field import PrimeField
-from .quiver import (BoundAlgebra, PathWord, Quiver, RelationElement,
-                     make_path)
-from .action import AbelianGroup, QuiverAction, validate_action
+from .quiver import BoundAlgebra, Quiver, RelationElement, make_path
+from .action import AbelianGroup, QuiverAction
 from .rep import Representation
 from .skew import SkewPresentation
 

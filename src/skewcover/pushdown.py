@@ -18,18 +18,16 @@ against an independently built (Lambda G)-module tensor construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .field import quotient_map, row_space, solve_linear
-from .quiver import BoundAlgebra, PathWord, make_path, path_source, path_target
-from .action import AbelianGroup, Character, QuiverAction
+from .quiver import PathWord, make_path, path_source, path_target
+from .action import Character, QuiverAction
 from .rep import (RepMorphism, Representation, Summand, decompose, hom_basis,
-                  identity_morphism, is_isomorphic, isomorphism,
-                  module_stabilizer, twist, twist_morphism, zero_morphism)
-from .skew import QGArrow, QGVertex, SkewPresentation
-from .ar import cokernel_rep, direct_sum
+                  match_summands, module_stabilizer, twist)
+from .skew import SkewPresentation
 
 
 @dataclass
@@ -171,12 +169,13 @@ class GLambda:
         # realizing elements of the presentation's basis paths
         self.b_elements = [self._eval_path(w) for w in pres.algebra.basis]
         # right multiplication matrices on Z-coordinates
-        self.right_mults = [self._right_mult(e) for e in self.b_elements]
+        self.right_mults = [self._mult_matrix(e, left=False)
+                            for e in self.b_elements]
         # left multiplication by Lambda-basis generators (vertices + arrows)
         A = ctx.algebra
-        self.left_vertex = [self._left_mult(S.include(A.idempotent(v)))
+        self.left_vertex = [self._mult_matrix(S.include(A.idempotent(v)))
                             for v in range(A.quiver.n_vertices)]
-        self.left_arrow = [self._left_mult(S.include(A.unit_vector(
+        self.left_arrow = [self._mult_matrix(S.include(A.unit_vector(
             A.basis[A.bindex[make_path(A.quiver, (a,))]])))
             for a in range(A.quiver.n_arrows)]
 
@@ -190,27 +189,17 @@ class GLambda:
             out = e if out is None else self.S.multiply(e, out)
         return out
 
-    def _right_mult(self, elem: np.ndarray) -> np.ndarray:
-        F, S = self.F, self.S
-        cols = []
-        for r in range(self.zdim):
-            img = S.multiply(self.Z[r], elem)
-            coords = solve_linear(F, self.Z.T, img.reshape(-1, 1))
-            if coords is None:
-                raise AssertionError("Z not right-stable under e(LG)e")
-            cols.append(coords[:, 0])
-        return np.stack(cols, axis=1)
-
-    def _left_mult(self, elem: np.ndarray) -> np.ndarray:
-        F, S = self.F, self.S
-        cols = []
-        for r in range(self.zdim):
-            img = S.multiply(elem, self.Z[r])
-            coords = solve_linear(F, self.Z.T, img.reshape(-1, 1))
-            if coords is None:
-                raise AssertionError("Z not left-stable under Lambda")
-            cols.append(coords[:, 0])
-        return np.stack(cols, axis=1)
+    def _mult_matrix(self, elem: np.ndarray, left: bool = True) -> np.ndarray:
+        """Matrix of z -> elem z (or z -> z elem) on Z-coordinates: column r
+        holds the coordinates of the image of Z[r], all solved at once."""
+        S = self.S
+        imgs = np.stack([S.multiply(elem, z) if left else S.multiply(z, elem)
+                         for z in self.Z], axis=1)
+        coords = solve_linear(self.F, self.Z.T, imgs)
+        if coords is None:
+            raise AssertionError("Z not left-stable under Lambda" if left else
+                                 "Z not right-stable under e(LG)e")
+        return coords
 
     def _tensor(self, N: Representation):
         """(quotient projection from Z (x) N_total, per-vertex bases)."""
@@ -417,23 +406,13 @@ def decompose_pushdown(pres: SkewPresentation, M: Representation) -> StableDecom
 
     # organize: pick the canonically least summand, twist through G-hat
     base = parts[0]
-    ordered: list[tuple[Character, Summand]] = []
-    used = set()
-    for chi in chars.characters:
-        tw = twist(dact, chi.exponents, base.rep)
-        hit = None
-        for k, s in enumerate(parts):
-            if k in used:
-                continue
-            if s.rep.dims == tw.dims and is_isomorphic(s.rep, tw):
-                hit = k
-                break
-        if hit is None:
-            raise AssertionError("pushdown summands are not a twist orbit")
-        used.add(hit)
-        ordered.append((chi, parts[hit]))
-    if len(used) != len(parts):
+    twists = [twist(dact, chi.exponents, base.rep) for chi in chars.characters]
+    hits = match_summands(twists, [s.rep for s in parts])
+    if hits is None:
+        raise AssertionError("pushdown summands are not a twist orbit")
+    if len(hits) != len(parts):
         raise AssertionError("pushdown has summands outside the twist orbit")
+    ordered = [(chi, parts[k]) for chi, (k, _) in zip(chars.characters, hits)]
 
     q = ctx.algebra.quiver
     sup = [v for v in range(q.n_vertices) if M.dims[v] > 0]
@@ -487,19 +466,12 @@ def semi_dense_witness(pres: SkewPresentation, N: Representation):
         return Z, []
     M = restrict_G_lambda(pres, N)
     FM = pushdown_module(pres, M).rep
-    parts = decompose(FM)
-    remaining = list(parts)
-    target_parts = decompose(N)
-    for t in target_parts:
-        hit = None
-        for k, s in enumerate(remaining):
-            if s.rep.dims == t.rep.dims and is_isomorphic(s.rep, t.rep):
-                hit = k
-                break
-        if hit is None:
-            raise AssertionError("F G_lambda N does not contain N as a summand")
-        remaining.pop(hit)
-    return M, [s.rep for s in remaining]
+    parts = [s.rep for s in decompose(FM)]
+    hits = match_summands([t.rep for t in decompose(N)], parts)
+    if hits is None:
+        raise AssertionError("F G_lambda N does not contain N as a summand")
+    used = {k for k, _ in hits}
+    return M, [s for k, s in enumerate(parts) if k not in used]
 
 
 def recover_irreducible(pres: SkewPresentation, f: RepMorphism,

@@ -9,11 +9,11 @@ convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .field import PrimeField, nullspace_basis, row_space, rref, StructureConstants
+from .field import PrimeField, rref, StructureConstants
 
 MAX_PATHS_PER_DEGREE = 200_000
 

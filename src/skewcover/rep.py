@@ -457,37 +457,42 @@ def _matrix_to_morphism(M: Representation, total: np.ndarray) -> RepMorphism:
     return RepMorphism(M, M, blocks)
 
 
-def _image_subrep(e: RepMorphism):
-    """The image of an idempotent endomorphism as a representation, with
-    inclusion and projection morphisms."""
-    M = e.source
-    F, q = M.F, M.algebra.quiver
-    bases = [row_space(F, b.T) for b in e.blocks]  # rows span image at v
-    dims = [b.shape[0] for b in bases]
+def sub_from_rows(N: Representation, rows: list[np.ndarray]):
+    """Subrepresentation spanned per vertex by the given row bases (must be
+    arrow-closed).  Returns (S, inclusion)."""
+    F, q = N.F, N.algebra.quiver
+    rows = [row_space(F, r) if r.shape[0] else r for r in rows]
+    dims = [r.shape[0] for r in rows]
     maps = []
     for a, arr in enumerate(q.arrows):
         s, t = arr.source, arr.target
         if dims[s] == 0 or dims[t] == 0:
             maps.append(F.zeros(dims[t], dims[s]))
             continue
-        img = F.mul(M.maps[a], bases[s].T)  # columns: images of basis of im_s
-        coords = solve_linear(F, bases[t].T, img)
+        img = F.mul(N.maps[a], rows[s].T)
+        coords = solve_linear(F, rows[t].T, img)
         if coords is None:
-            raise AssertionError("image not closed under arrow action")
+            raise ValueError("row spaces are not arrow-closed")
         maps.append(coords)
-    sub = Representation(M.algebra, dims, maps)
-    incl = RepMorphism(sub, M, [bases[v].T.copy() for v in range(q.n_vertices)])
+    S = Representation(N.algebra, dims, maps)
+    incl = RepMorphism(S, N, [rows[v].T.copy() for v in range(q.n_vertices)])
+    if not incl.is_valid():
+        raise AssertionError("subrep inclusion fails commutation")
+    return S, incl
+
+
+def _image_subrep(e: RepMorphism):
+    """The image of an idempotent endomorphism as a representation, with
+    inclusion and projection morphisms."""
+    M = e.source
+    F = M.F
+    sub, incl = sub_from_rows(M, [b.T for b in e.blocks])
     # projection: solve incl . proj = e
-    proj_blocks = []
-    for v in range(q.n_vertices):
-        if dims[v] == 0:
-            proj_blocks.append(F.zeros(0, M.dims[v]))
-            continue
-        sol = solve_linear(F, bases[v].T, e.blocks[v])
-        proj_blocks.append(sol)
-    proj = RepMorphism(M, sub, proj_blocks)
-    if not incl.is_valid() or not proj.is_valid():
-        raise AssertionError("image inclusion/projection fails commutation")
+    proj = RepMorphism(M, sub, [
+        solve_linear(F, i, b) if i.shape[1] else F.zeros(0, b.shape[1])
+        for i, b in zip(incl.blocks, e.blocks)])
+    if not proj.is_valid():
+        raise AssertionError("image projection fails commutation")
     return sub, incl, proj
 
 
@@ -609,16 +614,11 @@ def _match_summands(M: Representation, N: Representation):
     msum, nsum = decompose(M), decompose(N)
     if len(msum) != len(nsum):
         return None
-    free = list(range(len(nsum)))
+    pairs = match_summands([s.rep for s in msum], [s.rep for s in nsum])
+    if pairs is None:
+        return None
     blocks = zero_morphism(M, N).blocks
-    for s in msum:
-        for k in free:
-            u = isomorphism(s.rep, nsum[k].rep)
-            if u is not None:
-                break
-        else:
-            return None
-        free.remove(k)
+    for s, (k, u) in zip(msum, pairs):
         piece = nsum[k].inclusion.compose(u).compose(s.projection)
         blocks = [F.add(b, pb) for b, pb in zip(blocks, piece.blocks)]
     iso = RepMorphism(M, N, blocks)
@@ -636,6 +636,86 @@ def combine(H: HomSpace, coeffs) -> RepMorphism:
 
 
 # ---------------------------------------------------------------------------
+# Isomorphism classes
+# ---------------------------------------------------------------------------
+
+class IsoClasses:
+    """Pairwise non-isomorphic modules, bucketed by dimension vector: the
+    one place that decides whether a module is already known up to
+    isomorphism.
+
+    A lookup of M tries `reps[i] is M` and then `isomorphism(reps[i], M)`
+    over the modules with M's dimension vector, in insertion order; the
+    first match wins.  Modules passed to the constructor are taken as
+    given, without checking that they are pairwise non-isomorphic.
+    """
+
+    def __init__(self, reps=()):
+        self.reps: list[Representation] = []
+        self._buckets: dict[tuple[int, ...], list[int]] = {}
+        for M in reps:
+            self.append(M)
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def _find(self, M: Representation):
+        """(i, u) as for `locate`, with u None when reps[i] is M."""
+        bucket = self._buckets.get(M.dims, ())
+        for i in bucket:
+            if self.reps[i] is M:
+                return i, None
+        for i in bucket:
+            u = isomorphism(self.reps[i], M)
+            if u is not None:
+                return i, u
+        return None
+
+    def locate(self, M: Representation):
+        """(i, u) with u: reps[i] -> M an isomorphism, or None."""
+        found = self._find(M)
+        if found is None or found[1] is not None:
+            return found
+        return found[0], identity_morphism(M)
+
+    def index(self, M: Representation) -> int:
+        """The index of M's class; KeyError when it has none."""
+        found = self._find(M)
+        if found is None:
+            raise KeyError(f"module {M.dims} has no isomorphism class here")
+        return found[0]
+
+    def append(self, M: Representation) -> int:
+        """Store M as a new class, unchecked (after a `locate` miss)."""
+        self._buckets.setdefault(M.dims, []).append(len(self.reps))
+        self.reps.append(M)
+        return len(self.reps) - 1
+
+    def add(self, M: Representation) -> int:
+        """The index of M's class, appending M when the class is new."""
+        found = self._find(M)
+        return self.append(M) if found is None else found[0]
+
+
+def match_summands(xs: list[Representation], ys: list[Representation]):
+    """Greedy matching up to isomorphism: each x, in order, takes the first
+    unused y isomorphic to it.  [(k, u: x -> ys[k])] per x, or None when
+    some x finds no partner."""
+    free = list(range(len(ys)))
+    out = []
+    for x in xs:
+        for k in free:
+            u = isomorphism(x, ys[k]) if ys[k].dims == x.dims else None
+            if u is not None:
+                break
+        else:
+            return None
+        free.remove(k)
+        out.append((k, u))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Radical powers relative to a complete indecomposable list
 # ---------------------------------------------------------------------------
 
@@ -649,6 +729,7 @@ class RadicalCalculator:
 
     def __init__(self, reps: list[Representation], cutoff: int = 64):
         self.reps = reps
+        self.classes = IsoClasses(reps)
         self.cutoff = cutoff
         self.F = reps[0].F if reps else None
         self._rad: list[dict[tuple[int, int], np.ndarray]] = []  # [n-1][i,j]
@@ -749,13 +830,7 @@ class RadicalCalculator:
         return level
 
     def index_of(self, M: Representation) -> int:
-        for i, R in enumerate(self.reps):
-            if R is M:
-                return i
-        for i, R in enumerate(self.reps):
-            if R.dims == M.dims and is_isomorphic(R, M):
-                return i
-        raise KeyError("module not in the indecomposable list")
+        return self.classes.index(M)
 
 
 def _pair_len(M: Representation, N: Representation) -> int:

@@ -22,9 +22,8 @@ from .field import (PrimeField, in_row_space, nullspace_basis, rank,
 from .quiver import (BoundAlgebra, NotAdmissibleError, PathWord, Quiver,
                      RelationElement, ideal_closure, make_path, path_source,
                      path_target)
-from .action import (AbelianGroup, Character, CharacterGroup,
-                     QuiverAction, arrow_character, character_group,
-                     orbits_stabilizers, validate_action)
+from .action import (AbelianGroup, Character, QuiverAction, arrow_character,
+                     character_group, orbits_stabilizers, validate_action)
 
 
 class SkewAlgebra:

@@ -7,16 +7,15 @@ of the skew algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
-import numpy as np
+from collections import Counter
+from dataclasses import dataclass
 
 from .action import QuiverAction
 from .ar import (AlmostSplitSequence, ARQuiver, _check_exact)
 from .pushdown import (decompose_pushdown, pushdown_module, pushdown_morphism,
                        sequence_stabilizer)
-from .rep import (Representation, Summand, decompose, is_isomorphic,
-                  module_stabilizer, twist)
+from .rep import (IsoClasses, Representation, Summand, decompose,
+                  module_stabilizer)
 from .skew import SkewPresentation
 
 
@@ -36,17 +35,8 @@ class GluedSequenceSet:
     stabilizer_order: int
 
 
-def _find_index(arq: ARQuiver, M: Representation) -> int:
-    for i, R in enumerate(arq.modules):
-        if R.dims == M.dims and is_isomorphic(R, M):
-            return i
-    raise KeyError(f"module {M.dims} not in the knitted skew AR quiver")
-
-
 def _summand_multiset(arq: ARQuiver, M: Representation) -> tuple:
-    if M.is_zero():
-        return ()
-    return tuple(sorted(_find_index(arq, s.rep) for s in decompose(M)))
+    return tuple(sorted(arq.calc.index_of(s.rep) for s in decompose(M)))
 
 
 def pushdown_sequence(pres: SkewPresentation, action: QuiverAction,
@@ -63,6 +53,7 @@ def pushdown_sequence(pres: SkewPresentation, action: QuiverAction,
     """
     ctx = pres.context
     G = ctx.group
+    index = arq_skew.calc.index_of
     stab = sequence_stabilizer(action, seq.left, seq.right)
 
     FM = pushdown_module(pres, seq.left)
@@ -75,11 +66,10 @@ def pushdown_sequence(pres: SkewPresentation, action: QuiverAction,
 
     if len(stab) < G.n:
         pushed.middle_summands = decompose(FN.rep)
-        iT = _find_index(arq_skew, FT.rep)
-        knitted = arq_skew.sequences.get(iT)
+        knitted = arq_skew.sequences.get(index(FT.rep))
         if knitted is None:
             raise AssertionError("pushed right term has no knitted mesh")
-        if not is_isomorphic(knitted.left, FM.rep):
+        if index(knitted.left) != index(FM.rep):
             raise AssertionError("pushed sequence disagrees with knitted mesh (left)")
         if _summand_multiset(arq_skew, knitted.middle) != _summand_multiset(arq_skew, FN.rep):
             raise AssertionError("pushed sequence disagrees with knitted mesh (middle)")
@@ -99,28 +89,21 @@ def pushdown_sequence(pres: SkewPresentation, action: QuiverAction,
         else:
             unstable_parts.append(s)
     # Z: one copy of each stable isomorphism class (they come n at a time)
-    z_classes: list[Representation] = []
-    z_count: list[int] = []
-    for s in stable_parts:
-        for k, z in enumerate(z_classes):
-            if z.dims == s.rep.dims and is_isomorphic(z, s.rep):
-                z_count[k] += 1
-                break
-        else:
-            z_classes.append(s.rep)
-            z_count.append(1)
-    if any(c != G.n for c in z_count):
+    z = IsoClasses()
+    z_count = Counter(z.add(s.rep) for s in stable_parts)
+    if any(c != G.n for c in z_count.values()):
         raise AssertionError("stable middle summands do not come in |G| copies")
-    z_idx = sorted(_find_index(arq_skew, z) for z in z_classes)
+    z_classes = z.reps
+    z_idx = sorted(index(r) for r in z_classes)
 
+    m_idx = {index(m_s.rep) for _, m_s in m_parts}
     sequences = []
     for chi, t_s in t_parts:
-        iT = _find_index(arq_skew, t_s.rep)
-        knitted = arq_skew.sequences.get(iT)
+        knitted = arq_skew.sequences.get(index(t_s.rep))
         if knitted is None:
             raise AssertionError("twist of pushed right term has no knitted mesh")
         # the left term must be one of the M-twists
-        if not any(is_isomorphic(knitted.left, m_s.rep) for _, m_s in m_parts):
+        if index(knitted.left) not in m_idx:
             raise AssertionError("knitted mesh left term is not an M-twist")
         sequences.append(knitted)
         # middle shape: Z once plus a transversal of the unstable twists

@@ -14,7 +14,7 @@ from skewcover.quiver import (BoundAlgebra, Quiver, RelationElement,
 from skewcover.inputfmt import build_input, parse_input, serialize_presentation
 from skewcover.skew import build_presentation
 from skewcover.rep import (RadicalCalculator, decompose, hom_basis, irr_space,
-                           is_indecomposable, is_isomorphic, isomorphism,
+                           is_indecomposable, is_isomorphic,
                            module_stabilizer, morphism_level, twist)
 from skewcover.ar import category_rank, knit_ar_quiver
 from skewcover.pushdown import (decompose_pushdown, pushdown_module,
@@ -239,7 +239,6 @@ def test_criterion_08_radical_preservation(fig5, fig5_pres, fig5_arq,
     calc = fig5_arq.calc
     scalc = fig5_skew_arq.calc
     mods = fig5_arq.modules
-    smods = fig5_skew_arq.modules
     n = fig5.group.n
 
     # per base module: pushdown, its decomposition, canonical transport
@@ -249,11 +248,7 @@ def test_criterion_08_radical_preservation(fig5, fig5_pres, fig5_arq,
         if i not in cache:
             FM = pushdown_module(fig5_pres, mods[i]).rep
             parts = decompose(FM)
-            isos = []
-            for s in parts:
-                k = next(k for k, R in enumerate(smods)
-                         if R.dims == s.rep.dims and is_isomorphic(R, s.rep))
-                isos.append((k, isomorphism(smods[k], s.rep)))
+            isos = [scalc.classes.locate(s.rep) for s in parts]
             cache[i] = (FM, parts, isos)
         return cache[i]
 

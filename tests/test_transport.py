@@ -181,17 +181,6 @@ def _skew_level(pres, skew_arq, Ff):
     mparts = decompose(Ff.source)
     nparts = decompose(Ff.target)
     calc = skew_arq.calc
-    miso = []
-    for s in mparts:
-        k = next(k for k, R in enumerate(skew_arq.modules)
-                 if R.dims == s.rep.dims and is_isomorphic(R, s.rep))
-        from skewcover.rep import isomorphism
-        miso.append((k, isomorphism(skew_arq.modules[k], s.rep)))
-    niso = []
-    for s in nparts:
-        k = next(k for k, R in enumerate(skew_arq.modules)
-                 if R.dims == s.rep.dims and is_isomorphic(R, s.rep))
-        from skewcover.rep import isomorphism
-        niso.append((k, isomorphism(skew_arq.modules[k], s.rep)))
-    from skewcover.rep import morphism_level
+    miso = [calc.classes.locate(s.rep) for s in mparts]
+    niso = [calc.classes.locate(s.rep) for s in nparts]
     return morphism_level(calc, Ff, mparts, nparts, miso, niso)
