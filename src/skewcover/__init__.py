@@ -2,7 +2,7 @@
 construction of the basic presentation, the pushdown semi-covering functor
 between module categories, and Auslander-Reiten-theoretic verification."""
 
-from .field import PrimeField, solve_linear, nullspace_basis, algebra_radical, lift_idempotent
+from .field import PrimeField, solve_linear, nullspace_basis, algebra_radical
 from .quiver import Quiver, PathWord, RelationElement, BoundAlgebra, is_gentle, is_skew_gentle, make_path
 from .action import AbelianGroup, Character, QuiverAction, character_group, validate_action, orbits_stabilizers, arrow_character
 from .skew import SkewAlgebra, SkewContext, SkewPresentation, build_context, build_presentation, skew_multiply

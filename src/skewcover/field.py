@@ -4,7 +4,7 @@ Matrices are numpy int64 arrays with entries reduced to [0, p).  All pivoting
 is deterministic (first nonzero entry scanning rows top to bottom), so every
 basis produced here is reproducible across runs.  Primes are kept below
 2^26, so a product of two entries times an inner dimension up to 2048 stays
-below 2^63.
+below 2^63; `PrimeField.mul` reduces after each slice of 2048 beyond that.
 
 Every elimination (`rref`, `rank`, `row_space`, `solve_linear`,
 `nullspace_basis`, `inverse`, `in_row_space`) runs one Gauss-Jordan kernel
@@ -20,21 +20,23 @@ reduced row echelon form is unique, so both paths return the same matrix.
 Also provides the algebra-level primitives consumed by the module-category
 code: sparse tensors over F_p, structure-constant algebras stored by their
 nonzero constants, Jacobson radical via the trace form (valid since
-char > dim), and idempotent lifting.
+char > dim), minimal polynomials, and factoring over F_p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 
 import numpy as np
 
 
 # Largest admissible prime, exclusive: p^2 * 2048 < 2^63 keeps every matrix
-# product with inner dimension up to 2048 exact in int64.
+# product with inner dimension up to _MUL_SLICE exact in int64.
 PRIME_LIMIT = 2 ** 26
+_MUL_SLICE = 2048
 
 
 class FieldTooSmallError(Exception):
@@ -125,9 +127,16 @@ class PrimeField:
         return np.asarray(rows, dtype=np.int64) % self.p
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product reduced mod p.  Exact while the inner dimension is
-        at most 2048, since p < 2^26 gives p**2 * 2048 < 2**63."""
-        return (a @ b) % self.p
+        """Matrix product of reduced matrices, reduced mod p; exact for any
+        p < 2^26, as p**2 * 2048 < 2**63 and a longer inner dimension is
+        summed mod p over slices of 2048."""
+        k, p = a.shape[-1], self.p
+        if k <= _MUL_SLICE:
+            return (a @ b) % p
+        out = 0
+        for s in range(0, k, _MUL_SLICE):
+            out = (out + a[..., s:s + _MUL_SLICE] @ b[s:s + _MUL_SLICE]) % p
+        return out
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a + b) % self.p
@@ -485,71 +494,119 @@ def algebra_radical(A: StructureConstants) -> np.ndarray:
     return nullspace_basis(F, gram)
 
 
-def lift_idempotent(A: StructureConstants, ebar: np.ndarray, max_iter: int = 64) -> np.ndarray:
-    """Lift an idempotent of A/rad(A) to an exact idempotent of A.
-
-    `ebar` is any representative whose square is congruent to it modulo the
-    radical.  Newton iteration e <- 3e^2 - 2e^3 terminates because the
-    defect e^2 - e lives in the nilpotent radical.
-    """
-    F = A.F
-    rad = algebra_radical(A)
-    e = ebar.copy() % F.p
-    defect = F.sub(A.multiply(e, e), e)
-    if np.any(defect) and not in_row_space(F, rad, defect):
-        raise ValueError("input is not idempotent modulo the radical")
-    for _ in range(max_iter):
-        e2 = A.multiply(e, e)
-        if np.array_equal(e2, e):
-            residual = F.sub(e, ebar)
-            if np.any(residual) and not in_row_space(F, rad, residual):
-                raise AssertionError("lift drifted off its residue class")
-            return e
-        e3 = A.multiply(e2, e)
-        e = F.sub(F.smul(3, e2), F.smul(2, e3))
-    raise ArithmeticError("idempotent lifting did not converge")
-
-
 # ---------------------------------------------------------------------------
 # Minimal polynomials and primary splitting (used by Krull-Schmidt)
 # ---------------------------------------------------------------------------
 
 def minimal_polynomial(F: PrimeField, M: np.ndarray) -> list[int]:
     """Coefficients [c_0, ..., c_d] (monic, c_d = 1) of the minimal
-    polynomial of the square matrix M over F_p."""
+    polynomial of the square matrix M over F_p, from one reduced echelon
+    form of the columns I, M, ..., M^n: the pivots are 0, ..., d-1, and
+    column d holds the coordinates of M^d."""
     n = M.shape[0]
-    if n == 0:
-        return [1]
-    powers = [F.eye(n).reshape(-1)]
-    cur = F.eye(n)
+    powers = [F.eye(n)]
     for _ in range(n):
-        cur = F.mul(cur, M)
-        powers.append(cur.reshape(-1))
-    for d in range(1, n + 1):
-        A = np.stack(powers[:d], axis=1)  # columns I, M, ..., M^{d-1}
-        b = powers[d]
-        sol = solve_linear(F, A, b.reshape(-1, 1))
-        if sol is not None:
-            return [int((-sol[i, 0]) % F.p) for i in range(d)] + [1]
-    raise AssertionError("minimal polynomial must exist by Cayley-Hamilton")
+        powers.append(F.mul(powers[-1], M))
+    R, piv = rref(F, np.stack([P.reshape(-1) for P in powers], axis=1))
+    return [int(-c % F.p) for c in R[:len(piv), len(piv)]] + [1]
 
 
 def factor_poly(F: PrimeField, coeffs: list[int]):
-    """Primary factorization over F_p via sympy.
+    """The factors over F_p of the polynomial with coefficients `coeffs`
+    (low to high): [(monic irreducible factor, low to high, multiplicity)],
+    the constant content dropped, ordered by degree, then multiplicity,
+    then the coefficients read from the leading one down.  Cantor and
+    Zassenhaus (Math. Comp. 36, 1981): a squarefree decomposition,
+    distinct-degree factoring by x^(p^k) mod g, equal-degree splitting."""
+    f = _poly_sub(F, coeffs)
+    if len(f) < 2:
+        return []
+    f = poly_divmod(F, f, [f[-1]])[0]
+    out = [(h, m) for g, m in _squarefree(F, f)
+           for g_k, k in _distinct_degree(F, g)
+           for h in _equal_degree(F, g_k, k)]
+    return sorted(out, key=lambda hm: (len(hm[0]), hm[1], hm[0][::-1]))
 
-    Returns a list of (factor coefficients low-to-high, multiplicity).
-    sympy is imported here, its only use, so that loading the package and
-    commands that never split an endomorphism ring do not pay for it.
-    """
-    import sympy
 
-    x = sympy.symbols("x")
-    poly = sympy.Poly(list(reversed(coeffs)), x, modulus=F.p)
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = [int(c) % F.p for c in reversed(fac.all_coeffs())]
-        out.append((cs, int(mult)))
+def _squarefree(F: PrimeField, f: list[int]):
+    """[(g, m)] with f = prod g^m, each g monic, squarefree and coprime to
+    the others, for monic f (Yun's algorithm).  What is left in c has a
+    zero derivative, so c(x) = h(x^p) = h(x)^p over F_p."""
+    df = _poly_sub(F, [i * c for i, c in enumerate(f)][1:])
+    c = poly_gcd_ext(F, f, df)[0]
+    w = poly_divmod(F, f, c)[0]
+    out, m = [], 1
+    while len(w) > 1:
+        y = poly_gcd_ext(F, w, c)[0]
+        z = poly_divmod(F, w, y)[0]
+        if len(z) > 1:
+            out.append((z, m))
+        w, c, m = y, poly_divmod(F, c, y)[0], m + 1
+    if len(c) > 1:
+        out += [(g, k * F.p) for g, k in _squarefree(F, c[::F.p])]
+    return out
+
+
+def _distinct_degree(F: PrimeField, g: list[int]):
+    """[(g_k, k)]: g_k the product of the degree-k irreducible factors of
+    the monic squarefree g, found as gcd(g, x^(p^k) - x)."""
+    out, k, h = [], 0, [0, 1]
+    while len(g) - 1 >= 2 * (k + 1):
+        k += 1
+        h = power(lambda a, b: poly_divmod(F, poly_mul(F, a, b), g)[1],
+                  h, F.p, [1])
+        g_k = poly_gcd_ext(F, g, _poly_sub(F, h, [0, 1]))[0]
+        if len(g_k) > 1:
+            out.append((g_k, k))
+            g = poly_divmod(F, g, g_k)[0]
+            h = poly_divmod(F, h, g)[1]
+    if len(g) > 1:
+        out.append((g, len(g) - 1))
+    return out
+
+
+def _equal_degree(F: PrimeField, g: list[int], k: int, s: int = 0):
+    """The monic irreducible factors of g, all of degree k, split off by
+    gcd(g, a^((p^k - 1)/2) - 1), or gcd(g, a + a^2 + ... + a^(2^(k-1)))
+    when p = 2: on each factor's field F_{p^k}, the quadratic character
+    and the trace to F_p.  The a are x, x + 1, ..., x + p - 1, 2x, ...: the
+    base-p digits of p + s, p + s + 1, ....  By the Chinese remainder
+    theorem one of degree below deg g separates two factors; the pieces
+    go on from the next a, since no earlier one separates their factors."""
+    if len(g) - 1 == k:
+        return [g]
+    p = F.p
+    mul = lambda a, b: poly_divmod(F, poly_mul(F, a, b), g)[1]  # noqa: E731
+    while True:
+        a, t = [], p + s
+        while t:
+            a.append(t % p)
+            t //= p
+        if len(a) >= len(g):
+            raise AssertionError("no split of an equal-degree product")
+        if p == 2:
+            b = t = a
+            for _ in range(k - 1):
+                b = mul(b, b)
+                t = _poly_sub(F, t, b)
+        else:
+            t = _poly_sub(F, power(mul, a, (p ** k - 1) // 2, [1]), [1])
+        d = poly_gcd_ext(F, g, t)[0]
+        s += 1
+        if 1 < len(d) < len(g):
+            return (_equal_degree(F, d, k, s)
+                    + _equal_degree(F, poly_divmod(F, g, d)[0], k, s))
+
+
+def power(mul, x, e: int, one):
+    """x^e under the associative product `mul`, by repeated squaring."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
     return out
 
 
@@ -566,33 +623,21 @@ def poly_mul(F: PrimeField, a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % F.p
-    return out
+            out[i + j] += ca * cb
+    return [c % F.p for c in out]
 
 
 def poly_divmod(F: PrimeField, a: list[int], b: list[int]):
-    a = [c % F.p for c in a]
-    b = [c % F.p for c in b]
-    while len(b) > 1 and b[-1] == 0:
-        b.pop()
-    inv_lead = F.inv(b[-1])
-    q = [0] * max(1, len(a) - len(b) + 1)
-    r = a[:]
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        c = r[-1] * inv_lead % F.p
-        d = len(r) - len(b)
-        q[d] = c
+    """(q, r) with a = q b + r and deg r < deg b, both reduced with
+    trailing zeros dropped; b must be nonzero."""
+    p, b, r = F.p, _poly_sub(F, b), _poly_sub(F, a)
+    inv, n = F.inv(b[-1]), len(b) - 1
+    q = [0] * max(1, len(r) - n)
+    for d in range(len(r) - n - 1, -1, -1):
+        q[d] = c = r[d + n] * inv % p
         for i, cb in enumerate(b):
-            r[i + d] = (r[i + d] - c * cb) % F.p
-        while r and r[-1] == 0:
-            r.pop()
-    if not r:
-        r = [0]
-    return q, r
+            r[i + d] = (r[i + d] - c * cb) % p
+    return _poly_sub(F, q), _poly_sub(F, r[:n])
 
 
 def poly_gcd_ext(F: PrimeField, a: list[int], b: list[int]):
@@ -610,6 +655,9 @@ def poly_gcd_ext(F: PrimeField, a: list[int], b: list[int]):
     return ([c * li % F.p for c in r0], [c * li % F.p for c in s0], [c * li % F.p for c in t0])
 
 
-def _poly_sub(F: PrimeField, a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    return [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % F.p for i in range(n)]
+def _poly_sub(F: PrimeField, a: list[int], b: list[int] = ()) -> list[int]:
+    """a - b reduced, with trailing zeros dropped ([0] for zero)."""
+    out = [(x - y) % F.p for x, y in zip_longest(a, b, fillvalue=0)] or [0]
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out

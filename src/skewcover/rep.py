@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (factor_poly, in_row_space,
-                    minimal_polynomial, nullspace_basis, poly_gcd_ext,
-                    poly_mul, poly_eval_matrix, algebra_radical, rank,
+from .field import (factor_poly, in_row_space, minimal_polynomial,
+                    nullspace_basis, poly_divmod, poly_gcd_ext, poly_mul,
+                    poly_eval_matrix, power, algebra_radical, quotient_map, rank,
                     row_space, solve_linear, StructureConstants, inverse)
 from .quiver import BoundAlgebra, PathWord, path_source, path_target
 from .action import QuiverAction
@@ -302,12 +302,9 @@ def twist(action: QuiverAction, g, M: Representation) -> Representation:
     """The module gM with (gM)(x) = M(g x), arrows transported with the
     action scalars: (gM)(a) = c * M(b) for g(a) = c b."""
     q = M.algebra.quiver
-    F = M.F
     dims = [M.dims[action.vertex(g, v)] for v in range(q.n_vertices)]
-    maps = []
-    for a in range(q.n_arrows):
-        c, b = action.arrow(g, a)
-        maps.append(F.smul(c, M.maps[b]))
+    maps = [M.F.smul(c, M.maps[b])
+            for c, b in (action.arrow(g, a) for a in range(q.n_arrows))]
     return Representation(M.algebra, dims, maps)
 
 
@@ -320,11 +317,8 @@ def twist_morphism(action: QuiverAction, g, f: RepMorphism,
 
 def module_stabilizer(action: QuiverAction, M: Representation) -> list:
     """{g : gM isomorphic to M} (a subgroup; tested elementwise)."""
-    out = []
-    for g in action.group.elements:
-        if is_isomorphic(twist(action, g, M), M):
-            out.append(g)
-    return out
+    return [g for g in action.group.elements
+            if is_isomorphic(twist(action, g, M), M)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,90 +365,100 @@ def end_radical(M: Representation) -> np.ndarray:
 
 
 def is_indecomposable(M: Representation) -> bool:
-    """dim(End(M)/rad End(M)) == 1.
-
-    A value > 1 with no splitting idempotent would mean a non-split
-    endomorphism ring (see NonSplitEndError in decompose); for split field
-    data this function is the local-endomorphism test.
-    """
+    """dim(End(M)/rad End(M)) == 1: End(M) is local with residue field F_p;
+    `decompose` reports a larger residue field with NonSplitEndError."""
     if M.is_zero():
         raise ValueError("zero module")
     E, _ = end_algebra(M)
     return E.dim - end_radical(M).shape[0] == 1
 
 
-def _find_splitting_idempotent(M: Representation):
-    """A nontrivial exact idempotent endomorphism of M, or None if End(M)
-    is local.  Deterministic: scans End basis elements, then pairwise sums
-    and products, by primary decomposition of minimal polynomials."""
+def _splitting_element(M: Representation):
+    """(f, minimal polynomial of f, its factors) for an endomorphism f of M,
+    as a total matrix, whose minimal polynomial has two or more distinct
+    irreducible factors; M must have dim End(M)/rad > 1.  Drawn lazily in
+    a fixed order over the End basis b: sum (k+1) b_k, each b_k, b_i + b_j
+    and b_i b_j for i < j, and last the lift from `_frobenius_fixed`."""
     F = M.F
-    E, H = end_algebra(M)
-    radb = end_radical(M)
-    if E.dim - radb.shape[0] == 1:
-        return None
+    _, H = end_algebra(M)
+    mats = np.stack([_total_matrix(f) for f in H.basis])
+    n = len(mats)
 
-    def idempotent_from(fmat: np.ndarray):
-        mp = minimal_polynomial(F, fmat)
+    def combination(x):
+        return F.mul(x % F.p, mats.reshape(n, -1)).reshape(mats.shape[1:])
+
+    def candidates():
+        yield combination(np.arange(1, n + 1))
+        yield from mats
+        for i in range(n):
+            for j in range(i + 1, n):
+                yield F.add(mats[i], mats[j])
+                yield F.mul(mats[i], mats[j])
+        yield combination(_frobenius_fixed(M))
+
+    for f in candidates():
+        mp = minimal_polynomial(F, f)
         factors = factor_poly(F, mp)
-        if len(factors) < 2:
-            return None
-        # CRT idempotent cutting out the first primary component
-        f1 = factors[0][0]
-        q1 = f1
-        for _ in range(factors[0][1] - 1):
-            q1 = poly_mul(F, q1, f1)
-        rest = [1]
-        for fac, mult in factors[1:]:
-            for _ in range(mult):
-                rest = poly_mul(F, rest, fac)
-        g, u, v = poly_gcd_ext(F, q1, rest)
-        if len(g) != 1:
-            return None
-        # e = u*q1 evaluated at f kills the first component, is 1 on the rest
-        e = poly_eval_matrix(F, poly_mul(F, u, q1), fmat)
-        if not np.any(e) or np.array_equal(e, F.eye(e.shape[0])):
-            return None
-        if not np.array_equal(F.mul(e, e), e):
-            return None
-        return e
+        if len(factors) > 1:
+            return f, mp, factors
+    raise AssertionError("a non-scalar Frobenius-fixed element did not split")
 
-    mats = [_total_matrix(f) for f in H.basis]
-    candidates = list(mats)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            candidates.append(F.add(mats[i], mats[j]))
-            candidates.append(F.mul(mats[i], mats[j]))
-    for c in candidates:
-        e = idempotent_from(c)
-        if e is not None:
-            return _matrix_to_morphism(M, e)
 
-    # quotient is commutative with no split: a genuine field extension
-    quot_dim = E.dim - radb.shape[0]
-    raise NonSplitEndError(
-        f"End(M)/rad has dimension {quot_dim} with no splitting idempotent "
-        f"found; non-split endomorphism ring over F_{F.p}")
+def _frobenius_fixed(M: Representation) -> np.ndarray:
+    """End-basis coordinates of an endomorphism proved to split M, or the
+    proof that none does.
+
+    A = End(M)/rad is semisimple: a product of matrix rings over fields
+    F_{p^k} (Wedderburn).  If A is commutative, a -> a^p is F_p-linear on
+    A and fixes exactly the elements with all components in F_p, so the
+    fixed subalgebra has one dimension per factor (Berlekamp's count).  One
+    dimension proves A = F_{p^d}, d = dim A: M is indecomposable but not
+    absolutely, and NonSplitEndError is raised.  Otherwise a non-scalar
+    fixed element has two distinct components in F_p, so its minimal
+    polynomial divides x^p - x with two distinct roots, and so does that
+    of its lift to End(M) (rad End(M) is nilpotent): the lift splits M.  A
+    non-commutative A has nontrivial idempotents, so reaching it here is
+    an internal error.
+    """
+    F = M.F
+    E, _ = end_algebra(M)
+    radb = end_radical(M)
+    Q = quotient_map(F, radb, E.dim)
+    # A's basis: the images of the b_k at the non-pivot columns of radb
+    piv = set(np.argmax(radb != 0, axis=1).tolist())
+    top = [k for k in range(E.dim) if k not in piv]
+    unit, d = F.eye(E.dim)[top], len(top)
+    commutators = [F.sub(E.multiply(x, y), E.multiply(y, x))
+                   for x in unit for y in unit]
+    if np.any(F.mul(Q, np.stack(commutators, axis=1))):
+        raise AssertionError(f"no splitting element found for the module "
+                             f"with dimension vector {M.dims} and Loewy layers "
+                             f"{M.label()}, whose End/rad is not commutative")
+    frob = F.mul(Q, np.stack([power(E.multiply, u, F.p, E.one) for u in unit], 1))
+    fixed = nullspace_basis(F, F.sub(frob, F.eye(d)))
+    if fixed.shape[0] == 1:
+        raise NonSplitEndError(
+            f"the module with dimension vector {M.dims} and Loewy layers "
+            f"{M.label()} is indecomposable over F_{F.p} but not absolutely: "
+            f"End/rad is the field of order {F.p}^{d}, of degree {d}")
+    lift = np.zeros(E.dim, dtype=np.int64)
+    lift[top] = next(y for y in fixed if rank(F, np.stack([y, F.mul(Q, E.one)])) == 2)
+    return lift
 
 
 def _total_matrix(f: RepMorphism) -> np.ndarray:
     """Block-diagonal total matrix of a morphism M -> M."""
-    F = f.source.F
-    n = f.source.total_dim
-    out = F.zeros(n, n)
-    off = 0
-    for v, d in enumerate(f.source.dims):
-        out[off: off + d, off: off + d] = f.blocks[v]
-        off += d
+    n, off = f.source.total_dim, np.cumsum((0,) + f.source.dims)
+    out = f.source.F.zeros(n, n)
+    for v, b in enumerate(f.blocks):
+        out[off[v]: off[v + 1], off[v]: off[v + 1]] = b
     return out
 
 
 def _matrix_to_morphism(M: Representation, total: np.ndarray) -> RepMorphism:
-    blocks = []
-    off = 0
-    for d in M.dims:
-        blocks.append(total[off: off + d, off: off + d] % M.F.p)
-        off += d
-    return RepMorphism(M, M, blocks)
+    off = np.cumsum((0,) + M.dims)
+    return RepMorphism(M, M, [total[off[v]: off[v + 1], off[v]: off[v + 1]] % M.F.p
+                              for v in range(len(M.dims))])
 
 
 def sub_from_rows(N: Representation, rows: list[np.ndarray]):
@@ -503,15 +507,6 @@ class Summand:
     projection: RepMorphism  # M -> summand
 
 
-def split_by_idempotent(M: Representation, e: RepMorphism):
-    """M = im(e) + im(1-e) with inclusion/projection witnesses."""
-    one = identity_morphism(M)
-    comp = RepMorphism(M, M, [M.F.sub(a, b) for a, b in zip(one.blocks, e.blocks)])
-    s1, i1, p1 = _image_subrep(e)
-    s2, i2, p2 = _image_subrep(comp)
-    return Summand(s1, i1, p1), Summand(s2, i2, p2)
-
-
 def decompose(M: Representation) -> list[Summand]:
     """Full Krull-Schmidt decomposition with explicit witnesses.
 
@@ -536,31 +531,41 @@ def decompose(M: Representation) -> list[Summand]:
 
 def _krull_schmidt(M: Representation):
     """The summands of M as (dims, maps, inclusion blocks, projection
-    blocks), or None when M is indecomposable."""
+    blocks), or None when M is indecomposable.  A piece on the stack is cut
+    by one splitting element f into all of its primary components
+    ker q(f)^m, the images of the CRT idempotents of the primary factors
+    q^m of the minimal polynomial; only pieces with dim End/rad > 1 go
+    back on the stack."""
+    if is_indecomposable(M):
+        return None
+    F = M.F
     work = [Summand(M, identity_morphism(M), identity_morphism(M))]
     out: list[Summand] = []
     while work:
         cur = work.pop()
-        e = _find_splitting_idempotent(cur.rep)
-        if e is None:
-            out.append(cur)
-            continue
-        for piece in split_by_idempotent(cur.rep, e):
-            inc = cur.inclusion.compose(piece.inclusion)
-            prj = piece.projection.compose(cur.projection)
-            work.append(Summand(piece.rep, inc, prj))
-    if len(out) == 1:
-        return None
+        f, mp, factors = _splitting_element(cur.rep)
+        for q, m in factors:
+            qm = power(lambda a, b: poly_mul(F, a, b), q, m, [1])
+            rest = poly_divmod(F, mp, qm)[0]
+            # u rest = 1 mod q^m: the idempotent is 1 on ker q(f)^m, 0 on the rest
+            u = poly_gcd_ext(F, rest, qm)[1]
+            e = poly_eval_matrix(F, poly_divmod(F, poly_mul(F, u, rest), mp)[1], f)
+            sub, incl, proj = _image_subrep(_matrix_to_morphism(cur.rep, e))
+            piece = Summand(sub, cur.inclusion.compose(incl),
+                            proj.compose(cur.projection))
+            (out if is_indecomposable(sub) else work).append(piece)
     out.sort(key=lambda s: (s.rep.dims, s.rep.label()))
-    total = sum(s.rep.total_dim for s in out)
-    if total != M.total_dim:
+    if sum(s.rep.total_dim for s in out) != M.total_dim:
         raise AssertionError("decomposition loses dimension")
     # verify the witnesses: projections . inclusions = identity blocks
-    F = M.F
     for s in out:
         pi = s.projection.compose(s.inclusion)
         if not all(np.array_equal(b, F.eye(b.shape[0])) for b in pi.blocks):
             raise AssertionError("summand witness is not a splitting")
+    # ... and the idempotents inclusion . projection sum to the identity
+    parts = [s.inclusion.compose(s.projection).blocks for s in out]
+    if any(np.any(F.sub(sum(bs), F.eye(len(bs[0])))) for bs in zip(*parts)):
+        raise AssertionError("summand idempotents do not sum to the identity")
     return [(s.rep.dims, [_frozen(m) for m in s.rep.maps],
              [_frozen(b) for b in s.inclusion.blocks],
              [_frozen(b) for b in s.projection.blocks]) for s in out]
@@ -757,16 +762,14 @@ class RadicalCalculator:
 
     def rad(self, i: int, j: int, n: int) -> np.ndarray:
         """Echelon row basis of rad^n(reps[i], reps[j]) as morphism vectors."""
+        empty = np.zeros((0, _pair_len(self.reps[i], self.reps[j])), dtype=np.int64)
         if n <= 0:
             H = self.hom(i, j)
-            if not H.basis:
-                return np.zeros((0, _pair_len(self.reps[i], self.reps[j])),
-                                dtype=np.int64)
-            return row_space(self.F, np.stack([f.to_vector() for f in H.basis]))
+            return (row_space(self.F, np.stack([f.to_vector() for f in H.basis]))
+                    if H.basis else empty)
         while len(self._rad) < n:
             self._grow()
-        return self._rad[n - 1].get(
-            (i, j), np.zeros((0, _pair_len(self.reps[i], self.reps[j])), dtype=np.int64))
+        return self._rad[n - 1].get((i, j), empty)
 
     def _compose_spans(self, i: int, k: int, j: int,
                        A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -854,16 +857,12 @@ def irr_space(calc: RadicalCalculator, M: Representation, N: Representation):
     reps = []
     if d > 0:
         F = calc.F
-        span = r2.copy() if r2.shape[0] else np.zeros((0, r1.shape[1]), dtype=np.int64)
-        for r in range(r1.shape[0]):
-            vec = r1[r]
-            if span.shape[0] and in_row_space(F, span, vec):
-                continue
-            if not span.shape[0] and not np.any(vec):
+        span = r2
+        for vec in r1:
+            if in_row_space(F, span, vec):
                 continue
             reps.append(morphism_from_vector(calc.reps[i], calc.reps[j], vec))
-            span = (row_space(F, np.concatenate([span, vec.reshape(1, -1)]))
-                    if span.shape[0] else vec.reshape(1, -1).copy())
+            span = row_space(F, np.concatenate([span, vec.reshape(1, -1)]))
             if len(reps) == d:
                 break
     return d, reps

@@ -211,3 +211,36 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
         assert (code, got.out, got.err) == (
             fresh.returncode, fresh.stdout, fresh.stderr), args
     assert cli._parser() is cli._parser()
+
+
+_NO_SYMPY = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["sympy"] = None     # any import of sympy now fails
+from skewcover import cli
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([cli.main(argv), out.getvalue()])
+print(json.dumps({"runs": runs, "sympy": repr(sys.modules.get("sympy", "absent"))}))
+"""
+
+
+@pytest.mark.parametrize("mode", ["block", "watch"])
+def test_runs_without_sympy(capsys, mode):
+    """With sympy blocked, `pushdown` (which splits End rings) and a knit
+    print what they print in this process; unblocked, a knit never loads
+    sympy."""
+    fig5 = _data_path("fig5.skw")
+    argvs = [["pushdown", fig5, "--module", "S2"], ["ar-quiver", fig5]]
+    src = str(Path(skewcover.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _NO_SYMPY, mode, json.dumps(argvs)],
+                           capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert report["sympy"] == ("None" if mode == "block" else "'absent'")
+    for argv, (code, out) in zip(argvs, report["runs"]):
+        assert [code, out] == list(run_cli(capsys, *argv)[:2])

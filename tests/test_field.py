@@ -1,4 +1,5 @@
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from skewcover.field import (PRIME_LIMIT, FieldTooSmallError, PrimeField,
                              StructureConstants, _is_prime,
                              algebra_radical, factor_poly, in_row_space,
-                             inverse, lift_idempotent, minimal_polynomial,
-                             nullspace_basis, poly_eval_matrix, rank, rref,
+                             inverse, minimal_polynomial,
+                             nullspace_basis, poly_divmod, poly_eval_matrix,
+                             poly_mul, rank, rref,
                              solve_linear)
 
 F101 = PrimeField(101)
@@ -137,30 +139,6 @@ def test_radical_needs_large_field():
         algebra_radical(A)
 
 
-def test_lift_idempotent_trivial():
-    A = _algebra_product_field(1009)
-    assert np.array_equal(lift_idempotent(A, np.array([0, 0])), [0, 0])
-    assert np.array_equal(lift_idempotent(A, np.array([1, 1])), [1, 1])
-
-
-def test_lift_idempotent_triangular():
-    t = np.zeros((3, 3, 3), dtype=np.int64)
-    t[0, 0] = [1, 0, 0]
-    t[0, 1] = [0, 1, 0]
-    t[1, 2] = [0, 1, 0]
-    t[2, 2] = [0, 0, 1]
-    A = StructureConstants(F, t, np.array([1, 0, 1]))
-    e = lift_idempotent(A, np.array([1, 5, 0]))
-    assert np.array_equal(A.multiply(e, e), e)
-    assert e[0] == 1 and e[2] == 0  # projects to the diag class (1, 0)
-
-
-def test_lift_rejects_non_idempotent():
-    A = _algebra_product_field(1009)
-    with pytest.raises(ValueError):
-        lift_idempotent(A, np.array([2, 0]))
-
-
 def test_minimal_polynomial_nilpotent():
     M = F101.mat([[0, 1], [0, 0]])
     assert minimal_polynomial(F101, M) == [0, 0, 1]
@@ -175,6 +153,117 @@ def test_minpoly_factor_and_split():
     proj = poly_eval_matrix(F, [(2 * F.inv(1)) % F.p * 0 + (-2) % F.p * F.inv((1 - 2) % F.p) % F.p,
                                 F.inv((1 - 2) % F.p)], M)
     assert np.array_equal(F.mul(proj, proj), proj)
+
+
+# -- factoring over F_p -------------------------------------------------------
+
+FACTOR_PRIMES = [2, 3, 5, 1009, 67108859]
+
+
+@st.composite
+def polynomials(draw, primes=FACTOR_PRIMES, max_degree=12):
+    """(p, coefficients low to high): a constant times a product of random
+    factors with multiplicities (p-th powers included at small p), or raw
+    random coefficients."""
+    p = draw(st.sampled_from(primes))
+    coef = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        return p, draw(st.lists(coef, min_size=1, max_size=max_degree + 1))
+    Fp, out = PrimeField(p), [draw(st.integers(1, p - 1))]
+    for _ in range(draw(st.integers(0, 4))):
+        fac = draw(st.lists(coef, min_size=1, max_size=3)) + [1]
+        mults = [1, 2, 3] + ([p] if p <= 5 else [])
+        for _ in range(draw(st.sampled_from(mults))):
+            if len(out) + len(fac) - 2 > max_degree:
+                break
+            out = poly_mul(Fp, out, fac)
+    return p, out
+
+
+def test_factor_poly_matches_sympy():
+    """Same monic factors, multiplicities and order as sympy's factor_list."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+
+    @settings(max_examples=300, deadline=None)
+    @given(polynomials())
+    def check(case):
+        p, coeffs = case
+        poly = sympy.Poly(list(reversed(coeffs)), x, modulus=p)
+        want = [([int(c) % p for c in reversed(f.all_coeffs())], int(m))
+                for f, m in poly.factor_list()[1]]
+        assert factor_poly(PrimeField(p), coeffs) == want
+
+    check()
+
+
+def _monic_polys(p, degree):
+    for tail in product(range(p), repeat=degree):
+        yield list(tail) + [1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials(primes=[2, 3, 5, 7], max_degree=7))
+def test_factor_poly_brute_force(case):
+    """At p <= 7 without sympy: the factors are monic, distinct, irreducible
+    (no monic divisor of degree up to half theirs), in the documented order,
+    and rebuild the input with its leading coefficient."""
+    p, coeffs = case
+    Fp = PrimeField(p)
+    factors = factor_poly(Fp, coeffs)
+    reduced = [c % p for c in coeffs]
+    while len(reduced) > 1 and reduced[-1] == 0:
+        reduced.pop()
+    rebuilt = [reduced[-1]]
+    for f, m in factors:
+        assert f[-1] == 1 and len(f) >= 2
+        for d in range(1, (len(f) - 1) // 2 + 1):
+            assert all(any(poly_divmod(Fp, f, g)[1]) for g in _monic_polys(p, d))
+        for _ in range(m):
+            rebuilt = poly_mul(Fp, rebuilt, f)
+    assert len({tuple(f) for f, _ in factors}) == len(factors)
+    assert factors == sorted(factors, key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1]))
+    assert rebuilt == reduced
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.sampled_from([2, 5, 1009]), st.data())
+def test_minimal_polynomial_is_minimal(n, p, data):
+    """mp(M) = 0, and I, M, ..., M^(d-1) are independent (d = deg mp)."""
+    Fp = PrimeField(p)
+    M = Fp.mat(data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n,
+                                           max_size=n), min_size=n, max_size=n))
+               or np.zeros((0, 0)))
+    mp = minimal_polynomial(Fp, M)
+    assert mp[-1] == 1
+    assert not np.any(poly_eval_matrix(Fp, mp, M))
+    powers = [Fp.eye(n)]
+    for _ in range(len(mp) - 2):
+        powers.append(Fp.mul(powers[-1], M))
+    if n:
+        assert rank(Fp, np.stack([P.reshape(-1) for P in powers])) == len(mp) - 1
+
+
+P_BIG = 67108859
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2040, 4200), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_mul_exact_beyond_2048(k, seed, extreme):
+    """F.mul against Python integers at the largest admissible prime, for
+    inner dimensions around and past the 2048 slice."""
+    Fb = PrimeField(P_BIG)
+    gen = np.random.default_rng(seed)
+    if extreme:
+        a = np.full((2, k), P_BIG - 1, dtype=np.int64)
+        b = np.full((k, 3), P_BIG - 1, dtype=np.int64)
+    else:
+        a = gen.integers(0, P_BIG, (2, k))
+        b = gen.integers(0, P_BIG, (k, 3))
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % P_BIG
+             for col in b.T] for row in a]
+    assert Fb.mul(a, b).tolist() == want
+    assert Fb.mul(a[0], b).tolist() == want[0]
 
 
 def test_inverse():

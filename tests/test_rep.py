@@ -12,6 +12,7 @@ from skewcover.rep import (NonSplitEndError, RadicalCalculator, RepMorphism,
                            morphism_from_vector, rad_power_basis, twist,
                            twist_morphism, zero_morphism)
 from skewcover.ar import direct_sum, simple_module
+from skewcover.cli import main
 
 from conftest import golden_text
 
@@ -285,14 +286,28 @@ def test_rad_power_basis_and_exposed_reps(fig5_arq):
         assert f.is_valid()
 
 
-def test_non_split_endomorphism_reported():
+def test_non_split_endomorphism_reported(tmp_path, capsys):
     """A regular Kronecker module whose endomorphism ring is the quadratic
-    field extension: decomposition reports it instead of guessing."""
+    field extension: decomposition reports it instead of guessing, naming
+    the module and the degree, and the CLI's error line carries that."""
     kq = Quiver(["1", "2"], [("al", "1", "2"), ("be", "1", "2")])
     alg = BoundAlgebra(F, kq, [])
     c = next(c for c in range(2, F.p) if pow(c, (F.p - 1) // 2, F.p) == F.p - 1)
     companion = F.mat([[0, c], [1, 0]])
     M = Representation(alg, (2, 2), [F.eye(2), companion])
     assert not is_indecomposable(M)  # the split-local test is negative...
-    with pytest.raises(NonSplitEndError):
+    with pytest.raises(NonSplitEndError) as exc:
         decompose(M)                 # ...and decomposition says why
+    message = str(exc.value)
+    assert M.label() == "2,0|0,2"
+    assert message == (
+        "the module with dimension vector (2, 2) and Loewy layers 2,0|0,2 "
+        "is indecomposable over F_1009 but not absolutely: End/rad is the "
+        "field of order 1009^2, of degree 2")
+    path = tmp_path / "regular_kronecker.skw"
+    path.write_text(
+        "field p = 1009\nvertex 1\nvertex 2\narrow al: 1 -> 2\n"
+        "arrow be: 1 -> 2\ngroup Z1\nmodule R {\n  dim 1 = 2\n  dim 2 = 2\n"
+        f"  map al = [[1, 0], [0, 1]]\n  map be = [[0, {c}], [1, 0]]\n}}\n")
+    assert main(["pushdown", str(path), "--module", "R"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
