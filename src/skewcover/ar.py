@@ -41,9 +41,15 @@ def projective_module(alg: BoundAlgebra, v: int) -> Representation:
     """P_v: space at u spanned by normal-form basis paths v -> u, arrows
     acting by post-composition and normal form."""
     q = alg.quiver
-    by_vertex = _paths_from(alg, v)
+    by_vertex: list[list[int]] = [[] for _ in range(q.n_vertices)]
+    for k, w in enumerate(alg.basis):
+        if path_source(q, w) == v:
+            by_vertex[path_target(q, w)].append(k)
     dims = [len(b) for b in by_vertex]
-    pos = {k: i for b in by_vertex for i, k in enumerate(b)}
+    pos = {}
+    for u in range(q.n_vertices):
+        for i, k in enumerate(by_vertex[u]):
+            pos[k] = i
     maps = []
     for a, arr in enumerate(q.arrows):
         m = alg.F.zeros(dims[arr.target], dims[arr.source])
@@ -54,17 +60,6 @@ def projective_module(alg: BoundAlgebra, v: int) -> Representation:
                 m[pos[k2], pos[k]] = c
         maps.append(m)
     return Representation(alg, dims, maps)
-
-
-def _paths_from(alg: BoundAlgebra, v: int) -> list[list[int]]:
-    """Per vertex u: the indices of the basis paths v -> u, in basis order;
-    they index the basis of P_v at u."""
-    q = alg.quiver
-    out: list[list[int]] = [[] for _ in range(q.n_vertices)]
-    for k, w in enumerate(alg.basis):
-        if path_source(q, w) == v:
-            out[path_target(q, w)].append(k)
-    return out
 
 
 def projective_modules(alg: BoundAlgebra) -> list[Representation]:
@@ -190,10 +185,13 @@ def projective_cover(M: Representation):
             gen_vec = F.zeros(1, M.dims[v])[0]
             gen_vec[gpos] = 1
             # component P_v -> M: basis path p (v -> u) maps to M(p) gen
-            for u, ks in enumerate(_paths_from(alg, v)):
-                for i, k in enumerate(ks):
-                    img = F.mul(M.path_matrix(alg.basis[k]),
-                                gen_vec.reshape(-1, 1))[:, 0]
+            by_vertex = [[] for _ in range(q.n_vertices)]
+            for k, w in enumerate(alg.basis):
+                if path_source(q, w) == v:
+                    by_vertex[path_target(q, w)].append(w)
+            for u in range(q.n_vertices):
+                for i, w in enumerate(by_vertex[u]):
+                    img = F.mul(M.path_matrix(w), gen_vec.reshape(-1, 1))[:, 0]
                     blocks[u][:, col_off[u] + i] = img
             for u in range(q.n_vertices):
                 col_off[u] += P.dims[u]
@@ -218,13 +216,22 @@ def _morphism_between_projectives(alg: BoundAlgebra, x: int, y: int,
     """The morphism P_x -> P_y determined by an element of P_y(x), i.e. a
     combination of basis paths y -> x; sends p to p o elem."""
     F, q = alg.F, alg.quiver
-    bx = _paths_from(alg, x)
-    pos_y = {k: i for b in _paths_from(alg, y) for i, k in enumerate(b)}
+    bx = [[] for _ in range(q.n_vertices)]
+    by = [[] for _ in range(q.n_vertices)]
+    for k, w in enumerate(alg.basis):
+        if path_source(q, w) == x:
+            bx[path_target(q, w)].append((k, w))
+        if path_source(q, w) == y:
+            by[path_target(q, w)].append((k, w))
+    pos_y = {}
+    for u in range(q.n_vertices):
+        for i, (k, _) in enumerate(by[u]):
+            pos_y[k] = i
     blocks = []
     for u in range(q.n_vertices):
         m = F.zeros(Py.dims[u], Px.dims[u])
-        for col, k in enumerate(bx[u]):
-            pv = alg.unit_vector(alg.basis[k])
+        for col, (k, w) in enumerate(bx[u]):
+            pv = alg.unit_vector(w)
             prod = alg.multiply(pv, elem)
             for k2 in np.nonzero(prod)[0]:
                 m[pos_y[int(k2)], col] = prod[k2]
@@ -283,10 +290,22 @@ def _element_of_projective_morphism(alg: BoundAlgebra, x: int, y: int,
                                     phi: RepMorphism) -> np.ndarray:
     """phi: P_x -> P_y corresponds to phi(e_x) in P_y(x); return it as an
     algebra element (supported on paths y -> x)."""
-    at_x = _paths_from(alg, x)[x]
-    col = next(i for i, k in enumerate(at_x) if alg.basis[k].is_trivial())
-    out = alg.F.zeros(1, alg.dim)[0]
-    out[_paths_from(alg, y)[x]] = phi.blocks[x][:, col]
+    q, F = alg.quiver, alg.F
+    idx = 0
+    col = None
+    y_paths_at_x = []
+    for k, w in enumerate(alg.basis):
+        if path_source(q, w) == x and path_target(q, w) == x:
+            if w.is_trivial():
+                col = idx
+            idx += 1
+        if path_source(q, w) == y and path_target(q, w) == x:
+            y_paths_at_x.append(k)
+    assert col is not None
+    img = phi.blocks[x][:, col]
+    out = F.zeros(1, alg.dim)[0]
+    for i, k in enumerate(y_paths_at_x):
+        out[k] = img[i]
     return out
 
 
@@ -305,8 +324,10 @@ def transpose(alg: BoundAlgebra, alg_op: BoundAlgebra, M: Representation) -> Rep
     Q1, _, projs1_maps = direct_sum(alg_op, projs1_op)
     if not verts0:
         return Q1
+    blocks = None
+    total = zero_morphism(Q0, Q1)
     F = alg.F
-    acc = zero_morphism(Q0, Q1).blocks
+    acc = [b.copy() for b in total.blocks]
     for k, v0 in enumerate(verts0):
         for l, v1 in enumerate(verts1):
             elem_op = _reverse_element(alg, alg_op, elements[k][l])
@@ -323,10 +344,15 @@ def transpose(alg: BoundAlgebra, alg_op: BoundAlgebra, M: Representation) -> Rep
 
 
 def _compose_chain(incl: RepMorphism, mid: RepMorphism, proj: RepMorphism) -> RepMorphism:
-    """The morphism Q0 -> Q1 of direct sums that is `mid`: P_k -> P_l on
-    the (k, l) component and zero elsewhere, for the inclusion P_k -> Q0
-    and the projection Q1 -> P_l: their 0/1 blocks transpose to the
-    projection onto P_k and the inclusion of P_l."""
+    """proj_target <- mid <- incl_source embedded into the direct sums:
+    computes incl-side inclusion into Q0 read backwards.  Concretely returns
+    the morphism Q0 -> Q1 that is mid on the (k, l) component and zero
+    elsewhere: proj_l^T-style assembly."""
+    # incl: P_k -> Q0 (inclusion), mid: P_k -> P_l, proj: Q1 -> P_l? No:
+    # projs1_maps[l]: Q1 -> P_l.  We need Q0 -> Q1; build via section of incl
+    # and inclusion into Q1, both canonical for direct sums.
+    F = incl.source.F
+    # section of the inclusion: transpose works because blocks are 0/1 slices
     sec = RepMorphism(incl.target, incl.source, [b.T.copy() for b in incl.blocks])
     inc1 = RepMorphism(proj.target, proj.source, [b.T.copy() for b in proj.blocks])
     return inc1.compose(mid).compose(sec)
@@ -411,12 +437,19 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
         phi = combine(H_T, radT[r])
         phi_hat = _lift_through_cover(d0, phi, homP0P0)
         # restrict to K: solve incl . psi = phi_hat . incl
-        psi_blocks = [solve_linear(F, incl.blocks[v],
-                                   F.mul(phi_hat.blocks[v], incl.blocks[v]))
-                      for v in range(q.n_vertices)]
-        if any(b is None for b in psi_blocks):
+        psi_blocks = []
+        ok = True
+        for v in range(q.n_vertices):
+            rhs = F.mul(phi_hat.blocks[v], incl.blocks[v])
+            sol = solve_linear(F, incl.blocks[v], rhs)
+            if sol is None:
+                ok = False
+                break
+            psi_blocks.append(sol)
+        if not ok:
             raise AssertionError("cover lift does not preserve the syzygy")
-        lift_actions.append(RepMorphism(K, K, psi_blocks))
+        psi = RepMorphism(K, K, psi_blocks)
+        lift_actions.append(psi)
 
     # socle classes: nonzero [h] with [h o psi_r] = 0 for every radical
     # basis element, i.e. h o psi_r in W and h not in W

@@ -159,8 +159,12 @@ class GLambda:
         F, S = pres.F, ctx.skew
         self.F, self.S = F, S
         # basis of Z = (Lambda G) e-bar
-        self.Z = row_space(F, np.stack([S.multiply(v, ctx.e_bar)
-                                        for v in F.eye(S.dim)]))  # rows span Z
+        cols = []
+        for i in range(S.dim):
+            v = F.zeros(1, S.dim)[0]
+            v[i] = 1
+            cols.append(S.multiply(v, ctx.e_bar))
+        self.Z = row_space(F, np.stack(cols, axis=0))  # rows span Z
         self.zdim = self.Z.shape[0]
         # realizing elements of the presentation's basis paths
         self.b_elements = [self._eval_path(w) for w in pres.algebra.basis]
@@ -212,14 +216,26 @@ class GLambda:
             m[noff[t]: noff[t] + N.dims[t], noff[s]: noff[s] + N.dims[s]] = blk
             return m
 
-        # relations (z b) (x) n - z (x) (b n) over all (z_r, n_j), at
-        # index r * ntot + j: the rows R^T (x) I - I (x) (b on N)^T per b
-        rows = [F.zeros(0, self.zdim * ntot)]
+        relrows = []
         for bi in range(B.dim):
-            blk = (np.kron(self.right_mults[bi].T, F.eye(ntot))
-                   - np.kron(F.eye(self.zdim), act_total(bi).T)) % F.p
-            rows.append(blk[blk.any(axis=1)])
-        rel = np.concatenate(rows)
+            R = self.right_mults[bi]          # z -> z * b
+            NB = act_total(bi)                # n -> b n
+            # relation: (z b) (x) n - z (x) (b n) over all (z_r, n_j)
+            # vector index (r, j) -> r * ntot + j
+            for r in range(self.zdim):
+                zb = R[:, r]
+                for j in range(ntot):
+                    vec = F.zeros(1, self.zdim * ntot)[0]
+                    for k in np.nonzero(zb)[0]:
+                        vec[int(k) * ntot + j] = zb[k]
+                    col = NB[:, j]
+                    for l in np.nonzero(col)[0]:
+                        vec[r * ntot + int(l)] = (vec[r * ntot + int(l)]
+                                                  - col[l]) % F.p
+                    if np.any(vec):
+                        relrows.append(vec)
+        rel = (np.stack(relrows, axis=0) if relrows
+               else F.zeros(0, self.zdim * ntot))
         proj = quotient_map(F, row_space(F, rel), self.zdim * ntot)
         return proj, ntot
 

@@ -16,7 +16,7 @@ import numpy as np
 from .field import (factor_poly, in_row_space, minimal_polynomial,
                     nullspace_basis, poly_divmod, poly_gcd_ext, poly_mul,
                     poly_eval_matrix, power, algebra_radical, quotient_map, rank,
-                    row_space, solve_linear, StructureConstants, inverse)
+                    rref, row_space, solve_linear, StructureConstants, inverse)
 from .quiver import BoundAlgebra, PathWord, path_source, path_target
 from .action import QuiverAction
 
@@ -302,9 +302,12 @@ def twist(action: QuiverAction, g, M: Representation) -> Representation:
     """The module gM with (gM)(x) = M(g x), arrows transported with the
     action scalars: (gM)(a) = c * M(b) for g(a) = c b."""
     q = M.algebra.quiver
+    F = M.F
     dims = [M.dims[action.vertex(g, v)] for v in range(q.n_vertices)]
-    maps = [M.F.smul(c, M.maps[b])
-            for c, b in (action.arrow(g, a) for a in range(q.n_arrows))]
+    maps = []
+    for a in range(q.n_arrows):
+        c, b = action.arrow(g, a)
+        maps.append(F.smul(c, M.maps[b]))
     return Representation(M.algebra, dims, maps)
 
 
@@ -317,8 +320,11 @@ def twist_morphism(action: QuiverAction, g, f: RepMorphism,
 
 def module_stabilizer(action: QuiverAction, M: Representation) -> list:
     """{g : gM isomorphic to M} (a subgroup; tested elementwise)."""
-    return [g for g in action.group.elements
-            if is_isomorphic(twist(action, g, M), M)]
+    out = []
+    for g in action.group.elements:
+        if is_isomorphic(twist(action, g, M), M):
+            out.append(g)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +428,10 @@ def _frobenius_fixed(M: Representation) -> np.ndarray:
     """
     F = M.F
     E, _ = end_algebra(M)
-    radb = end_radical(M)
-    Q = quotient_map(F, radb, E.dim)
-    # A's basis: the images of the b_k at the non-pivot columns of radb
-    piv = set(np.argmax(radb != 0, axis=1).tolist())
+    # end_radical is a nullspace basis, not reduced: quotient_map needs R
+    R, piv = rref(F, end_radical(M))
+    Q = quotient_map(F, R[:len(piv)], E.dim)
+    # A's basis: the images of the b_k at the non-pivot columns of R
     top = [k for k in range(E.dim) if k not in piv]
     unit, d = F.eye(E.dim)[top], len(top)
     commutators = [F.sub(E.multiply(x, y), E.multiply(y, x))
@@ -448,17 +454,23 @@ def _frobenius_fixed(M: Representation) -> np.ndarray:
 
 def _total_matrix(f: RepMorphism) -> np.ndarray:
     """Block-diagonal total matrix of a morphism M -> M."""
-    n, off = f.source.total_dim, np.cumsum((0,) + f.source.dims)
-    out = f.source.F.zeros(n, n)
-    for v, b in enumerate(f.blocks):
-        out[off[v]: off[v + 1], off[v]: off[v + 1]] = b
+    F = f.source.F
+    n = f.source.total_dim
+    out = F.zeros(n, n)
+    off = 0
+    for v, d in enumerate(f.source.dims):
+        out[off: off + d, off: off + d] = f.blocks[v]
+        off += d
     return out
 
 
 def _matrix_to_morphism(M: Representation, total: np.ndarray) -> RepMorphism:
-    off = np.cumsum((0,) + M.dims)
-    return RepMorphism(M, M, [total[off[v]: off[v + 1], off[v]: off[v + 1]] % M.F.p
-                              for v in range(len(M.dims))])
+    blocks = []
+    off = 0
+    for d in M.dims:
+        blocks.append(total[off: off + d, off: off + d] % M.F.p)
+        off += d
+    return RepMorphism(M, M, blocks)
 
 
 def sub_from_rows(N: Representation, rows: list[np.ndarray]):
@@ -511,7 +523,9 @@ def decompose(M: Representation) -> list[Summand]:
     """Full Krull-Schmidt decomposition with explicit witnesses.
 
     Summands are returned in canonical order (dim vector lex, then Loewy
-    label).  The inclusion/projection pairs compose to idempotents of M
+    label); non-isomorphic summands with equal keys keep the order the
+    split finds them in, which depends on M's bases, not only on its
+    isomorphism class.  The inclusion/projection pairs compose to idempotents of M
     summing to the identity.  An indecomposable M is its own summand, with
     identity witnesses.  Memoized in the module table of M's algebra.
     """
@@ -762,14 +776,16 @@ class RadicalCalculator:
 
     def rad(self, i: int, j: int, n: int) -> np.ndarray:
         """Echelon row basis of rad^n(reps[i], reps[j]) as morphism vectors."""
-        empty = np.zeros((0, _pair_len(self.reps[i], self.reps[j])), dtype=np.int64)
         if n <= 0:
             H = self.hom(i, j)
-            return (row_space(self.F, np.stack([f.to_vector() for f in H.basis]))
-                    if H.basis else empty)
+            if not H.basis:
+                return np.zeros((0, _pair_len(self.reps[i], self.reps[j])),
+                                dtype=np.int64)
+            return row_space(self.F, np.stack([f.to_vector() for f in H.basis]))
         while len(self._rad) < n:
             self._grow()
-        return self._rad[n - 1].get((i, j), empty)
+        return self._rad[n - 1].get(
+            (i, j), np.zeros((0, _pair_len(self.reps[i], self.reps[j])), dtype=np.int64))
 
     def _compose_spans(self, i: int, k: int, j: int,
                        A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -857,12 +873,16 @@ def irr_space(calc: RadicalCalculator, M: Representation, N: Representation):
     reps = []
     if d > 0:
         F = calc.F
-        span = r2
-        for vec in r1:
-            if in_row_space(F, span, vec):
+        span = r2.copy() if r2.shape[0] else np.zeros((0, r1.shape[1]), dtype=np.int64)
+        for r in range(r1.shape[0]):
+            vec = r1[r]
+            if span.shape[0] and in_row_space(F, span, vec):
+                continue
+            if not span.shape[0] and not np.any(vec):
                 continue
             reps.append(morphism_from_vector(calc.reps[i], calc.reps[j], vec))
-            span = row_space(F, np.concatenate([span, vec.reshape(1, -1)]))
+            span = (row_space(F, np.concatenate([span, vec.reshape(1, -1)]))
+                    if span.shape[0] else vec.reshape(1, -1).copy())
             if len(reps) == d:
                 break
     return d, reps

@@ -402,13 +402,17 @@ class SkewPresentation:
             E = np.stack([eval_d[w] for w in paths_d], axis=0) % F.p
             ker = nullspace_basis(F, E.T)
 
-            for vec in ker:
-                if in_row_space(F, Crow, vec):
+            for r in range(ker.shape[0]):
+                vec = ker[r]
+                if Crow.shape[0] and in_row_space(F, Crow, vec):
+                    continue
+                if not Crow.shape[0] and not np.any(vec):
                     continue
                 terms = tuple((int(vec[i]), paths_d[int(i)])
                               for i in np.nonzero(vec % F.p)[0])
                 self.relation_gens.append(RelationElement(terms))
-                Crow = row_space(F, np.concatenate([Crow, vec.reshape(1, -1)]))
+                Crow = (row_space(F, np.concatenate([Crow, vec.reshape(1, -1)]))
+                        if Crow.shape[0] else vec.reshape(1, -1).copy())
 
             image_dim += len(paths_d) - ker.shape[0]
             kernel_prev = [

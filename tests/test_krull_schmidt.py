@@ -11,7 +11,8 @@ from skewcover.ar import (CapExceededError, direct_sum, knit_ar_quiver,
                           simple_module)
 from skewcover.field import factor_poly, minimal_polynomial
 from skewcover.rep import (ModuleTable, NonSplitEndError, Representation,
-                           decompose, end_algebra, match_summands)
+                           decompose, end_algebra, is_isomorphic,
+                           match_summands)
 
 from oracle_krull_schmidt import oracle_krull_schmidt
 from test_module_identity import F, _base_change, _kronecker
@@ -38,12 +39,13 @@ def _irreducible_cubic():
 
 
 def _assert_matches_oracle(M):
+    """The summands equal the oracle's up to isomorphism, position by
+    position: the order reaches knitted module numbering, so summands with
+    equal sort keys (dims, label) must also tie-break as the oracle's do."""
     got = [s.rep for s in decompose(M)]
     want = [s.rep for s in oracle_krull_schmidt(M)]
-    assert ([(r.dims, r.label()) for r in got]
-            == [(r.dims, r.label()) for r in want]), M
-    pairs = match_summands(got, want)
-    assert pairs is not None and len(pairs) == len(want)
+    assert len(got) == len(want), M
+    assert all(is_isomorphic(g, w) for g, w in zip(got, want)), M
     return got
 
 
@@ -73,6 +75,21 @@ def test_kronecker_knitted_to_cap_20_matches_oracle(kronecker, monkeypatch):
         knit_ar_quiver(kronecker.algebra, max_dimension=20)
     split = [M for M in seen.values() if len(_assert_matches_oracle(M)) > 1]
     assert len(split) >= 10
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_equal_keys_match_oracle_as_a_multiset(seed):
+    """Regular modules k --(1, c)--> k share dims and label, so their order
+    among themselves is the split's (see `decompose`), not the oracle's:
+    only the key order and the multiset are fixed."""
+    alg = _kronecker()
+    parts = [_companion_module(alg, [c, 1]) for c in (1, 0, 1, 2, 4)]
+    M = _base_change(direct_sum(alg, parts)[0], np.random.default_rng(seed))
+    got = [s.rep for s in decompose(M)]
+    want = [s.rep for s in oracle_krull_schmidt(M)]
+    assert [r.dims for r in got] == [(1, 1)] * 5
+    pairs = match_summands(got, want)
+    assert pairs is not None and len(pairs) == 5
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -124,6 +141,46 @@ def test_frobenius_certificate_refuses_a_field(char_poly, degree):
     assert f"dimension vector {(degree, degree)}" in str(exc.value)
     assert f"{F.p}^{degree}, of degree {degree}" in str(exc.value)
     with pytest.raises(NonSplitEndError):
+        decompose(M)
+
+
+def _square(char_poly):
+    return [sum(char_poly[i] * char_poly[k - i] for i in range(len(char_poly))
+                if 0 <= k - i < len(char_poly)) % F.p
+            for k in range(2 * len(char_poly) - 1)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_frobenius_certificate_refuses_with_a_radical(seed):
+    """Companion of (x^2 - c)^2: End = F_p[x]/((x^2 - c)^2) has a
+    two-dimensional radical and End/rad = F_{p^2}; every drawn element
+    fails, so the certificate is computed on a nonzero radical."""
+    alg = _kronecker()
+    M = _companion_module(alg, _square([(-NON_SQUARE) % F.p, 0, 1]))
+    M = _base_change(M, np.random.default_rng(seed))
+    E, _ = end_algebra(M)
+    assert (E.dim, rep.end_radical(M).shape[0]) == (4, 2)
+    for run in (rep._frobenius_fixed, decompose):
+        with pytest.raises(NonSplitEndError) as exc:
+            run(M)
+        assert "dimension vector (4, 4)" in str(exc.value)
+        assert f"{F.p}^2, of degree 2" in str(exc.value)
+    with pytest.raises(NonSplitEndError):
+        oracle_krull_schmidt(M)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_frobenius_certificate_splits_with_a_radical(seed):
+    """The companions of (x^2 - c)^2 at two non-squares: End/rad =
+    F_{p^2} x F_{p^2} over a nonzero radical, so the lift splits, and the
+    refusal names a (4, 4) piece, not the sum."""
+    alg = _kronecker()
+    parts = [_companion_module(alg, _square([(-c) % F.p, 0, 1]))
+             for c in (NON_SQUARE, NON_SQUARE_2)]
+    M = _base_change(direct_sum(alg, parts)[0], np.random.default_rng(seed))
+    assert rep.end_radical(M).shape[0] == 4
+    assert _lift_splits(M, rep._frobenius_fixed(M))
+    with pytest.raises(NonSplitEndError, match=r"vector \(4, 4\).*degree 2$"):
         decompose(M)
 
 
