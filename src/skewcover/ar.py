@@ -3,21 +3,27 @@ projectives, injectives, the translate tau via minimal projective
 presentations and the transpose, almost split sequences (constructed from a
 socle element of Ext^1 and verified), AR-quiver knitting by closure, and
 finite radical-power ranks of the module category.
+
+The arrows of the AR quiver are read off the meshes that knitting builds
+and decomposes (an arrow that lies on two meshes is read from both, and the
+readings must agree); radical layers rad^n are built only when a rank or
+radical-level question asks for them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .field import (in_row_space, nullspace_basis, quotient_map, rank,
                     row_space, rref, solve_linear)
-from .quiver import BoundAlgebra, PathWord, path_source, path_target
+from .quiver import BoundAlgebra, PathWord, path_target
 from .rep import (HomSpace, IsoClasses, RadicalCalculator, RepMorphism,
                   Representation, Summand, combine, decompose, end_radical,
-                  hom_basis, identity_morphism, irr_space,
-                  morphism_from_vector, sub_from_rows, zero_morphism)
+                  hom_basis, identity_morphism, morphism_from_vector,
+                  sub_from_rows, zero_morphism)
 
 
 class CapExceededError(Exception):
@@ -37,25 +43,35 @@ def simple_modules(alg: BoundAlgebra) -> list[Representation]:
     return [simple_module(alg, v) for v in range(alg.quiver.n_vertices)]
 
 
+def _paths_from(alg: BoundAlgebra, v: int) -> list[list[int]]:
+    """Basis indices of the paths v -> u, grouped by u, in basis order."""
+    blocks = alg.basis_by_blocks()
+    return [blocks.get((u, v), []) for u in range(alg.quiver.n_vertices)]
+
+
+def _offsets(path_groups: list[list[list[int]]]) -> list[list[int]]:
+    """Per summand P_v of a direct sum, given by `_paths_from(alg, v)`, its
+    first coordinate at each vertex."""
+    run = [0] * len(path_groups[0]) if path_groups else []
+    offs = []
+    for paths in path_groups:
+        offs.append(run)
+        run = [r + len(p) for r, p in zip(run, paths)]
+    return offs
+
+
 def projective_module(alg: BoundAlgebra, v: int) -> Representation:
     """P_v: space at u spanned by normal-form basis paths v -> u, arrows
     acting by post-composition and normal form."""
     q = alg.quiver
-    by_vertex: list[list[int]] = [[] for _ in range(q.n_vertices)]
-    for k, w in enumerate(alg.basis):
-        if path_source(q, w) == v:
-            by_vertex[path_target(q, w)].append(k)
-    dims = [len(b) for b in by_vertex]
-    pos = {}
-    for u in range(q.n_vertices):
-        for i, k in enumerate(by_vertex[u]):
-            pos[k] = i
+    paths = _paths_from(alg, v)
+    dims = [len(p) for p in paths]
+    pos = {k: i for p in paths for i, k in enumerate(p)}
     maps = []
     for a, arr in enumerate(q.arrows):
         m = alg.F.zeros(dims[arr.target], dims[arr.source])
-        for k in by_vertex[arr.source]:
-            w = alg.basis[k]
-            nw = PathWord(path_source(q, w), (a,) + w.arrows)
+        for k in paths[arr.source]:
+            nw = PathWord(v, (a,) + alg.basis[k].arrows)
             for k2, c in alg.nf.get(nw, {}).items():
                 m[pos[k2], pos[k]] = c
         maps.append(m)
@@ -171,31 +187,19 @@ def projective_cover(M: Representation):
     F, q = M.F, alg.quiver
     gens = top_generators(M)
     verts = [v for v in range(q.n_vertices) for _ in gens[v]]
-    projs = [projective_module(alg, v) for v in verts]
-    if not projs:
+    if not verts:
         P0 = Representation(alg, [0] * q.n_vertices, [None] * q.n_arrows)
         return P0, zero_morphism(P0, M), []
-    P0, incls, _ = direct_sum(alg, projs)
+    P0 = direct_sum(alg, [projective_module(alg, v) for v in verts])[0]
+    paths = [_paths_from(alg, v) for v in verts]
     blocks = [F.zeros(M.dims[u], P0.dims[u]) for u in range(q.n_vertices)]
-    col_off = [0] * q.n_vertices
-    idx = 0
-    for v in range(q.n_vertices):
-        for gpos in gens[v]:
-            P = projs[idx]
-            gen_vec = F.zeros(1, M.dims[v])[0]
-            gen_vec[gpos] = 1
-            # component P_v -> M: basis path p (v -> u) maps to M(p) gen
-            by_vertex = [[] for _ in range(q.n_vertices)]
-            for k, w in enumerate(alg.basis):
-                if path_source(q, w) == v:
-                    by_vertex[path_target(q, w)].append(w)
-            for u in range(q.n_vertices):
-                for i, w in enumerate(by_vertex[u]):
-                    img = F.mul(M.path_matrix(w), gen_vec.reshape(-1, 1))[:, 0]
-                    blocks[u][:, col_off[u] + i] = img
-            for u in range(q.n_vertices):
-                col_off[u] += P.dims[u]
-            idx += 1
+    # the component P_v -> M at generator g sends a basis path p: v -> u
+    # to M(p) g
+    gpos = [g for v in range(q.n_vertices) for g in gens[v]]
+    for g, ps, off in zip(gpos, paths, _offsets(paths)):
+        for u in range(q.n_vertices):
+            for i, k in enumerate(ps[u]):
+                blocks[u][:, off[u] + i] = M.path_matrix(alg.basis[k])[:, g]
     d0 = RepMorphism(P0, M, blocks)
     if not d0.is_valid():
         raise AssertionError("projective cover fails commutation")
@@ -210,33 +214,19 @@ def _summands_in(M: Representation, classes: IsoClasses) -> bool:
     return all(classes.locate(s.rep) is not None for s in decompose(M))
 
 
-def _morphism_between_projectives(alg: BoundAlgebra, x: int, y: int,
-                                  elem: np.ndarray,
-                                  Px: Representation, Py: Representation) -> RepMorphism:
-    """The morphism P_x -> P_y determined by an element of P_y(x), i.e. a
-    combination of basis paths y -> x; sends p to p o elem."""
-    F, q = alg.F, alg.quiver
-    bx = [[] for _ in range(q.n_vertices)]
-    by = [[] for _ in range(q.n_vertices)]
-    for k, w in enumerate(alg.basis):
-        if path_source(q, w) == x:
-            bx[path_target(q, w)].append((k, w))
-        if path_source(q, w) == y:
-            by[path_target(q, w)].append((k, w))
-    pos_y = {}
-    for u in range(q.n_vertices):
-        for i, (k, _) in enumerate(by[u]):
-            pos_y[k] = i
+def _morphism_between_projectives(alg: BoundAlgebra, px: list[list[int]],
+                                  py: list[list[int]],
+                                  elem: np.ndarray) -> list[np.ndarray]:
+    """Per-vertex blocks of the morphism P_x -> P_y determined by an element
+    of P_y(x), i.e. a combination of basis paths y -> x; sends p to
+    p o elem.  `px` and `py` are `_paths_from(alg, x)` and `(alg, y)`."""
     blocks = []
-    for u in range(q.n_vertices):
-        m = F.zeros(Py.dims[u], Px.dims[u])
-        for col, (k, w) in enumerate(bx[u]):
-            pv = alg.unit_vector(w)
-            prod = alg.multiply(pv, elem)
-            for k2 in np.nonzero(prod)[0]:
-                m[pos_y[int(k2)], col] = prod[k2]
+    for u in range(alg.quiver.n_vertices):
+        m = alg.F.zeros(len(py[u]), len(px[u]))
+        for col, k in enumerate(px[u]):
+            m[:, col] = alg.multiply(alg.unit_vector(alg.basis[k]), elem)[py[u]]
         blocks.append(m)
-    return RepMorphism(Px, Py, blocks)
+    return blocks
 
 
 def _reverse_element(alg: BoundAlgebra, alg_op: BoundAlgebra,
@@ -262,100 +252,62 @@ def _reverse_element(alg: BoundAlgebra, alg_op: BoundAlgebra,
 def minimal_presentation(M: Representation):
     """P1 -> P0 -> M -> 0 with minimal covers.
 
-    Returns (verts0, verts1, element matrix) where element[k][l] is the
-    algebra element in Hom(P_{verts1[l]}, P_{verts0[k]}) = paths
-    verts0[k] -> verts1[l]."""
+    Returns (verts0, verts1, element matrix, P0, d0, P1, d1) where
+    element[k][l] is the algebra element in Hom(P_{verts1[l]},
+    P_{verts0[k]}) = paths verts0[k] -> verts1[l]."""
     alg = M.algebra
-    F, q = M.F, alg.quiver
     P0, d0, verts0 = projective_cover(M)
     K, incl = kernel_subrep(d0)
     P1, d1k, verts1 = projective_cover(K)
     d1 = incl.compose(d1k)
 
-    # split d1 into projective components and extract defining elements
-    projs0 = [projective_module(alg, v) for v in verts0]
-    projs1 = [projective_module(alg, v) for v in verts1]
-    _, incls0, projs0_maps = direct_sum(alg, projs0) if projs0 else (None, [], [])
-    _, incls1, _ = direct_sum(alg, projs1) if projs1 else (None, [], [])
+    # the (k, l) component P_x -> P_y of d1 (x = verts1[l], y = verts0[k])
+    # is given by its image of the trivial path e_x, an element of P_y(x)
+    paths0 = [_paths_from(alg, v) for v in verts0]
+    paths1 = [_paths_from(alg, v) for v in verts1]
+    off0, off1 = _offsets(paths0), _offsets(paths1)
     elements = [[None] * len(verts1) for _ in range(len(verts0))]
-    for l, v1 in enumerate(verts1):
-        for k, v0 in enumerate(verts0):
-            comp = projs0_maps[k].compose(d1).compose(incls1[l])  # P_{v1} -> P_{v0}
-            elem = _element_of_projective_morphism(alg, v1, v0, comp)
+    for l, x in enumerate(verts1):
+        trivial = [alg.basis[k].is_trivial() for k in paths1[l][x]].index(True)
+        img = d1.blocks[x][:, off1[l][x] + trivial]
+        for k in range(len(verts0)):
+            ys = paths0[k][x]
+            elem = alg.F.zeros(1, alg.dim)[0]
+            elem[ys] = img[off0[k][x]: off0[k][x] + len(ys)]
             elements[k][l] = elem
     return verts0, verts1, elements, P0, d0, P1, d1
 
 
-def _element_of_projective_morphism(alg: BoundAlgebra, x: int, y: int,
-                                    phi: RepMorphism) -> np.ndarray:
-    """phi: P_x -> P_y corresponds to phi(e_x) in P_y(x); return it as an
-    algebra element (supported on paths y -> x)."""
-    q, F = alg.quiver, alg.F
-    idx = 0
-    col = None
-    y_paths_at_x = []
-    for k, w in enumerate(alg.basis):
-        if path_source(q, w) == x and path_target(q, w) == x:
-            if w.is_trivial():
-                col = idx
-            idx += 1
-        if path_source(q, w) == y and path_target(q, w) == x:
-            y_paths_at_x.append(k)
-    assert col is not None
-    img = phi.blocks[x][:, col]
-    out = F.zeros(1, alg.dim)[0]
-    for i, k in enumerate(y_paths_at_x):
-        out[k] = img[i]
-    return out
-
-
 def transpose(alg: BoundAlgebra, alg_op: BoundAlgebra, M: Representation) -> Representation:
-    """Tr M over the opposite algebra, from a minimal presentation."""
-    verts0, verts1, elements, P0, d0, P1, d1 = minimal_presentation(M)
-    projs0_op = [projective_module(alg_op, v) for v in verts0]
-    projs1_op = [projective_module(alg_op, v) for v in verts1]
+    """Tr M over the opposite algebra, from a minimal presentation: the
+    cokernel of the dual map Q0 = (+)_k P^op_{verts0[k]} -> Q1 =
+    (+)_l P^op_{verts1[l]}, each component placed straight into its block."""
+    verts0, verts1, elements, *_ = minimal_presentation(M)
     if not verts1:
         # M projective-presented with P1 = 0: Tr M = 0
         return Representation(alg_op, [0] * alg.quiver.n_vertices,
                               [None] * alg.quiver.n_arrows)
-    Q0, incls0, _ = (direct_sum(alg_op, projs0_op) if projs0_op
-                     else (Representation(alg_op, [0] * alg.quiver.n_vertices,
-                                          [None] * alg.quiver.n_arrows), [], []))
-    Q1, _, projs1_maps = direct_sum(alg_op, projs1_op)
-    if not verts0:
-        return Q1
-    blocks = None
-    total = zero_morphism(Q0, Q1)
-    F = alg.F
-    acc = [b.copy() for b in total.blocks]
+    Q0 = direct_sum(alg_op, [projective_module(alg_op, v) for v in verts0])[0]
+    Q1 = direct_sum(alg_op, [projective_module(alg_op, v) for v in verts1])[0]
+    by_vertex = {v: _paths_from(alg_op, v) for v in {*verts0, *verts1}}
+    off0 = _offsets([by_vertex[v] for v in verts0])
+    off1 = _offsets([by_vertex[v] for v in verts1])
+    blocks = [alg.F.zeros(Q1.dims[u], Q0.dims[u])
+              for u in range(alg.quiver.n_vertices)]
     for k, v0 in enumerate(verts0):
         for l, v1 in enumerate(verts1):
             elem_op = _reverse_element(alg, alg_op, elements[k][l])
             # morphism P^op_{v0} -> P^op_{v1} given by elem_op in P^op_{v1}(v0)
-            comp = _morphism_between_projectives(
-                alg_op, v0, v1, elem_op, projs0_op[k], projs1_op[l])
-            lift = _compose_chain(incls0[k], comp, projs1_maps[l])
-            acc = [F.add(a, b) for a, b in zip(acc, lift.blocks)]
-    Astar = RepMorphism(Q0, Q1, acc)
+            comp = _morphism_between_projectives(alg_op, by_vertex[v0],
+                                                 by_vertex[v1], elem_op)
+            for u, c in enumerate(comp):
+                r0, c0 = off1[l][u], off0[k][u]
+                blocks[u][r0: r0 + c.shape[0], c0: c0 + c.shape[1]] = c
+    Astar = RepMorphism(Q0, Q1, blocks)
     if not Astar.is_valid():
         raise AssertionError("transposed presentation map fails commutation")
     TrM, _ = cokernel_rep(Astar)
     return TrM
-
-
-def _compose_chain(incl: RepMorphism, mid: RepMorphism, proj: RepMorphism) -> RepMorphism:
-    """proj_target <- mid <- incl_source embedded into the direct sums:
-    computes incl-side inclusion into Q0 read backwards.  Concretely returns
-    the morphism Q0 -> Q1 that is mid on the (k, l) component and zero
-    elsewhere: proj_l^T-style assembly."""
-    # incl: P_k -> Q0 (inclusion), mid: P_k -> P_l, proj: Q1 -> P_l? No:
-    # projs1_maps[l]: Q1 -> P_l.  We need Q0 -> Q1; build via section of incl
-    # and inclusion into Q1, both canonical for direct sums.
-    F = incl.source.F
-    # section of the inclusion: transpose works because blocks are 0/1 slices
-    sec = RepMorphism(incl.target, incl.source, [b.T.copy() for b in incl.blocks])
-    inc1 = RepMorphism(proj.target, proj.source, [b.T.copy() for b in proj.blocks])
-    return inc1.compose(mid).compose(sec)
 
 
 class ARToolkit:
@@ -403,6 +355,14 @@ class AlmostSplitSequence:
                    zip(self.left.dims, self.right.dims, self.middle.dims))
 
 
+def _span(F, morphisms: list[RepMorphism]) -> np.ndarray:
+    """Echelon basis of the span of the morphisms' vectors (no rows if
+    there are none)."""
+    if not morphisms:
+        return np.zeros((0, 0), dtype=np.int64)
+    return row_space(F, np.stack([f.to_vector() for f in morphisms]))
+
+
 def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequence:
     """The AR sequence 0 -> tau T -> E -> T -> 0 for indecomposable
     non-projective T.
@@ -422,11 +382,7 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
     homKX = hom_basis(K, X)
     if not homKX.basis:
         raise AssertionError("Ext^1(T, tau T) computed zero; tau must be wrong")
-    homP0X = hom_basis(P0, X)
-    W_rows = (np.stack([g.compose(incl).to_vector() for g in homP0X.basis])
-              if homP0X.basis else
-              np.zeros((0, homKX.basis[0].to_vector().shape[0]), dtype=np.int64))
-    W = row_space(F, W_rows) if W_rows.shape[0] else W_rows
+    W = _span(F, [g.compose(incl) for g in hom_basis(P0, X).basis])
 
     # right End(T)-action on Hom(K, X) via lifts through the cover
     H_T = hom_basis(T, T)
@@ -455,7 +411,6 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
     # basis element, i.e. h o psi_r in W and h not in W
     nbasis = len(homKX.basis)
     veclen = homKX.basis[0].to_vector().shape[0]
-    h_coords = None
     if lift_actions:
         totw = W.shape[0]
         width = nbasis + totw * len(lift_actions)
@@ -470,22 +425,13 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
                 blk[:, off: off + totw] = (-W.T) % F.p
             sysrows.append(blk)
         sol_space = nullspace_basis(F, np.concatenate(sysrows, axis=0))
-        for r in range(sol_space.shape[0]):
-            hv = combine(homKX, sol_space[r, :nbasis]).to_vector()
-            if not np.any(hv):
-                continue
-            if W.shape[0] and in_row_space(F, W, hv):
-                continue
-            h_coords = hv
-            break
+        candidates = (combine(homKX, sol_space[r, :nbasis]).to_vector()
+                      for r in range(sol_space.shape[0]))
     else:
         # End(T) = K: the radical condition is vacuous, Ext^1 is 1-dim
-        for f in homKX.basis:
-            hv = f.to_vector()
-            if W.shape[0] and in_row_space(F, W, hv):
-                continue
-            h_coords = hv
-            break
+        candidates = (f.to_vector() for f in homKX.basis)
+    h_coords = next((hv for hv in candidates if not in_row_space(F, W, hv)),
+                    None)
     if h_coords is None:
         raise AssertionError("no socle class found in Ext^1(T, tau T)")
     h = morphism_from_vector(K, X, h_coords)
@@ -585,29 +531,21 @@ def verify_almost_split(seq: AlmostSplitSequence, ind_list: list[Representation]
         iY, uY = _locate(calc, Y)
         radYT = calc.rad(iY, iT, 1)
         if radYT.shape[0]:
-            homYE = hom_basis(Y, seq.middle)
-            if homYE.basis:
-                through = row_space(F, np.stack(
-                    [seq.proj.compose(g).to_vector() for g in homYE.basis]))
-            else:
-                through = np.zeros((0, 0), dtype=np.int64)
+            through = _span(F, [seq.proj.compose(g)
+                                for g in hom_basis(Y, seq.middle).basis])
             for r in range(radYT.shape[0]):
                 f0 = morphism_from_vector(calc.reps[iY], calc.reps[iT], radYT[r])
                 f = uT.compose(f0).compose(uY.inverse())
-                if through.shape[0] == 0 or not in_row_space(F, through, f.to_vector()):
+                if not in_row_space(F, through, f.to_vector()):
                     return False
         radXY = calc.rad(iX, iY, 1)
         if radXY.shape[0]:
-            homEY = hom_basis(seq.middle, Y)
-            if homEY.basis:
-                through = row_space(F, np.stack(
-                    [g.compose(seq.incl).to_vector() for g in homEY.basis]))
-            else:
-                through = np.zeros((0, 0), dtype=np.int64)
+            through = _span(F, [g.compose(seq.incl)
+                                for g in hom_basis(seq.middle, Y).basis])
             for r in range(radXY.shape[0]):
                 g0 = morphism_from_vector(calc.reps[iX], calc.reps[iY], radXY[r])
                 g = uY.compose(g0).compose(uX.inverse())
-                if through.shape[0] == 0 or not in_row_space(F, through, g.to_vector()):
+                if not in_row_space(F, through, g.to_vector()):
                     return False
     return True
 
@@ -671,6 +609,7 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
 
     sequences: dict[int, AlmostSplitSequence] = {}
     tau_of: dict[int, int] = {}
+    middles: dict[int, Counter] = {}     # middle-term summand multiplicities
     processed_tau = set()
     processed_tminus = set()
     while True:
@@ -685,8 +624,7 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
                 tau_of[i] = add(seq.left)
                 if tau_of[i] is None:
                     raise AssertionError("tau of an indecomposable is not indecomposable")
-                for s in seq.middle_summands:
-                    add(s.rep)
+                middles[i] = Counter(add(s.rep) for s in seq.middle_summands)
             if i not in processed_tminus and not inj_flags[i]:
                 processed_tminus.add(i)
                 progressed = True
@@ -703,16 +641,25 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
     seqs = {perm[i]: s for i, s in sequences.items()}
     tau_map = {perm[i]: perm[l] for i, l in tau_of.items()}
 
-    calc = RadicalCalculator(modules)
+    # An arrow X -> Y lies on the mesh ending at Y, or, when Y is projective
+    # (then X -> Y is a non-split mono, so X is not injective), on the mesh
+    # starting at X.  With End/rad = F_p for every module, its multiplicity
+    # is that of X (resp. Y) in the middle term, read both ways here.
     arrows: dict[tuple[int, int], int] = {}
-    for i in range(len(modules)):
-        for j in range(len(modules)):
-            d, _ = irr_space(calc, modules[i], modules[j])
-            if d:
-                arrows[(i, j)] = d
+
+    def arrow(key: tuple[int, int], mult: int):
+        if arrows.setdefault(key, mult) != mult:
+            raise AssertionError(f"meshes disagree on the AR arrow {key}")
+
+    for t, counts in middles.items():
+        for x, mult in counts.items():
+            arrow((perm[x], perm[t]), mult)
+            arrow((perm[tau_of[t]], perm[x]), mult)
+    arrows = dict(sorted(arrows.items()))
     proj_flags = [proj_flags[i] for i in order]
     inj_flags = [inj_flags[i] for i in order]
-    return ARQuiver(alg, modules, arrows, tau_map, seqs, proj_flags, inj_flags, calc)
+    return ARQuiver(alg, modules, arrows, tau_map, seqs, proj_flags, inj_flags,
+                    RadicalCalculator(modules))
 
 
 # ---------------------------------------------------------------------------

@@ -216,26 +216,12 @@ class GLambda:
             m[noff[t]: noff[t] + N.dims[t], noff[s]: noff[s] + N.dims[s]] = blk
             return m
 
-        relrows = []
-        for bi in range(B.dim):
-            R = self.right_mults[bi]          # z -> z * b
-            NB = act_total(bi)                # n -> b n
-            # relation: (z b) (x) n - z (x) (b n) over all (z_r, n_j)
-            # vector index (r, j) -> r * ntot + j
-            for r in range(self.zdim):
-                zb = R[:, r]
-                for j in range(ntot):
-                    vec = F.zeros(1, self.zdim * ntot)[0]
-                    for k in np.nonzero(zb)[0]:
-                        vec[int(k) * ntot + j] = zb[k]
-                    col = NB[:, j]
-                    for l in np.nonzero(col)[0]:
-                        vec[r * ntot + int(l)] = (vec[r * ntot + int(l)]
-                                                  - col[l]) % F.p
-                    if np.any(vec):
-                        relrows.append(vec)
-        rel = (np.stack(relrows, axis=0) if relrows
-               else F.zeros(0, self.zdim * ntot))
+        # relations (z b) (x) n - z (x) (b n): the row of the pair (z_r, n_j)
+        # sits at r * ntot + j, so each b contributes R_b^T (x) I - I (x) N_b^T
+        rel = np.concatenate(
+            [np.kron(self.right_mults[bi].T, F.eye(ntot))
+             - np.kron(F.eye(self.zdim), act_total(bi).T)
+             for bi in range(B.dim)], axis=0) % F.p
         proj = quotient_map(F, row_space(F, rel), self.zdim * ntot)
         return proj, ntot
 

@@ -743,7 +743,8 @@ class RadicalCalculator:
     indecomposables (canonical representatives, pairwise non-isomorphic).
 
     rad^1(M, N) = Hom(M, N) for M != N in the list, rad End(M) on the
-    diagonal; rad^{n+1}(M, N) = sum_Z rad^n(Z, N) . rad^1(M, Z).
+    diagonal; rad^{n+1}(M, N) = sum_Z rad^n(Z, N) . rad^1(M, Z).  Layers are
+    built on first use, rad^1 included.
     """
 
     def __init__(self, reps: list[Representation], cutoff: int = 64):
@@ -752,7 +753,6 @@ class RadicalCalculator:
         self.cutoff = cutoff
         self.F = reps[0].F if reps else None
         self._rad: list[dict[tuple[int, int], np.ndarray]] = []  # [n-1][i,j]
-        self._build_rad1()
 
     def hom(self, i: int, j: int) -> HomSpace:
         return hom_basis(self.reps[i], self.reps[j])
@@ -807,6 +807,10 @@ class RadicalCalculator:
             np.zeros((nb * na, 0), dtype=np.int64)
 
     def _grow(self):
+        """Build the next radical layer, rad^1 first, on first use."""
+        if not self._rad:
+            self._build_rad1()
+            return
         F = self.F
         prev = self._rad[-1]
         rad1 = self._rad[0]
@@ -873,16 +877,13 @@ def irr_space(calc: RadicalCalculator, M: Representation, N: Representation):
     reps = []
     if d > 0:
         F = calc.F
-        span = r2.copy() if r2.shape[0] else np.zeros((0, r1.shape[1]), dtype=np.int64)
+        span = r2
         for r in range(r1.shape[0]):
             vec = r1[r]
-            if span.shape[0] and in_row_space(F, span, vec):
-                continue
-            if not span.shape[0] and not np.any(vec):
+            if in_row_space(F, span, vec):
                 continue
             reps.append(morphism_from_vector(calc.reps[i], calc.reps[j], vec))
-            span = (row_space(F, np.concatenate([span, vec.reshape(1, -1)]))
-                    if span.shape[0] else vec.reshape(1, -1).copy())
+            span = row_space(F, np.concatenate([span, vec.reshape(1, -1)]))
             if len(reps) == d:
                 break
     return d, reps

@@ -3,11 +3,14 @@ algebra action, built element by element from the definition, then cut to
 vertex spaces with the presentation idempotents.  This never touches the
 closed-form case matrices in skewcover.pushdown, so matching matrices is a
 genuine dual-route check.
+
+`loop_tensor_relations` is the per-entry loop that `GLambda._tensor` used to
+build its relation rows with, kept as the reference for its Kronecker blocks.
 """
 
 import numpy as np
 
-from skewcover.field import rank, row_space, solve_linear
+from skewcover.field import solve_linear
 from skewcover.quiver import path_source, path_target
 
 
@@ -97,3 +100,35 @@ def oracle_pushdown_matrices(pres, M):
             raise AssertionError("oracle image escapes the target coordinates")
         mats.append(sol)
     return mats
+
+
+def loop_tensor_relations(gl, N):
+    """Rows (z b) (x) n - z (x) (b n) of Z (x) N_total over every B-basis
+    element b and every pair (z_r, n_j), entry by entry; index (r, j) is
+    r * ntot + j."""
+    F = gl.F
+    B = gl.pres.algebra
+    ntot = N.total_dim
+    noff = np.cumsum([0] + list(N.dims))
+    relrows = []
+    for bi in range(B.dim):
+        w = B.basis[bi]
+        NB = F.zeros(ntot, ntot)
+        s, t = path_source(B.quiver, w), path_target(B.quiver, w)
+        NB[noff[t]: noff[t] + N.dims[t], noff[s]: noff[s] + N.dims[s]] = \
+            N.path_matrix(w)
+        R = gl.right_mults[bi]
+        for r in range(gl.zdim):
+            zb = R[:, r]
+            for j in range(ntot):
+                vec = F.zeros(1, gl.zdim * ntot)[0]
+                for k in np.nonzero(zb)[0]:
+                    vec[int(k) * ntot + j] = zb[k]
+                col = NB[:, j]
+                for l in np.nonzero(col)[0]:
+                    vec[r * ntot + int(l)] = (vec[r * ntot + int(l)]
+                                              - col[l]) % F.p
+                if np.any(vec):
+                    relrows.append(vec)
+    return (np.stack(relrows, axis=0) if relrows
+            else F.zeros(0, gl.zdim * ntot))

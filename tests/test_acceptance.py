@@ -6,24 +6,21 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from skewcover.field import PrimeField
 from skewcover.quiver import (BoundAlgebra, Quiver, RelationElement,
                               is_gentle, is_skew_gentle, make_path)
-from skewcover.inputfmt import build_input, parse_input, serialize_presentation
+from skewcover.inputfmt import build_input, parse_input
 from skewcover.skew import build_presentation
-from skewcover.rep import (RadicalCalculator, decompose, hom_basis, irr_space,
-                           is_indecomposable, is_isomorphic,
-                           module_stabilizer, morphism_level, twist)
+from skewcover.rep import (decompose, irr_space, is_indecomposable,
+                           is_isomorphic, module_stabilizer, morphism_level)
 from skewcover.ar import category_rank, knit_ar_quiver
 from skewcover.pushdown import (decompose_pushdown, pushdown_module,
-                                pushdown_morphism, sequence_stabilizer,
-                                verify_semi_covering)
+                                pushdown_morphism, verify_semi_covering)
 from skewcover.transport import pushdown_sequence
 from skewcover.isosearch import find_algebra_isomorphism, roots_of_unity
 
-from conftest import data_text, golden_text, load_built
+from conftest import data_text, golden_text
 
 F = PrimeField(1009)
 

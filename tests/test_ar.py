@@ -1,15 +1,12 @@
 import json
 
-import numpy as np
 import pytest
 
 from skewcover.field import PrimeField
 from skewcover.quiver import BoundAlgebra, Quiver
-from skewcover.rep import (Representation, decompose, hom_basis,
-                           is_isomorphic)
+from skewcover.rep import is_isomorphic
 from skewcover.ar import (ARToolkit, CapExceededError, almost_split_sequence,
-                          ar_quiver_dot, category_rank, direct_sum,
-                          injective_modules, knit_ar_quiver,
+                          ar_quiver_dot, category_rank, knit_ar_quiver,
                           projective_module, projective_modules,
                           simple_modules, verify_almost_split)
 

@@ -10,8 +10,7 @@ from skewcover.field import (PRIME_LIMIT, FieldTooSmallError, PrimeField,
                              algebra_radical, factor_poly, in_row_space,
                              inverse, minimal_polynomial,
                              nullspace_basis, poly_divmod, poly_eval_matrix,
-                             poly_mul, rank, rref,
-                             solve_linear)
+                             poly_mul, rank, solve_linear)
 
 F101 = PrimeField(101)
 F = PrimeField(1009)

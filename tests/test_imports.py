@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module or a test file imports is used in it.
 
 `__init__.py` is left out: its imports are the package's public API."""
 
@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "skewcover"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "skewcover"
+TESTS = ROOT / "tests"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -29,4 +31,10 @@ def _unused_imports(path: Path) -> list[str]:
                                         if p.name != "__init__.py"),
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_test_imports(path):
     assert _unused_imports(path) == []

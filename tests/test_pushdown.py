@@ -3,12 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from skewcover.field import PrimeField
-from skewcover.quiver import Quiver
-from skewcover.rep import (RepMorphism, Representation, decompose, hom_basis,
+from skewcover.field import PrimeField, quotient_map, row_space
+from skewcover.rep import (Representation, decompose, hom_basis,
                            identity_morphism, is_indecomposable,
-                           is_isomorphic, module_stabilizer, twist,
-                           zero_morphism)
+                           is_isomorphic, twist)
 from skewcover.ar import direct_sum, simple_module
 from skewcover.pushdown import (GLambda, decompose_pushdown, pushdown_module,
                                 pushdown_morphism, pushdown_twist_gauge,
@@ -16,7 +14,7 @@ from skewcover.pushdown import (GLambda, decompose_pushdown, pushdown_module,
                                 semi_dense_witness, verify_semi_covering)
 
 from conftest import golden_text
-from oracle_tensor import oracle_pushdown_matrices
+from oracle_tensor import loop_tensor_relations, oracle_pushdown_matrices
 
 F = PrimeField(1009)
 
@@ -137,7 +135,6 @@ def test_pushdown_exactness_on_dimension(fig5, fig5_pres, fig5_arq):
     # short exact sequences push to short exact sequences: dims add and
     # the pushed maps keep full rank / zero composite
     from skewcover.ar import _check_exact
-    from skewcover.transport import pushdown_sequence  # noqa: F401
     for t, seq in list(fig5_arq.sequences.items())[:4]:
         FM = pushdown_module(fig5_pres, seq.left)
         FN = pushdown_module(fig5_pres, seq.middle)
@@ -197,6 +194,19 @@ def test_G_lambda_of_pushdown_is_twist_sum(fig5, fig5_pres):
             fig5.algebra, [twist(act, g, M) for g in fig5.group.elements])
         assert back.total_dim == expected.total_dim
         assert is_isomorphic(back, expected)
+
+
+def test_G_lambda_tensor_matches_loop_relations(fig5, fig5_pres):
+    """The Kronecker-block relation rows span what the per-entry loop's
+    rows span, so the quotient map of Z (x) N is the same matrix."""
+    gl = GLambda(fig5_pres)
+    Fp = fig5_pres.F
+    for name in ("S2", "N_3_2", "M_1_2"):
+        FM = pushdown_module(fig5_pres, _module(fig5, name)).rep
+        for N in (FM, simple_module(fig5_pres.algebra, 4)):
+            proj, ntot = gl._tensor(N)
+            rows = row_space(Fp, loop_tensor_relations(gl, N))
+            assert np.array_equal(proj, quotient_map(Fp, rows, gl.zdim * ntot))
 
 
 def test_G_lambda_trivial_group(fig5):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from skewcover.field import PrimeField
 from skewcover.quiver import (BoundAlgebra, InhomogeneousRelationError,
                               NotAdmissibleError, PathWord, Quiver,
                               RelationElement, is_gentle, is_skew_gentle,
-                              make_path, path_source, path_target)
+                              make_path)
 
 F = PrimeField(1009)
 

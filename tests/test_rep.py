@@ -7,10 +7,9 @@ from skewcover.field import PrimeField, inverse
 from skewcover.quiver import BoundAlgebra, Quiver
 from skewcover.rep import (NonSplitEndError, RadicalCalculator, RepMorphism,
                            Representation, decompose, end_algebra, hom_basis,
-                           identity_morphism, irr_space, is_indecomposable,
-                           is_isomorphic, isomorphism, module_stabilizer,
-                           morphism_from_vector, rad_power_basis, twist,
-                           twist_morphism, zero_morphism)
+                           irr_space, is_indecomposable, is_isomorphic,
+                           isomorphism, module_stabilizer, rad_power_basis,
+                           twist)
 from skewcover.ar import direct_sum, simple_module
 from skewcover.cli import main
 

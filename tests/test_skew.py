@@ -1,14 +1,13 @@
 import json
 
 import numpy as np
-import pytest
 
 from skewcover.field import PrimeField
 from skewcover.quiver import (BoundAlgebra, PathWord, Quiver, RelationElement,
-                              make_path, path_source)
-from skewcover.action import AbelianGroup, QuiverAction, orbits_stabilizers
-from skewcover.skew import (QGVertex, SkewAlgebra, build_context,
-                            build_presentation, skew_multiply)
+                              make_path)
+from skewcover.action import AbelianGroup, QuiverAction
+from skewcover.skew import (QGVertex, SkewAlgebra, build_presentation,
+                            skew_multiply)
 from skewcover.inputfmt import build_input, parse_input, serialize_presentation
 from skewcover.isosearch import find_algebra_isomorphism, roots_of_unity
 

@@ -1,9 +1,6 @@
-import numpy as np
-import pytest
-
 from skewcover.field import PrimeField
 from skewcover.rep import (decompose, irr_space, is_isomorphic,
-                           module_stabilizer, morphism_from_vector, twist)
+                           module_stabilizer, twist)
 from skewcover.ar import verify_almost_split
 from skewcover.pushdown import (decompose_pushdown, pushdown_module,
                                 pushdown_morphism, sequence_stabilizer)
@@ -42,7 +39,6 @@ def test_trivial_group_stabilizer(fig5):
     from skewcover.action import AbelianGroup, QuiverAction
     G1 = AbelianGroup((1,))
     act = QuiverAction(fig5.algebra, G1, [{}], [{}])
-    from skewcover.ar import knit_ar_quiver
     # just one sequence is enough
     from skewcover.ar import ARToolkit, almost_split_sequence, simple_module
     tk = ARToolkit(fig5.algebra)
