@@ -252,13 +252,14 @@ def _reverse_element(alg: BoundAlgebra, alg_op: BoundAlgebra,
 def minimal_presentation(M: Representation):
     """P1 -> P0 -> M -> 0 with minimal covers.
 
-    Returns (verts0, verts1, element matrix, P0, d0, P1, d1) where
+    Returns (verts0, verts1, element matrix, P0, d0, K, incl) where
     element[k][l] is the algebra element in Hom(P_{verts1[l]},
-    P_{verts0[k]}) = paths verts0[k] -> verts1[l]."""
+    P_{verts0[k]}) = paths verts0[k] -> verts1[l], and incl: K -> P0 is the
+    kernel of the cover d0: P0 -> M."""
     alg = M.algebra
     P0, d0, verts0 = projective_cover(M)
     K, incl = kernel_subrep(d0)
-    P1, d1k, verts1 = projective_cover(K)
+    _, d1k, verts1 = projective_cover(K)
     d1 = incl.compose(d1k)
 
     # the (k, l) component P_x -> P_y of d1 (x = verts1[l], y = verts0[k])
@@ -275,14 +276,15 @@ def minimal_presentation(M: Representation):
             elem = alg.F.zeros(1, alg.dim)[0]
             elem[ys] = img[off0[k][x]: off0[k][x] + len(ys)]
             elements[k][l] = elem
-    return verts0, verts1, elements, P0, d0, P1, d1
+    return verts0, verts1, elements, P0, d0, K, incl
 
 
-def transpose(alg: BoundAlgebra, alg_op: BoundAlgebra, M: Representation) -> Representation:
-    """Tr M over the opposite algebra, from a minimal presentation: the
-    cokernel of the dual map Q0 = (+)_k P^op_{verts0[k]} -> Q1 =
-    (+)_l P^op_{verts1[l]}, each component placed straight into its block."""
-    verts0, verts1, elements, *_ = minimal_presentation(M)
+def transpose(alg: BoundAlgebra, alg_op: BoundAlgebra, presentation) -> Representation:
+    """Tr M over the opposite algebra, from the minimal presentation of M
+    that `minimal_presentation` returns: the cokernel of the dual map
+    Q0 = (+)_k P^op_{verts0[k]} -> Q1 = (+)_l P^op_{verts1[l]}, each
+    component placed straight into its block."""
+    verts0, verts1, elements, *_ = presentation
     if not verts1:
         # M projective-presented with P1 = 0: Tr M = 0
         return Representation(alg_op, [0] * alg.quiver.n_vertices,
@@ -323,12 +325,12 @@ class ARToolkit:
         self.simples = simple_modules(alg)
 
     def tau(self, M: Representation) -> Representation:
-        TrM = transpose(self.alg, self.alg_op, M)
+        TrM = transpose(self.alg, self.alg_op, minimal_presentation(M))
         return dual_rep(self.alg_op, self.alg, TrM)
 
     def tau_minus(self, M: Representation) -> Representation:
         DM = dual_rep(self.alg, self.alg_op, M)
-        return transpose(self.alg_op, self.alg, DM)
+        return transpose(self.alg_op, self.alg, minimal_presentation(DM))
 
     def is_projective(self, M: Representation) -> bool:
         return _summands_in(M, self._projective_classes)
@@ -375,9 +377,10 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
     F, q = alg.F, alg.quiver
     if tk.is_projective(T):
         raise ValueError("almost split sequence requires non-projective right term")
-    X = tk.tau(T)
-    P0, d0, _ = projective_cover(T)
-    K, incl = kernel_subrep(d0)
+    # tau T = D Tr T, from the presentation whose cover the pushout reuses
+    presentation = minimal_presentation(T)
+    X = dual_rep(tk.alg_op, alg, transpose(alg, tk.alg_op, presentation))
+    *_, P0, d0, K, incl = presentation
 
     homKX = hom_basis(K, X)
     if not homKX.basis:

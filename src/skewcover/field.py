@@ -436,13 +436,25 @@ class StructureConstants:
 
     def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of y -> x*y acting on coordinate columns."""
-        return self._mult_matrix(x, self.I, self.J)
+        return self._dense(*self.mult_entries(x, left=True))
 
-    def _mult_matrix(self, x, fixed, free) -> np.ndarray:
-        """M[k, free] = sum of x[fixed] * C over the entries at k."""
+    def right_mult_matrix(self, x: np.ndarray) -> np.ndarray:
+        """Matrix of y -> y*x acting on coordinate columns."""
+        return self._dense(*self.mult_entries(x, left=False))
+
+    def mult_entries(self, x: np.ndarray, left: bool):
+        """The matrix of y -> x*y (left) or y -> y*x as sparse terms
+        (rows, cols, values); terms at one position add up."""
+        p = self.F.p
+        fixed, free = (self.I, self.J) if left else (self.J, self.I)
+        coef = (x % p)[fixed]
+        nz = np.flatnonzero(coef)
+        return self.K[nz], free[nz], coef[nz] * self.C[nz] % p
+
+    def _dense(self, rows, cols, vals) -> np.ndarray:
         p, n = self.F.p, self.dim
         M = np.zeros(n * n, dtype=np.int64)
-        np.add.at(M, self.K * n + free, (x % p)[fixed] * self.C % p)
+        np.add.at(M, rows * n + cols, vals)
         return (M % p).reshape(n, n)
 
     def check_associativity(self) -> bool:
@@ -462,8 +474,8 @@ class StructureConstants:
 
     def check_identity(self) -> bool:
         eye = self.F.eye(self.dim)
-        return (np.array_equal(self._mult_matrix(self.one, self.I, self.J), eye)
-                and np.array_equal(self._mult_matrix(self.one, self.J, self.I), eye))
+        return (np.array_equal(self.left_mult_matrix(self.one), eye)
+                and np.array_equal(self.right_mult_matrix(self.one), eye))
 
 
 def _unit(n: int, i: int) -> np.ndarray:

@@ -151,32 +151,29 @@ def pushdown_morphism(pres: SkewPresentation, f: RepMorphism,
 class GLambda:
     """(Lambda G) e-bar (x)_B (-) followed by restriction along
     l -> l (x) 1: the reverse semi-covering, computed with dense linear
-    algebra over the skew algebra."""
+    algebra over Z = (Lambda G) e-bar.  Z and the multiplication matrices
+    on its coordinates are read off the skew algebra's product table."""
 
     def __init__(self, pres: SkewPresentation):
         self.pres = pres
         ctx = pres.context
         F, S = pres.F, ctx.skew
         self.F, self.S = F, S
-        # basis of Z = (Lambda G) e-bar
-        cols = []
-        for i in range(S.dim):
-            v = F.zeros(1, S.dim)[0]
-            v[i] = 1
-            cols.append(S.multiply(v, ctx.e_bar))
-        self.Z = row_space(F, np.stack(cols, axis=0))  # rows span Z
+        T = S.structure
+        # rows span Z = (Lambda G) e-bar, the images b_i e-bar
+        self.Z = row_space(F, T.right_mult_matrix(ctx.e_bar).T)
         self.zdim = self.Z.shape[0]
-        # realizing elements of the presentation's basis paths
-        self.b_elements = [self._eval_path(w) for w in pres.algebra.basis]
-        # right multiplication matrices on Z-coordinates
-        self.right_mults = [self._mult_matrix(e, left=False)
-                            for e in self.b_elements]
+        # right multiplication by the presentation's basis paths
+        self.right_mults = [
+            self._on_Z(T.right_mult_matrix(self._eval_path(w)), left=False)
+            for w in pres.algebra.basis]
         # left multiplication by Lambda-basis generators (vertices + arrows)
         A = ctx.algebra
-        self.left_vertex = [self._mult_matrix(S.include(A.idempotent(v)))
-                            for v in range(A.quiver.n_vertices)]
-        self.left_arrow = [self._mult_matrix(S.include(A.unit_vector(
-            A.basis[A.bindex[make_path(A.quiver, (a,))]])))
+        self.left_vertex = [
+            self._on_Z(T.left_mult_matrix(S.include(A.idempotent(v))), left=True)
+            for v in range(A.quiver.n_vertices)]
+        self.left_arrow = [self._on_Z(T.left_mult_matrix(S.include(A.unit_vector(
+            A.basis[A.bindex[make_path(A.quiver, (a,))]]))), left=True)
             for a in range(A.quiver.n_arrows)]
 
     def _eval_path(self, w: PathWord) -> np.ndarray:
@@ -189,13 +186,11 @@ class GLambda:
             out = e if out is None else self.S.multiply(e, out)
         return out
 
-    def _mult_matrix(self, elem: np.ndarray, left: bool = True) -> np.ndarray:
-        """Matrix of z -> elem z (or z -> z elem) on Z-coordinates: column r
-        holds the coordinates of the image of Z[r], all solved at once."""
-        S = self.S
-        imgs = np.stack([S.multiply(elem, z) if left else S.multiply(z, elem)
-                         for z in self.Z], axis=1)
-        coords = solve_linear(self.F, self.Z.T, imgs)
+    def _on_Z(self, mult: np.ndarray, left: bool) -> np.ndarray:
+        """A multiplication map of the skew algebra restricted to Z, in
+        Z-coordinates: column r holds the coordinates of the image of Z[r],
+        all solved at once."""
+        coords = solve_linear(self.F, self.Z.T, self.F.mul(mult, self.Z.T))
         if coords is None:
             raise AssertionError("Z not left-stable under Lambda" if left else
                                  "Z not right-stable under e(LG)e")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (PrimeField, in_row_space, nullspace_basis, rank,
-                    row_space)
+from .field import (PrimeField, StructureConstants, coalesce, in_row_space,
+                    match_pairs, nullspace_basis, rank, row_space)
 from .quiver import (BoundAlgebra, NotAdmissibleError, PathWord, Quiver,
                      RelationElement, ideal_closure, make_path, path_source,
                      path_target)
@@ -30,7 +30,8 @@ class SkewAlgebra:
     """Lambda (x) KG with multiplication (l (x) g)(m (x) h) = l g(m) (x) gh.
 
     Elements are vectors over the basis {(algebra basis k, group g)} flattened
-    as k * |G| + index(g).
+    as k * |G| + index(g).  The product is built once, as the sparse table
+    `structure`, from Lambda's table and the matrices M_g of the action.
     """
 
     def __init__(self, algebra: BoundAlgebra, group: AbelianGroup, action: QuiverAction):
@@ -38,10 +39,23 @@ class SkewAlgebra:
         self.group = group
         self.action = action
         self.F = algebra.F
-        self.dim = algebra.dim * group.n
-        # index(g) x index(h) -> index(gh)
-        self._gmul = [[group.eindex[group.mul(g, h)] for h in group.elements]
-                      for g in group.elements]
+        T, p, n = algebra.structure, self.F.p, group.n
+        self.dim = algebra.dim * n
+        parts = []
+        for gi, g in enumerate(group.elements):
+            Mg = action.matrix(g)
+            rows, cols = np.nonzero(Mg)
+            # (b_i (x) g)(b_j (x) h) = sum_m M_g[m, j] b_i b_m (x) gh: pair
+            # each entry e of Lambda's table with each nonzero M_g[m, j]
+            e, f = match_pairs(T.J, rows)
+            gh = [group.eindex[group.mul(g, h)] for h in group.elements]
+            parts.append((np.repeat(T.I[e] * n + gi, n),
+                          (cols[f, None] * n + np.arange(n)).reshape(-1),
+                          (T.K[e, None] * n + gh).reshape(-1),
+                          np.repeat(T.C[e] * Mg[rows[f], cols[f]] % p, n)))
+        I, J, K, C = (np.concatenate(a) for a in zip(*parts))
+        self.structure = StructureConstants.from_coo(
+            self.F, self.dim, I, J, K, C, self.include(T.one))
 
     def include(self, x: np.ndarray) -> np.ndarray:
         """Lambda -> Lambda G, l -> l (x) 1."""
@@ -54,35 +68,7 @@ class SkewAlgebra:
         return v.reshape(-1)
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """(sum_g x_g (x) g)(sum_h y_h (x) h) = sum x_g g(y_h) (x) gh: one
-        algebra product per pair of nonzero group columns."""
-        F, G, A = self.F, self.group, self.algebra
-        X = (x % F.p).reshape(A.dim, G.n)
-        Y = (y % F.p).reshape(A.dim, G.n)
-        out = F.zeros(A.dim, G.n)
-        ys = [h for h in range(G.n) if Y[:, h].any()]
-        for g in range(G.n):
-            if not X[:, g].any():
-                continue
-            gY = F.mul(self.action.matrix(G.elements[g]), Y[:, ys])
-            for col, h in enumerate(ys):
-                gh = self._gmul[g][h]
-                out[:, gh] = (out[:, gh] + A.multiply(X[:, g], gY[:, col])) % F.p
-        return out.reshape(-1)
-
-    def element_str(self, x: np.ndarray) -> str:
-        F, G, A = self.F, self.group, self.algebra
-        terms = []
-        for i in np.nonzero(x % F.p)[0]:
-            k, gi = divmod(int(i), G.n)
-            c = int(x[i] % F.p)
-            s = f"({A.element_str(A.unit_vector(A.basis[k]))})(x){G.elements[gi]}"
-            terms.append(s if c == 1 else f"{c}*{s}")
-        return " + ".join(terms) if terms else "0"
-
-
-def skew_multiply(S: SkewAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return S.multiply(x, y)
+        return self.structure.multiply(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +197,17 @@ class SkewContext:
                 if q.arrows[a].target == j0 and q.arrows[a].source in rset]
 
     def basic_dim(self) -> int:
-        """dim e(Lambda G)e: rank of x -> e x e on the skew algebra."""
-        S, F = self.skew, self.F
-        cols = []
-        for i in range(S.dim):
-            v = F.zeros(1, S.dim)[0]
-            v[i] = 1
-            cols.append(S.multiply(self.e_bar, S.multiply(v, self.e_bar)))
-        return rank(F, np.stack(cols, axis=1))
+        """dim e(Lambda G)e: rank of x -> e x e on the skew algebra, the
+        product L_e R_e of the two multiplication maps composed term by
+        term from the sparse table."""
+        T, F, n = self.skew.structure, self.F, self.skew.dim
+        lrow, lcol, lval = T.mult_entries(self.e_bar, left=True)
+        rrow, rcol, rval = T.mult_entries(self.e_bar, left=False)
+        e, f = match_pairs(lcol, rrow)
+        keys, vals = coalesce(F, lrow[e] * n + rcol[f], lval[e] * rval[f])
+        M = F.zeros(n, n)
+        M.reshape(-1)[keys] = vals
+        return rank(F, M)
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +520,6 @@ def _scalar_multiple(F: PrimeField, x: np.ndarray, y: np.ndarray):
         return None
     c = int(x[nx[0]]) * F.inv(int(y[nx[0]])) % F.p
     return c if np.array_equal((c * y) % F.p, x % F.p) else None
-
-
-def build_context(algebra: BoundAlgebra, group: AbelianGroup,
-                  action: QuiverAction) -> SkewContext:
-    return SkewContext(algebra, group, action)
 
 
 def build_presentation(algebra: BoundAlgebra, group: AbelianGroup,

@@ -1,4 +1,6 @@
 import importlib.resources as resources
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,24 @@ def golden_text(name: str) -> str:
 
 def load_built(name: str, build_algebra: bool = True):
     return build_input(parse_input(data_text(name)), build_algebra=build_algebra)
+
+
+GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+
+
+def generated_text(key: str) -> str:
+    """``star3_1`` -> the input text of the Z_3 star with arms of length 1,
+    from the benchmark's generator."""
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    family = "star" if key.startswith("star") else "cover"
+    n, length = map(int, key[len(family):].split("_"))
+    return gen.generate(family, n, length)
+
+
+def load_generated(key: str):
+    return build_input(parse_input(generated_text(key)))
 
 
 @pytest.fixture(scope="session")

@@ -11,11 +11,18 @@ before its list and row-sparse paths: a whole-matrix `outer` update per
 pivot, with `solve_linear`, `nullspace_basis`, `inverse` and `in_row_space`
 built on it, and the basis completion that quotient maps were read from.
 They are kept verbatim so the new kernel can be checked against them.
+
+The per-basis-vector loops are how `SkewContext.basic_dim` and `GLambda`
+built their matrices before the skew algebra had a product table: one or
+two skew products per basis vector of the skew algebra or of Z.  They are
+kept verbatim too, apart from taking the context or presentation as an
+argument; their `rank` and `solve_linear` are the dense ones below.
 """
 
 import numpy as np
 
-from skewcover.quiver import PathWord, path_source, path_target
+from skewcover.field import row_space
+from skewcover.quiver import PathWord, make_path, path_source, path_target
 
 
 def dense_table(alg):
@@ -71,6 +78,64 @@ def first_non_multiplicative(algebra, group, action):
                 if not np.array_equal(lhs, rhs):
                     return g, k1, k2
     return None
+
+
+# ---------------------------------------------------------------------------
+# Per-basis-vector product loops
+# ---------------------------------------------------------------------------
+
+def loop_basic_dim(ctx) -> int:
+    """dim e(Lambda G)e: rank of x -> e x e on the skew algebra."""
+    S, F = ctx.skew, ctx.F
+    cols = []
+    for i in range(S.dim):
+        v = F.zeros(1, S.dim)[0]
+        v[i] = 1
+        cols.append(S.multiply(ctx.e_bar, S.multiply(v, ctx.e_bar)))
+    return rank(F, np.stack(cols, axis=1))
+
+
+def loop_glambda(pres) -> dict:
+    """Z, right_mults, left_vertex and left_arrow of `GLambda(pres)`."""
+    ctx = pres.context
+    F, S = pres.F, ctx.skew
+    # basis of Z = (Lambda G) e-bar
+    cols = []
+    for i in range(S.dim):
+        v = F.zeros(1, S.dim)[0]
+        v[i] = 1
+        cols.append(S.multiply(v, ctx.e_bar))
+    Z = row_space(F, np.stack(cols, axis=0))  # rows span Z
+
+    def _mult_matrix(elem, left=True):
+        imgs = np.stack([S.multiply(elem, z) if left else S.multiply(z, elem)
+                         for z in Z], axis=1)
+        coords = solve_linear(F, Z.T, imgs)
+        if coords is None:
+            raise AssertionError("Z not left-stable under Lambda" if left else
+                                 "Z not right-stable under e(LG)e")
+        return coords
+
+    def _eval_path(w):
+        if w.is_trivial():
+            return ctx.idempotents[ctx.vertices[w.vertex]]
+        out = None
+        for a in reversed(w.arrows):
+            e = pres.elements[pres.arrows[a].name]
+            out = e if out is None else S.multiply(e, out)
+        return out
+
+    A = ctx.algebra
+    return {
+        "Z": Z,
+        "right_mults": [_mult_matrix(_eval_path(w), left=False)
+                        for w in pres.algebra.basis],
+        "left_vertex": [_mult_matrix(S.include(A.idempotent(v)))
+                        for v in range(A.quiver.n_vertices)],
+        "left_arrow": [_mult_matrix(S.include(A.unit_vector(
+            A.basis[A.bindex[make_path(A.quiver, (a,))]])))
+            for a in range(A.quiver.n_arrows)],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -2,34 +2,18 @@
 dim irr(X, Y) = dim rad(X, Y) - dim rad^2(X, Y) over every ordered pair,
 and knitting builds no radical layer."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from skewcover.ar import category_rank, knit_ar_quiver
-from skewcover.inputfmt import build_input, parse_input
 from skewcover.rep import RadicalCalculator, irr_space
 from skewcover.skew import build_presentation
 
-from conftest import load_built
-
-GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-
-
-def _generated(key: str):
-    """``star3_1`` -> the built Z_3 star with arms of length 1."""
-    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    family = "star" if key.startswith("star") else "cover"
-    n, length = map(int, key[len(family):].split("_"))
-    return build_input(parse_input(gen.generate(family, n, length)))
+from conftest import load_built, load_generated
 
 
 def _built(name: str):
     if name.startswith(("star", "cover")):
-        return _generated(name)
+        return load_generated(name)
     return load_built(f"{name}.skw")
 
 

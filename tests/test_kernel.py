@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import load_built
-from oracle_dense import dense_multiply, dense_skew_multiply, dense_table
+from conftest import generated_text, load_built, load_generated
+from oracle_dense import (dense_multiply, dense_skew_multiply, dense_table,
+                          loop_basic_dim, loop_glambda)
 from skewcover.field import PrimeField, StructureConstants, coalesce, match_pairs
-from skewcover.skew import SkewAlgebra
+from skewcover.inputfmt import build_input, parse_input
+from skewcover.pushdown import GLambda
+from skewcover.skew import SkewAlgebra, SkewContext, build_presentation
 
 BUNDLED = ["fig1.skw", "fig2.skw", "fig5.skw", "fig6.skw",
            "free_action_a3.skw", "kronecker_z3.skw"]
@@ -51,6 +54,9 @@ def test_structure_constants_match_dense_table(name):
     x = _random_vectors(alg.F, alg.dim, 4, count=1)[0]
     expected = np.tensordot(x, table, axes=(0, 0)).T % alg.F.p
     assert np.array_equal(sparse.left_mult_matrix(x), expected)
+    # y -> y*x: column j is b_j * x
+    expected = np.tensordot(table, x, axes=(1, 0)).T % alg.F.p
+    assert np.array_equal(sparse.right_mult_matrix(x), expected)
     assert sparse.check_associativity() and sparse.check_identity()
 
 
@@ -70,6 +76,47 @@ def test_skew_multiply_matches_dense(name):
         for j in range(0, S.dim, 2):
             assert np.array_equal(S.multiply(eye[i], eye[j]),
                                   dense_skew_multiply(S, table, eye[i], eye[j]))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_skew_table_is_associative_and_unital(name):
+    built = load_built(name)
+    T = SkewAlgebra(built.algebra, built.group, built.action).structure
+    assert T.check_associativity() and T.check_identity()
+
+
+def _context(name: str) -> SkewContext:
+    b = load_built(name) if name.endswith(".skw") else load_generated(name)
+    return SkewContext(b.algebra, b.group, b.action)
+
+
+@pytest.mark.parametrize("name", BUNDLED + [
+    "star3_1", "star3_2", "star3_3", "star3_4", "star2_2", "star2_3",
+    "star2_4", "cover2_3", "cover2_4", "cover2_5", "cover2_6"])
+def test_basic_dim_matches_loop(name):
+    ctx = _context(name)
+    assert ctx.basic_dim() == loop_basic_dim(ctx)
+
+
+@pytest.mark.parametrize("key, bound, expected",
+                         [("star3_8", None, 63), ("cover3_20", 60, 210)])
+def test_basic_dim_at_scale(key, bound, expected):
+    """A scale guard: skew algebras of dimension 399 and 1,890, where two
+    products per basis vector made `basic_dim` most of a `skew` run."""
+    b = build_input(parse_input(generated_text(key)), length_bound=bound)
+    assert SkewContext(b.algebra, b.group, b.action).basic_dim() == expected
+
+
+@pytest.mark.parametrize("name", ["fig5.skw", "fig6.skw", "free_action_a3.skw"])
+def test_glambda_matrices_match_loop(name):
+    b = load_built(name)
+    pres = build_presentation(b.algebra, b.group, b.action)
+    gl, oracle = GLambda(pres), loop_glambda(pres)
+    assert np.array_equal(gl.Z, oracle["Z"])
+    for key in ("right_mults", "left_vertex", "left_arrow"):
+        ours, theirs = getattr(gl, key), oracle[key]
+        assert len(ours) == len(theirs)
+        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
 
 
 def test_presentation_algebra_multiply_matches_dense(fig5_pres):

@@ -6,8 +6,7 @@ from skewcover.field import PrimeField
 from skewcover.quiver import (BoundAlgebra, PathWord, Quiver, RelationElement,
                               make_path)
 from skewcover.action import AbelianGroup, QuiverAction
-from skewcover.skew import (QGVertex, SkewAlgebra, build_presentation,
-                            skew_multiply)
+from skewcover.skew import QGVertex, SkewAlgebra, build_presentation
 from skewcover.inputfmt import build_input, parse_input, serialize_presentation
 from skewcover.isosearch import find_algebra_isomorphism, roots_of_unity
 
@@ -21,11 +20,11 @@ def test_skew_dimension_and_inclusion(fig5):
     assert S.dim == fig5.algebra.dim * fig5.group.n
     e = fig5.algebra.idempotent(0)
     inc = S.include(e)
-    assert np.array_equal(skew_multiply(S, inc, inc), inc)
+    assert np.array_equal(S.multiply(inc, inc), inc)
     # algebra map: includes multiply to includes
     x = fig5.algebra.unit_vector(fig5.algebra.basis[5])
     y = fig5.algebra.unit_vector(fig5.algebra.basis[6])
-    lhs = skew_multiply(S, S.include(x), S.include(y))
+    lhs = S.multiply(S.include(x), S.include(y))
     assert np.array_equal(lhs, S.include(fig5.algebra.multiply(x, y)))
 
 
@@ -36,14 +35,14 @@ def test_skew_multiplication_twists(fig5):
     g = (1,)
     b = alg.unit_vector(alg.basis[alg.bindex[make_path(q, (q.aindex["b"],))]])
     c = alg.unit_vector(alg.basis[alg.bindex[make_path(q, (q.aindex["c"],))]])
-    out = skew_multiply(S, S.group_element(b, g), S.include(c))
+    out = S.multiply(S.group_element(b, g), S.include(c))
     # g(c) = d, so the product is (b d) (x) g = 0 by the relations
     assert not np.any(out)
-    out2 = skew_multiply(S, S.include(b), S.group_element(c, g))
+    out2 = S.multiply(S.include(b), S.group_element(c, g))
     # b (x) e times c (x) g = bc (x) g = 0
     assert not np.any(out2)
     a = alg.unit_vector(alg.basis[alg.bindex[make_path(q, (q.aindex["a"],))]])
-    out3 = skew_multiply(S, S.group_element(a, g), S.include(b))
+    out3 = S.multiply(S.group_element(a, g), S.include(b))
     # a (x) g times b (x) e = a g(b) (x) g = ab (x) g, nonzero
     assert np.any(out3)
 
@@ -56,8 +55,8 @@ def test_skew_associativity_sampled(fig5):
         x = np.zeros(S.dim, dtype=np.int64); x[i] = 1
         y = np.zeros(S.dim, dtype=np.int64); y[j] = 1
         z = np.zeros(S.dim, dtype=np.int64); z[k] = 1
-        lhs = skew_multiply(S, skew_multiply(S, x, y), z)
-        rhs = skew_multiply(S, x, skew_multiply(S, y, z))
+        lhs = S.multiply(S.multiply(x, y), z)
+        rhs = S.multiply(x, S.multiply(y, z))
         assert np.array_equal(lhs, rhs)
 
 
