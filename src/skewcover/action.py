@@ -100,7 +100,6 @@ class CharacterGroup:
         self.roots = [F.primitive_root_of_unity(n) for n in group.orders]
         self.characters = [Character(c) for c in sorted(
             product(*[range(n) for n in group.orders]))]
-        self.cindex = {c: i for i, c in enumerate(self.characters)}
 
     def value(self, chi: Character, g: tuple[int, ...]) -> int:
         out = 1
@@ -114,10 +113,6 @@ class CharacterGroup:
     def mul(self, a: Character, b: Character) -> Character:
         return Character(tuple((x + y) % n for x, y, n in
                                zip(a.exponents, b.exponents, self.group.orders)))
-
-    def inv(self, a: Character) -> Character:
-        return Character(tuple((-x) % n for x, n in
-                               zip(a.exponents, self.group.orders)))
 
     def restriction_values(self, chi: Character, subgroup) -> tuple[int, ...]:
         """Value tuple of chi on the (sorted) subgroup; used to compare

@@ -31,6 +31,11 @@ def _load(path: str, build_algebra: bool = True, bound: int | None = None):
     return doc, build_input(doc, length_bound=bound, build_algebra=build_algebra)
 
 
+def _presentation(built, bound: int | None):
+    return build_presentation(built.algebra, built.group, built.action,
+                              length_bound=bound)
+
+
 def _report(args, command: str, digest: str, results: dict) -> None:
     payload = {"command": command, "input": digest, "results": results}
     if args.json:
@@ -75,8 +80,7 @@ def _fmt(v):
 
 def cmd_skew(args):
     doc, built = _load(args.file, bound=args.bound)
-    pres = build_presentation(built.algebra, built.group, built.action,
-                              length_bound=args.bound)
+    pres = _presentation(built, args.bound)
     text = serialize_presentation(pres)
     if args.out:
         with open(args.out, "w") as fh:
@@ -96,8 +100,7 @@ def cmd_pushdown(args):
     doc, built = _load(args.file, bound=args.bound)
     if args.module not in built.modules:
         raise KeyError(f"module {args.module!r} not in input file")
-    pres = build_presentation(built.algebra, built.group, built.action,
-                              length_bound=args.bound)
+    pres = _presentation(built, args.bound)
     M = built.modules[args.module]
     res = pushdown_module(pres, M)
     matrices = {}
@@ -128,8 +131,7 @@ def cmd_hom(args):
 
 def cmd_verify_covering(args):
     doc, built = _load(args.file, bound=args.bound)
-    pres = build_presentation(built.algebra, built.group, built.action,
-                              length_bound=args.bound)
+    pres = _presentation(built, args.bound)
     if args.all_indecomposables:
         arq = knit_ar_quiver(built.algebra)
         mods = list(enumerate(arq.modules))
@@ -186,8 +188,7 @@ def cmd_rank(args):
 
 def cmd_transport_ars(args):
     doc, built = _load(args.file, bound=args.bound)
-    pres = build_presentation(built.algebra, built.group, built.action,
-                              length_bound=args.bound)
+    pres = _presentation(built, args.bound)
     arq = knit_ar_quiver(built.algebra)
     arq_skew = knit_ar_quiver(pres.algebra)
     records = []
@@ -226,13 +227,11 @@ def cmd_check_gentle(args):
 
 def cmd_double_skew(args):
     doc, built = _load(args.file, bound=args.bound)
-    pres = build_presentation(built.algebra, built.group, built.action,
-                              length_bound=args.bound)
+    pres = _presentation(built, args.bound)
     text = serialize_presentation(pres)
     doc2 = parse_input(text)
     built2 = build_input(doc2, length_bound=args.bound)
-    pres2 = build_presentation(built2.algebra, built2.group, built2.action,
-                               length_bound=args.bound)
+    pres2 = _presentation(built2, args.bound)
     pool = roots_of_unity(built.field, built.group.exponent)
     if built.field.p - 1 not in pool:
         pool = sorted(set(pool) | {built.field.p - 1})

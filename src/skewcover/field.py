@@ -94,9 +94,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in F_p")
         return pow(a, self.p - 2, self.p)
 
-    def half(self) -> int:
-        return self.inv(2)
-
     @lru_cache(maxsize=None)
     def primitive_root_of_unity(self, n: int) -> int:
         """Least r in [1, p) of exact multiplicative order n.

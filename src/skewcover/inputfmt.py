@@ -73,6 +73,7 @@ def parse_input(text: str) -> InputDocument:
     doc = InputDocument()
     doc.digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     cur_module: ModuleSpec | None = None
+    module_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -84,6 +85,9 @@ def parse_input(text: str) -> InputDocument:
                 continue
             m = _DIM_RE.match(line)
             if m:
+                if int(m.group(2)) < 0:
+                    raise ParseError(line_no, f"module {cur_module.name!r}: "
+                                              f"negative dimension at {m.group(1)!r}")
                 cur_module.dims[m.group(1)] = int(m.group(2))
                 continue
             m = _MAP_RE.match(line)
@@ -180,10 +184,11 @@ def parse_input(text: str) -> InputDocument:
             if not m:
                 raise ParseError(line_no, "expected 'module <name> {'")
             cur_module = ModuleSpec(m.group(1))
+            module_line = line_no
         else:
             raise ParseError(line_no, f"unrecognized directive {head!r}")
     if cur_module is not None:
-        raise ParseError(0, f"unterminated module block {cur_module.name!r}")
+        raise ParseError(module_line, f"unterminated module block {cur_module.name!r}")
     if not doc.vertices:
         raise ParseError(0, "no quiver block (no vertices declared)")
     return doc
@@ -253,6 +258,11 @@ def build_input(doc: InputDocument, length_bound: int | None = None,
     modules = {}
     if algebra is not None:
         for name, spec in doc.modules.items():
+            for kind, names, declared in (("vertex", spec.dims, quiver.vindex),
+                                          ("arrow", spec.maps, quiver.aindex)):
+                for nm in names:
+                    if nm not in declared:
+                        raise ValueError(f"module {name!r} names undeclared {kind} {nm!r}")
             dims = [spec.dims.get(v, 0) for v in quiver.vertices]
             maps = []
             for a in quiver.arrows:

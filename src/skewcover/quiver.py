@@ -182,10 +182,7 @@ class BoundAlgebra:
 
     def __init__(self, F: PrimeField, quiver: Quiver,
                  relations: list[RelationElement], length_bound: int = 12):
-        self.F = F
-        self.quiver = quiver
-        self.relations = list(relations)
-        self.length_bound = length_bound
+        by_degree: dict[int, list[RelationElement]] = {}
         for r in relations:
             check_relation(quiver, r)
             degs = r.degree_set()
@@ -197,17 +194,32 @@ class BoundAlgebra:
                 raise InhomogeneousRelationError(
                     "length-1 relation terms are not admissible"
                 )
-        self._build()
-        self._build_structure()
+            by_degree.setdefault(max(degs), []).append(r)
+        self._build(F, quiver, length_bound,
+                    lambda paths, closure: by_degree.get(paths[0].length(), []))
+        self.relations = list(relations)
+
+    @classmethod
+    def generated(cls, F: PrimeField, quiver: Quiver, source,
+                  length_bound: int = 12) -> "BoundAlgebra":
+        """The algebra whose relations `source` finds degree by degree.
+
+        `source(paths, closure)` is called once per degree d with the
+        degree-d paths and a matrix over them whose rows span the degree-d
+        part of the ideal the lower degrees generate; it returns the new
+        degree-d relations.  `relations` lists them in the order returned.
+        """
+        self = cls.__new__(cls)
+        self.relations = self._build(F, quiver, length_bound, source)
+        return self
 
     # -- construction -----------------------------------------------------
 
-    def _build(self):
-        F, q, N = self.F, self.quiver, self.length_bound
-        rels_by_deg: dict[int, list[RelationElement]] = {}
-        for r in self.relations:
-            rels_by_deg.setdefault(max(r.degree_set()), []).append(r)
-
+    def _build(self, F: PrimeField, q: Quiver, N: int, source):
+        """The one degree walk: basis, normal forms and product table.
+        Returns the relations `source` gave, in degree order."""
+        self.F, self.quiver, self.length_bound = F, q, N
+        found: list[RelationElement] = []
         self.basis: list[PathWord] = [PathWord(v) for v in range(q.n_vertices)]
         # nf maps every enumerated path to its coordinate vector over basis
         self.nf: dict[PathWord, dict[int, int]] = {
@@ -228,33 +240,34 @@ class BoundAlgebra:
             if len(paths_d) > MAX_PATHS_PER_DEGREE:
                 raise NotAdmissibleError(f"path explosion at degree {d}")
             if not paths_d:
-                self.nilpotency_degree = d
-                self.top_degree = d - 1
                 break
 
             # degree-d component of the ideal: arrows * ideal_{d-1},
-            # ideal_{d-1} * arrows, and relations of degree d
-            gens = ideal_closure(F, q, ideal_prev)
-            for r in rels_by_deg.get(d, []):
-                vec: dict[PathWord, int] = {}
-                for c, w in r.terms:
-                    vec[w] = (vec.get(w, 0) + c) % F.p
-                gens.append(vec)
-
-            if gens:
-                G = F.zeros(len(gens), len(paths_d))
-                for i, g in enumerate(gens):
-                    for w, c in g.items():
+            # ideal_{d-1} * arrows, and the source's relations of degree d
+            closure = ideal_closure(F, q, ideal_prev)
+            G = F.zeros(len(closure), len(paths_d))
+            for i, g in enumerate(closure):
+                for w, c in g.items():
+                    G[i, pindex[w]] = c
+            rels = list(source(paths_d, G))
+            found.extend(rels)
+            if rels:
+                rows = F.zeros(len(rels), len(paths_d))
+                for i, r in enumerate(rels):
+                    for c, w in r.terms:
                         if w not in pindex:
                             raise ValueError(
                                 f"relation path {path_str(q, w)} is not a path of the quiver"
                             )
-                        G[i, pindex[w]] = c % F.p
+                        rows[i, pindex[w]] = (rows[i, pindex[w]] + c) % F.p
+                G = np.concatenate([G, rows])
+
+            if len(G):
                 R, piv = rref(F, G)
                 ideal_rows = R[: len(piv)]
                 pivset = set(piv)
             else:
-                ideal_rows = F.zeros(0, len(paths_d))
+                ideal_rows = G
                 piv, pivset = [], set()
 
             # surviving (non-pivot) paths are the degree-d basis; pivot paths
@@ -280,8 +293,6 @@ class BoundAlgebra:
             ]
             paths_prev = paths_d
             if not survivors:
-                self.nilpotency_degree = d
-                self.top_degree = d - 1
                 break
         else:
             raise NotAdmissibleError(
@@ -290,6 +301,8 @@ class BoundAlgebra:
 
         self.dim = len(self.basis)
         self.bindex = {w: i for i, w in enumerate(self.basis)}
+        self._build_structure()
+        return found
 
     def _build_structure(self):
         """Nonzero structure constants straight from the normal forms,
@@ -336,14 +349,6 @@ class BoundAlgebra:
         for k, w in enumerate(self.basis):
             blocks.setdefault((path_target(q, w), path_source(q, w)), []).append(k)
         return blocks
-
-    def element_str(self, x: np.ndarray) -> str:
-        terms = []
-        for k in np.nonzero(x % self.F.p)[0]:
-            c = int(x[k] % self.F.p)
-            s = path_str(self.quiver, self.basis[int(k)])
-            terms.append(s if c == 1 else f"{c}*{s}")
-        return " + ".join(terms) if terms else "0"
 
     def opposite(self) -> "BoundAlgebra":
         """The opposite algebra: arrows reversed, relation words reversed."""

@@ -311,13 +311,6 @@ def twist(action: QuiverAction, g, M: Representation) -> Representation:
     return Representation(M.algebra, dims, maps)
 
 
-def twist_morphism(action: QuiverAction, g, f: RepMorphism,
-                   tM: Representation, tN: Representation) -> RepMorphism:
-    q = f.source.algebra.quiver
-    blocks = [f.blocks[action.vertex(g, v)] for v in range(q.n_vertices)]
-    return RepMorphism(tM, tN, blocks)
-
-
 def module_stabilizer(action: QuiverAction, M: Representation) -> list:
     """{g : gM isomorphic to M} (a subgroup; tested elementwise)."""
     out = []

@@ -7,8 +7,10 @@ form is cut out by the idempotents e_{(i0, rho)} = i0 (x) e_rho indexed by
 orbit representatives and characters of their stabilizers.  Arrows of Q_G
 are realized by explicit elements of the skew algebra, one of four shapes
 depending on which endpoints lie in full orbits.  Relations of Q_G are not
-transcribed from anywhere: they are computed degree by degree as the kernel
-of the evaluation map K Q_G -> e(Lambda G)e, then minimalized.
+transcribed from anywhere: they are the kernel of the evaluation map
+K Q_G -> e(Lambda G)e, minimalized, and they and the bound algebra of Q_G
+come from one degree walk: `BoundAlgebra.generated` asks at each degree
+for the kernel vectors outside the ideal the lower degrees generate.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import numpy as np
 
 from .field import (PrimeField, StructureConstants, coalesce, in_row_space,
                     match_pairs, nullspace_basis, rank, row_space)
-from .quiver import (BoundAlgebra, NotAdmissibleError, PathWord, Quiver,
-                     RelationElement, ideal_closure, make_path, path_source,
-                     path_target)
+from .quiver import (BoundAlgebra, PathWord, Quiver, RelationElement,
+                     make_path)
 from .action import (AbelianGroup, Character, QuiverAction, arrow_character,
                      character_group, orbits_stabilizers, validate_action)
 
@@ -246,7 +247,6 @@ class SkewPresentation:
         self.orbit_arrow_data: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         self._build_arrows()
         self._build_quiver()
-        self._compute_relations()
         self._build_algebra()
 
     # -- arrow construction -------------------------------------------------
@@ -343,89 +343,43 @@ class SkewPresentation:
             (ar.name, ar.source.name(q), ar.target.name(q)) for ar in self.arrows
         ])
 
-    # -- relations ----------------------------------------------------------
-
-    def _compute_relations(self):
-        """Kernel of K Q_G -> e(Lambda G)e degree by degree.
-
-        K_d = degree-d kernel; new relation generators are an echelon
-        complement of span(arrows * K_{d-1} + K_{d-1} * arrows) inside K_d.
-        Stops at the first degree where every path evaluates to zero.
-        """
-        ctx = self.context
-        F, qg, S = self.F, self.qg, ctx.skew
-        N = self.length_bound
-
-        target_dim = ctx.basic_dim()
-        image_dim = len(ctx.vertices)
-
-        paths_prev = [PathWord(v) for v in range(qg.n_vertices)]
-        eval_prev = {PathWord(v): ctx.idempotents[ctx.vertices[v]]
-                     for v in range(qg.n_vertices)}
-        kernel_prev: list[dict[PathWord, int]] = []
-        self.relation_gens: list[RelationElement] = []
-
-        for d in range(1, N + 1):
-            paths_d: list[PathWord] = []
-            pindex: dict[PathWord, int] = {}
-            eval_d: dict[PathWord, np.ndarray] = {}
-            for w in paths_prev:
-                for ai in qg.arrows_from(path_target(qg, w)):
-                    nw = PathWord(path_source(qg, w), (ai,) + w.arrows)
-                    pindex[nw] = len(paths_d)
-                    paths_d.append(nw)
-                    eval_d[nw] = S.multiply(self.elements[self.arrows[ai].name],
-                                            eval_prev[w])
-            if not paths_d:
-                self.qg_nilpotency = d
-                break
-
-            # ideal component generated by lower-degree kernels
-            closure = ideal_closure(F, qg, kernel_prev)
-            C = F.zeros(len(closure), len(paths_d))
-            for i, x in enumerate(closure):
-                for w, c in x.items():
-                    C[i, pindex[w]] = c
-            Crow = row_space(F, C)
-
-            E = np.stack([eval_d[w] for w in paths_d], axis=0) % F.p
-            ker = nullspace_basis(F, E.T)
-
-            for r in range(ker.shape[0]):
-                vec = ker[r]
-                if in_row_space(F, Crow, vec):
-                    continue
-                terms = tuple((int(vec[i]), paths_d[int(i)])
-                              for i in np.nonzero(vec % F.p)[0])
-                self.relation_gens.append(RelationElement(terms))
-                Crow = row_space(F, np.concatenate([Crow, vec.reshape(1, -1)]))
-
-            image_dim += len(paths_d) - ker.shape[0]
-            kernel_prev = [
-                {paths_d[i]: int(ker[r, i]) for i in range(len(paths_d)) if ker[r, i]}
-                for r in range(ker.shape[0])
-            ]
-            paths_prev = paths_d
-            eval_prev = eval_d
-            if not any(np.any(v % F.p) for v in eval_d.values()):
-                self.qg_nilpotency = d
-                break
-        else:
-            raise NotAdmissibleError(
-                f"Q_G paths of length {N} still evaluate nonzero; raise the bound")
-
-        if image_dim != target_dim:
-            raise AssertionError(
-                f"presentation image dim {image_dim} != dim e(LG)e {target_dim}")
-        self.basic_dim = target_dim
+    # -- relations and the bound algebra --------------------------------------
 
     def _build_algebra(self):
-        self.algebra = BoundAlgebra(self.F, self.qg, self.relation_gens,
-                                    self.length_bound)
+        """Q_G's bound algebra, its relations found by the algebra's own
+        degree walk as the kernel of K Q_G -> e(Lambda G)e.
+
+        At degree d each path evaluates to (arrow element)(value of its
+        prefix); the new relations are the kernel vectors outside the span
+        of the ideal the lower degrees generate, kept in nullspace order.
+        """
+        ctx = self.context
+        F, S = self.F, ctx.skew
+        values = {PathWord(v): ctx.idempotents[u] for v, u in enumerate(ctx.vertices)}
+
+        def relations(paths, closure):
+            nonlocal values
+            values = {w: S.multiply(self.elements[self.arrows[w.arrows[0]].name],
+                                    values[PathWord(w.vertex, w.arrows[1:])])
+                      for w in paths}
+            E = np.stack([values[w] for w in paths], axis=0) % F.p
+            span = row_space(F, closure)
+            new = []
+            for vec in nullspace_basis(F, E.T):
+                if in_row_space(F, span, vec):
+                    continue
+                new.append(RelationElement(tuple(
+                    (int(vec[i]), paths[int(i)]) for i in np.nonzero(vec % F.p)[0])))
+                span = row_space(F, np.concatenate([span, vec.reshape(1, -1)]))
+            return new
+
+        self.algebra = BoundAlgebra.generated(F, self.qg, relations, self.length_bound)
+        self.relation_gens = self.algebra.relations
+        self.basic_dim = ctx.basic_dim()
         if self.algebra.dim != self.basic_dim:
             raise AssertionError(
                 f"bound algebra of Q_G has dim {self.algebra.dim}, "
-                f"expected {self.basic_dim}")
+                f"expected dim e(LG)e = {self.basic_dim}")
 
     # -- the semicovering F on the original quiver ---------------------------
 

@@ -17,12 +17,23 @@ built their matrices before the skew algebra had a product table: one or
 two skew products per basis vector of the skew algebra or of Z.  They are
 kept verbatim too, apart from taking the context or presentation as an
 argument; their `rank` and `solve_linear` are the dense ones below.
+
+`two_pass_presentation` is how `SkewPresentation` found the relations of
+Q_G and built its bound algebra before the algebra's degree walk asked
+for them: one walk over Q_G for the kernel of K Q_G -> e(Lambda G)e, then
+a second one inside `BoundAlgebra` rebuilding the ideal.  Its two methods
+are kept verbatim, run on a namespace in place of the presentation; their
+`nullspace_basis` and `in_row_space` are the dense ones below.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from skewcover.field import row_space
-from skewcover.quiver import PathWord, make_path, path_source, path_target
+from skewcover.quiver import (BoundAlgebra, NotAdmissibleError, PathWord,
+                              RelationElement, ideal_closure, make_path,
+                              path_source, path_target)
 
 
 def dense_table(alg):
@@ -136,6 +147,105 @@ def loop_glambda(pres) -> dict:
             A.basis[A.bindex[make_path(A.quiver, (a,))]])))
             for a in range(A.quiver.n_arrows)],
     }
+
+
+# ---------------------------------------------------------------------------
+# Two-pass skew presentation
+# ---------------------------------------------------------------------------
+
+def two_pass_presentation(pres):
+    """Namespace with `relation_gens`, `algebra` and `basic_dim` computed
+    from the Q_G, arrows and realizing elements of `pres`."""
+    ns = SimpleNamespace(context=pres.context, F=pres.F, qg=pres.qg,
+                         length_bound=pres.length_bound, arrows=pres.arrows,
+                         elements=pres.elements)
+    _compute_relations(ns)
+    _build_algebra(ns)
+    return ns
+
+
+def _compute_relations(self):
+    """Kernel of K Q_G -> e(Lambda G)e degree by degree.
+
+    K_d = degree-d kernel; new relation generators are an echelon
+    complement of span(arrows * K_{d-1} + K_{d-1} * arrows) inside K_d.
+    Stops at the first degree where every path evaluates to zero.
+    """
+    ctx = self.context
+    F, qg, S = self.F, self.qg, ctx.skew
+    N = self.length_bound
+
+    target_dim = ctx.basic_dim()
+    image_dim = len(ctx.vertices)
+
+    paths_prev = [PathWord(v) for v in range(qg.n_vertices)]
+    eval_prev = {PathWord(v): ctx.idempotents[ctx.vertices[v]]
+                 for v in range(qg.n_vertices)}
+    kernel_prev: list[dict[PathWord, int]] = []
+    self.relation_gens: list[RelationElement] = []
+
+    for d in range(1, N + 1):
+        paths_d: list[PathWord] = []
+        pindex: dict[PathWord, int] = {}
+        eval_d: dict[PathWord, np.ndarray] = {}
+        for w in paths_prev:
+            for ai in qg.arrows_from(path_target(qg, w)):
+                nw = PathWord(path_source(qg, w), (ai,) + w.arrows)
+                pindex[nw] = len(paths_d)
+                paths_d.append(nw)
+                eval_d[nw] = S.multiply(self.elements[self.arrows[ai].name],
+                                        eval_prev[w])
+        if not paths_d:
+            self.qg_nilpotency = d
+            break
+
+        # ideal component generated by lower-degree kernels
+        closure = ideal_closure(F, qg, kernel_prev)
+        C = F.zeros(len(closure), len(paths_d))
+        for i, x in enumerate(closure):
+            for w, c in x.items():
+                C[i, pindex[w]] = c
+        Crow = row_space(F, C)
+
+        E = np.stack([eval_d[w] for w in paths_d], axis=0) % F.p
+        ker = nullspace_basis(F, E.T)
+
+        for r in range(ker.shape[0]):
+            vec = ker[r]
+            if in_row_space(F, Crow, vec):
+                continue
+            terms = tuple((int(vec[i]), paths_d[int(i)])
+                          for i in np.nonzero(vec % F.p)[0])
+            self.relation_gens.append(RelationElement(terms))
+            Crow = row_space(F, np.concatenate([Crow, vec.reshape(1, -1)]))
+
+        image_dim += len(paths_d) - ker.shape[0]
+        kernel_prev = [
+            {paths_d[i]: int(ker[r, i]) for i in range(len(paths_d)) if ker[r, i]}
+            for r in range(ker.shape[0])
+        ]
+        paths_prev = paths_d
+        eval_prev = eval_d
+        if not any(np.any(v % F.p) for v in eval_d.values()):
+            self.qg_nilpotency = d
+            break
+    else:
+        raise NotAdmissibleError(
+            f"Q_G paths of length {N} still evaluate nonzero; raise the bound")
+
+    if image_dim != target_dim:
+        raise AssertionError(
+            f"presentation image dim {image_dim} != dim e(LG)e {target_dim}")
+    self.basic_dim = target_dim
+
+
+def _build_algebra(self):
+    self.algebra = BoundAlgebra(self.F, self.qg, self.relation_gens,
+                                self.length_bound)
+    if self.algebra.dim != self.basic_dim:
+        raise AssertionError(
+            f"bound algebra of Q_G has dim {self.algebra.dim}, "
+            f"expected {self.basic_dim}")
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,26 @@ def test_cli_refuses_too_large_field(capsys, tmp_path):
     assert "too large" in err and "2^26" in err
 
 
+@pytest.mark.parametrize("body,expected", [
+    # a module line naming an undeclared vertex or arrow used to be dropped
+    ("dim 1 = 1\n  dim 99 = 1\n  map zz = [[1]]\n}",
+     "module 'T' names undeclared vertex '99'"),
+    ("dim 1 = 1\n  map zz = [[1]]\n}", "module 'T' names undeclared arrow 'zz'"),
+    ("dim 1 = -1\n}", "line 42: module 'T': negative dimension at '1'"),
+    # an unterminated block is reported at its 'module' line
+    ("dim 1 = 1", "line 41: unterminated module block 'T'"),
+])
+def test_cli_rejects_bad_module(capsys, tmp_path, body, expected):
+    text = data_text("fig5.skw")
+    assert len(text.splitlines()) == 40
+    path = tmp_path / "fig5_bad_module.skw"
+    path.write_text(text + "module T {\n  " + body + "\n")
+    code, out, err = run_cli(capsys, "hom", str(path), "S2", "S2")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {expected}\n"
+
+
 # Calls in one process share one parser; each must behave like a fresh
 # process, so options given to one call (--json, --bound, --special) must not
 # reach the next, and argparse's own exits (errors, --help) stay exit 2 / 0.
