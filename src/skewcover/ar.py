@@ -1,8 +1,10 @@
 """Auslander-Reiten theory for representation-finite bound quiver algebras:
-projectives, injectives, the translate tau via minimal projective
-presentations and the transpose, almost split sequences (constructed from a
-socle element of Ext^1 and verified), AR-quiver knitting by closure, and
-finite radical-power ranks of the module category.
+projectives and injectives, the translate tau as the kernel of the Nakayama
+functor applied to a minimal projective presentation, almost split
+sequences (constructed from a socle element of Ext^1 and verified),
+AR-quiver knitting by closure, and finite radical-power ranks of the module
+category.  Injectives are built over the algebra itself; the opposite
+algebra serves tau^- only, as D tau D.
 
 The arrows of the AR quiver are read off the meshes that knitting builds
 and decomposes (an arrow that lies on two meshes is read from both, and the
@@ -19,11 +21,11 @@ import numpy as np
 
 from .field import (in_row_space, nullspace_basis, quotient_map, rank,
                     row_space, rref, solve_linear)
-from .quiver import BoundAlgebra, PathWord, path_target
-from .rep import (HomSpace, IsoClasses, RadicalCalculator, RepMorphism,
-                  Representation, Summand, combine, decompose, end_radical,
-                  hom_basis, identity_morphism, morphism_from_vector,
-                  sub_from_rows, zero_morphism)
+from .quiver import BoundAlgebra, PathWord
+from .rep import (RADICAL_CUTOFF, HomSpace, IsoClasses, RadicalCalculator,
+                  RepMorphism, Representation, Summand, combine, decompose,
+                  end_radical, hom_basis, identity_morphism, module_table,
+                  morphism_from_vector, sub_from_rows, zero_morphism)
 
 
 class CapExceededError(Exception):
@@ -49,9 +51,15 @@ def _paths_from(alg: BoundAlgebra, v: int) -> list[list[int]]:
     return [blocks.get((u, v), []) for u in range(alg.quiver.n_vertices)]
 
 
+def _paths_to(alg: BoundAlgebra, v: int) -> list[list[int]]:
+    """Basis indices of the paths u -> v, grouped by u, in basis order."""
+    blocks = alg.basis_by_blocks()
+    return [blocks.get((v, u), []) for u in range(alg.quiver.n_vertices)]
+
+
 def _offsets(path_groups: list[list[list[int]]]) -> list[list[int]]:
-    """Per summand P_v of a direct sum, given by `_paths_from(alg, v)`, its
-    first coordinate at each vertex."""
+    """Per summand P_v or I_v of a direct sum, given by its paths per
+    vertex, its first coordinate at each vertex."""
     run = [0] * len(path_groups[0]) if path_groups else []
     offs = []
     for paths in path_groups:
@@ -60,41 +68,62 @@ def _offsets(path_groups: list[list[list[int]]]) -> list[list[int]]:
     return offs
 
 
+def _mult_block(alg: BoundAlgebra, x: np.ndarray, rows: list[int],
+                cols: list[int], left: bool) -> np.ndarray:
+    """The block, on the basis indices `rows` x `cols`, of the matrix of
+    y -> x y (left) or y -> y x."""
+    F = alg.F
+    r, c, vals = alg.structure.mult_entries(x, left)
+    rpos, cpos = np.full(alg.dim, -1), np.full(alg.dim, -1)
+    rpos[rows], cpos[cols] = np.arange(len(rows)), np.arange(len(cols))
+    keep = (rpos[r] >= 0) & (cpos[c] >= 0)
+    m = F.zeros(len(rows), len(cols))
+    np.add.at(m, (rpos[r[keep]], cpos[c[keep]]), vals[keep])
+    return m % F.p
+
+
+def _kept(alg: BoundAlgebra, kind: str, v: int, paths, arrow_map) -> Representation:
+    """The module with space at u on the basis paths `paths[u]` and the map
+    `arrow_map(arrow, its algebra element)` for each arrow, made once per
+    algebra and kept in its module table under (kind, v), maps read-only."""
+    def build():
+        M = Representation(alg, [len(p) for p in paths], [
+            arrow_map(arr, alg.unit_vector(PathWord(arr.source, (a,))))
+            for a, arr in enumerate(alg.quiver.arrows)])
+        for m in M.maps:
+            m.flags.writeable = False
+        return M
+    return module_table(alg).lookup((kind, v), (), build)
+
+
 def projective_module(alg: BoundAlgebra, v: int) -> Representation:
-    """P_v: space at u spanned by normal-form basis paths v -> u, arrows
-    acting by post-composition and normal form."""
-    q = alg.quiver
+    """P_v = Lambda e_v: space at u spanned by the normal-form basis paths
+    v -> u, an arrow a acting by p -> a p."""
     paths = _paths_from(alg, v)
-    dims = [len(p) for p in paths]
-    pos = {k: i for p in paths for i, k in enumerate(p)}
-    maps = []
-    for a, arr in enumerate(q.arrows):
-        m = alg.F.zeros(dims[arr.target], dims[arr.source])
-        for k in paths[arr.source]:
-            nw = PathWord(v, (a,) + alg.basis[k].arrows)
-            for k2, c in alg.nf.get(nw, {}).items():
-                m[pos[k2], pos[k]] = c
-        maps.append(m)
-    return Representation(alg, dims, maps)
+    return _kept(alg, "projective", v, paths, lambda arr, a: _mult_block(
+        alg, a, paths[arr.target], paths[arr.source], left=True))
 
 
 def projective_modules(alg: BoundAlgebra) -> list[Representation]:
     return [projective_module(alg, v) for v in range(alg.quiver.n_vertices)]
 
 
-def dual_rep(src_alg: BoundAlgebra, dst_alg: BoundAlgebra,
-             M: Representation) -> Representation:
-    """The linear dual: a module over src_alg becomes one over its opposite
-    dst_alg (same vertex/arrow order, reversed directions, transposed maps)."""
-    return Representation(dst_alg, M.dims, [m.T.copy() for m in M.maps])
+def injective_module(alg: BoundAlgebra, v: int) -> Representation:
+    """I_v = D(e_v Lambda): space at u dual to the normal-form basis paths
+    u -> v, an arrow a acting by the transpose of q -> q a."""
+    paths = _paths_to(alg, v)
+    return _kept(alg, "injective", v, paths, lambda arr, a: _mult_block(
+        alg, a, paths[arr.source], paths[arr.target], left=False).T)
 
 
-def injective_module(alg: BoundAlgebra, alg_op: BoundAlgebra, v: int) -> Representation:
-    return dual_rep(alg_op, alg, projective_module(alg_op, v))
+def injective_modules(alg: BoundAlgebra) -> list[Representation]:
+    return [injective_module(alg, v) for v in range(alg.quiver.n_vertices)]
 
 
-def injective_modules(alg: BoundAlgebra, alg_op: BoundAlgebra) -> list[Representation]:
-    return [injective_module(alg, alg_op, v) for v in range(alg.quiver.n_vertices)]
+def dual_rep(alg: BoundAlgebra, M: Representation) -> Representation:
+    """The linear dual of M as a module over alg, the opposite of M's algebra
+    (same vertex/arrow order, reversed directions, transposed maps)."""
+    return Representation(alg, M.dims, [m.T.copy() for m in M.maps])
 
 
 def direct_sum(alg: BoundAlgebra, reps: list[Representation]):
@@ -167,7 +196,7 @@ def cokernel_rep(f: RepMorphism):
 
 
 # ---------------------------------------------------------------------------
-# Projective covers, presentations, transpose, tau
+# Projective covers, presentations, tau
 # ---------------------------------------------------------------------------
 
 def top_generators(M: Representation):
@@ -214,41 +243,6 @@ def _summands_in(M: Representation, classes: IsoClasses) -> bool:
     return all(classes.locate(s.rep) is not None for s in decompose(M))
 
 
-def _morphism_between_projectives(alg: BoundAlgebra, px: list[list[int]],
-                                  py: list[list[int]],
-                                  elem: np.ndarray) -> list[np.ndarray]:
-    """Per-vertex blocks of the morphism P_x -> P_y determined by an element
-    of P_y(x), i.e. a combination of basis paths y -> x; sends p to
-    p o elem.  `px` and `py` are `_paths_from(alg, x)` and `(alg, y)`."""
-    blocks = []
-    for u in range(alg.quiver.n_vertices):
-        m = alg.F.zeros(len(py[u]), len(px[u]))
-        for col, k in enumerate(px[u]):
-            m[:, col] = alg.multiply(alg.unit_vector(alg.basis[k]), elem)[py[u]]
-        blocks.append(m)
-    return blocks
-
-
-def _reverse_element(alg: BoundAlgebra, alg_op: BoundAlgebra,
-                     vec: np.ndarray) -> np.ndarray:
-    """Transport an element along the anti-isomorphism alg -> alg_op by
-    reversing basis paths and renormalizing."""
-    F = alg.F
-    out = F.zeros(1, alg_op.dim)[0]
-    for k in np.nonzero(vec % F.p)[0]:
-        w = alg.basis[int(k)]
-        if w.is_trivial():
-            rw = w
-        else:
-            rw = PathWord(path_target(alg.quiver, w), tuple(reversed(w.arrows)))
-        nf = alg_op.nf.get(rw)
-        if nf is None:
-            raise AssertionError("reversed basis path missing from opposite algebra")
-        for k2, c in nf.items():
-            out[k2] = (out[k2] + int(vec[k]) * c) % F.p
-    return out
-
-
 def minimal_presentation(M: Representation):
     """P1 -> P0 -> M -> 0 with minimal covers.
 
@@ -279,58 +273,53 @@ def minimal_presentation(M: Representation):
     return verts0, verts1, elements, P0, d0, K, incl
 
 
-def transpose(alg: BoundAlgebra, alg_op: BoundAlgebra, presentation) -> Representation:
-    """Tr M over the opposite algebra, from the minimal presentation of M
-    that `minimal_presentation` returns: the cokernel of the dual map
-    Q0 = (+)_k P^op_{verts0[k]} -> Q1 = (+)_l P^op_{verts1[l]}, each
-    component placed straight into its block."""
-    verts0, verts1, elements, *_ = presentation
-    if not verts1:
-        # M projective-presented with P1 = 0: Tr M = 0
-        return Representation(alg_op, [0] * alg.quiver.n_vertices,
-                              [None] * alg.quiver.n_arrows)
-    Q0 = direct_sum(alg_op, [projective_module(alg_op, v) for v in verts0])[0]
-    Q1 = direct_sum(alg_op, [projective_module(alg_op, v) for v in verts1])[0]
-    by_vertex = {v: _paths_from(alg_op, v) for v in {*verts0, *verts1}}
-    off0 = _offsets([by_vertex[v] for v in verts0])
-    off1 = _offsets([by_vertex[v] for v in verts1])
-    blocks = [alg.F.zeros(Q1.dims[u], Q0.dims[u])
-              for u in range(alg.quiver.n_vertices)]
-    for k, v0 in enumerate(verts0):
-        for l, v1 in enumerate(verts1):
-            elem_op = _reverse_element(alg, alg_op, elements[k][l])
-            # morphism P^op_{v0} -> P^op_{v1} given by elem_op in P^op_{v1}(v0)
-            comp = _morphism_between_projectives(alg_op, by_vertex[v0],
-                                                 by_vertex[v1], elem_op)
-            for u, c in enumerate(comp):
-                r0, c0 = off1[l][u], off0[k][u]
+def tau_from_presentation(presentation) -> Representation:
+    """tau M = ker(nu P1 -> nu P0), the Nakayama functor nu applied to the
+    minimal presentation P1 -d1-> P0 -> M -> 0 that `minimal_presentation`
+    returns (Assem-Simson-Skowronski I, IV.2.4).  nu P_x = I_x, and the
+    component of d1 given by a in P_y(x) becomes I_x -> I_y, at u the
+    transpose of q -> a q on the paths u -> y; P1 = 0 gives 0."""
+    verts0, verts1, elements, P0, *_ = presentation
+    alg = P0.algebra
+    q = alg.quiver
+    nu0 = direct_sum(alg, [injective_module(alg, v) for v in verts0])[0]
+    nu1 = direct_sum(alg, [injective_module(alg, v) for v in verts1])[0]
+    to = {v: _paths_to(alg, v) for v in {*verts0, *verts1}}
+    off0 = _offsets([to[v] for v in verts0])
+    off1 = _offsets([to[v] for v in verts1])
+    blocks = [alg.F.zeros(nu0.dims[u], nu1.dims[u]) for u in range(q.n_vertices)]
+    for k, y in enumerate(verts0):
+        for l, x in enumerate(verts1):
+            for u in range(q.n_vertices):
+                c = _mult_block(alg, elements[k][l], to[x][u], to[y][u],
+                                left=True).T
+                r0, c0 = off0[k][u], off1[l][u]
                 blocks[u][r0: r0 + c.shape[0], c0: c0 + c.shape[1]] = c
-    Astar = RepMorphism(Q0, Q1, blocks)
-    if not Astar.is_valid():
-        raise AssertionError("transposed presentation map fails commutation")
-    TrM, _ = cokernel_rep(Astar)
-    return TrM
+    nu_d1 = RepMorphism(nu1, nu0, blocks)
+    if not nu_d1.is_valid():
+        raise AssertionError("Nakayama image of the presentation fails commutation")
+    return kernel_subrep(nu_d1)[0]
 
 
 class ARToolkit:
-    """Caches opposite-algebra data and provides tau both ways."""
+    """The projectives, injectives and simples of an algebra, and tau both
+    ways: tau^- M = D tau D M with the inner tau over the opposite."""
 
     def __init__(self, alg: BoundAlgebra):
         self.alg = alg
         self.alg_op = alg.opposite()
         self.projectives = projective_modules(alg)
-        self.injectives = injective_modules(alg, self.alg_op)
+        self.injectives = injective_modules(alg)
         self._projective_classes = IsoClasses(self.projectives)
         self._injective_classes = IsoClasses(self.injectives)
         self.simples = simple_modules(alg)
 
     def tau(self, M: Representation) -> Representation:
-        TrM = transpose(self.alg, self.alg_op, minimal_presentation(M))
-        return dual_rep(self.alg_op, self.alg, TrM)
+        return tau_from_presentation(minimal_presentation(M))
 
     def tau_minus(self, M: Representation) -> Representation:
-        DM = dual_rep(self.alg, self.alg_op, M)
-        return transpose(self.alg_op, self.alg, minimal_presentation(DM))
+        DM = dual_rep(self.alg_op, M)
+        return dual_rep(self.alg, tau_from_presentation(minimal_presentation(DM)))
 
     def is_projective(self, M: Representation) -> bool:
         return _summands_in(M, self._projective_classes)
@@ -377,9 +366,9 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
     F, q = alg.F, alg.quiver
     if tk.is_projective(T):
         raise ValueError("almost split sequence requires non-projective right term")
-    # tau T = D Tr T, from the presentation whose cover the pushout reuses
+    # tau T from the presentation whose cover the pushout reuses
     presentation = minimal_presentation(T)
-    X = dual_rep(tk.alg_op, alg, transpose(alg, tk.alg_op, presentation))
+    X = tau_from_presentation(presentation)
     *_, P0, d0, K, incl = presentation
 
     homKX = hom_basis(K, X)
@@ -678,7 +667,7 @@ class RankValue:
         return str(self.value) if self.finite else f">= {self.value}"
 
 
-def category_rank(arq: ARQuiver, cutoff: int = 64) -> tuple[RankValue, RankValue]:
+def category_rank(arq: ARQuiver) -> tuple[RankValue, RankValue]:
     """(rank, stable rank): the first n with rad^n = 0, and the first n with
     rad^n = rad^{n+1}, over the knitted list.  Both finite for
     representation-finite algebras; cut off otherwise."""
@@ -687,7 +676,7 @@ def category_rank(arq: ARQuiver, cutoff: int = 64) -> tuple[RankValue, RankValue
     prev_dims = None
     rank_val = None
     stable_val = None
-    for n in range(1, cutoff + 1):
+    for n in range(1, RADICAL_CUTOFF + 1):
         dims = tuple(calc.rad_dim(i, j, n)
                      for i in range(npairs) for j in range(npairs))
         if all(d == 0 for d in dims):
@@ -699,9 +688,9 @@ def category_rank(arq: ARQuiver, cutoff: int = 64) -> tuple[RankValue, RankValue
             stable_val = RankValue(True, n - 1)
         prev_dims = dims
     if rank_val is None:
-        rank_val = RankValue(False, cutoff)
+        rank_val = RankValue(False, RADICAL_CUTOFF)
         if stable_val is None:
-            stable_val = RankValue(False, cutoff)
+            stable_val = RankValue(False, RADICAL_CUTOFF)
     return rank_val, stable_val
 
 

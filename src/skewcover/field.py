@@ -60,9 +60,8 @@ class PrimeField:
     """The prime field F_p.
 
     p must be prime and below 2^26, not divide the group order in play,
-    exceed the dimension cap, and satisfy p = 1 (mod exp G) so that all
-    characters of the acting group take values in F_p.  `for_group` picks
-    the default.
+    and satisfy p = 1 (mod exp G) so that all characters of the acting
+    group take values in F_p.  `for_group` picks the default.
     """
 
     p: int
@@ -76,9 +75,9 @@ class PrimeField:
             raise ValueError(f"{self.p} is not prime")
 
     @staticmethod
-    def for_group(exponent: int = 1, dim_cap: int = 500, start: int = 1009) -> "PrimeField":
-        """Smallest prime >= start with p = 1 (mod exponent) and p > dim_cap."""
-        p = max(start, dim_cap + 1)
+    def for_group(exponent: int = 1) -> "PrimeField":
+        """Smallest prime >= 1009 with p = 1 (mod exponent)."""
+        p = 1009
         while not (_is_prime(p) and (p - 1) % exponent == 0):
             p += 1
         return PrimeField(p)

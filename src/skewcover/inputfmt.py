@@ -183,6 +183,8 @@ def parse_input(text: str) -> InputDocument:
             m = re.match(r"^module\s+(\S+)\s*\{$", line)
             if not m:
                 raise ParseError(line_no, "expected 'module <name> {'")
+            if m.group(1) in doc.modules:
+                raise ParseError(line_no, f"module {m.group(1)!r} is declared twice")
             cur_module = ModuleSpec(m.group(1))
             module_line = line_no
         else:
@@ -220,6 +222,10 @@ def build_input(doc: InputDocument, length_bound: int | None = None,
          else PrimeField.for_group(group.exponent))
     if (F.p - 1) % group.exponent != 0:
         raise ValueError(f"field prime {F.p} is not 1 mod exp(G) = {group.exponent}")
+    generators = [f"g{i + 1}" for i in range(len(group.orders))]
+    for gname in [*doc.action_vertex, *doc.action_arrow]:
+        if gname not in generators:
+            raise ValueError(f"action names undeclared generator {gname!r}")
     quiver = Quiver(doc.vertices, doc.arrows)
     relations = []
     for terms in doc.relations:
@@ -239,8 +245,7 @@ def build_input(doc: InputDocument, length_bound: int | None = None,
     if build_algebra:
         algebra = BoundAlgebra(F, quiver, relations, bound)
         vperms, amaps = [], []
-        for gi in range(len(group.orders)):
-            gname = f"g{gi + 1}"
+        for gname in generators:
             vp = {}
             for v, w in doc.action_vertex.get(gname, {}).items():
                 if v not in quiver.vindex or w not in quiver.vindex:
@@ -278,8 +283,7 @@ def build_input(doc: InputDocument, length_bound: int | None = None,
 # Serialization of skew output
 # ---------------------------------------------------------------------------
 
-def serialize_presentation(pres: SkewPresentation,
-                           include_dual_action: bool = True) -> str:
+def serialize_presentation(pres: SkewPresentation) -> str:
     """Emit the basic presentation in the input format, with the dual group
     action, so the output can be skewed again."""
     ctx = pres.context
@@ -296,18 +300,17 @@ def serialize_presentation(pres: SkewPresentation,
             terms.append(f"{int(c)}*{pathtxt}")
         lines.append("relation " + " + ".join(terms))
     lines.append("group " + " x ".join(f"Z{n}" for n in ctx.group.orders))
-    if include_dual_action:
-        dual, dact = pres.dual_group_action()
-        for gi in range(len(dual.orders)):
-            vp = dact.gen_vperm[gi]
-            for v in sorted(vp):
-                if vp[v] != v:
-                    lines.append(f"action g{gi + 1}: vertex {qg.vertices[v]} "
-                                 f"-> {qg.vertices[vp[v]]}")
-            am = dact.gen_amap[gi]
-            for a in sorted(am):
-                c, b = am[a]
-                if (c, b) != (1, a):
-                    lines.append(f"action g{gi + 1}: arrow {qg.arrows[a].name} "
-                                 f"-> {int(c)}*{qg.arrows[b].name}")
+    dual, dact = pres.dual_group_action()
+    for gi in range(len(dual.orders)):
+        vp = dact.gen_vperm[gi]
+        for v in sorted(vp):
+            if vp[v] != v:
+                lines.append(f"action g{gi + 1}: vertex {qg.vertices[v]} "
+                             f"-> {qg.vertices[vp[v]]}")
+        am = dact.gen_amap[gi]
+        for a in sorted(am):
+            c, b = am[a]
+            if (c, b) != (1, a):
+                lines.append(f"action g{gi + 1}: arrow {qg.arrows[a].name} "
+                             f"-> {int(c)}*{qg.arrows[b].name}")
     return "\n".join(lines) + "\n"

@@ -18,6 +18,9 @@ from itertools import product
 from .field import PrimeField
 from .quiver import BoundAlgebra, PathWord, path_source
 
+# Scalar assignments tried per arrow bijection before it is skipped.
+MAX_SCALAR_COMBOS = 200_000
+
 
 def roots_of_unity(F: PrimeField, n: int) -> list[int]:
     if (F.p - 1) % n != 0:
@@ -102,8 +105,7 @@ def _relation_maps_to_zero(A: BoundAlgebra, B: BoundAlgebra, rel,
 
 
 def find_algebra_isomorphism(A: BoundAlgebra, B: BoundAlgebra,
-                             scalar_pool: list[int] | None = None,
-                             max_scalar_combos: int = 200_000):
+                             scalar_pool: list[int] | None = None):
     """(vertex map, arrow map, scalars) realizing A = B, or None.
 
     The map sends arrow a to scalars[a] * amap[a]; relations of A must land
@@ -155,7 +157,7 @@ def find_algebra_isomorphism(A: BoundAlgebra, B: BoundAlgebra,
                 free_arrows = sorted({a for r in A.relations
                                       for _, w in r.terms for a in w.arrows})
                 combos = len(scalar_pool) ** len(free_arrows)
-                if combos > max_scalar_combos:
+                if combos > MAX_SCALAR_COMBOS:
                     continue
                 for vals in product(scalar_pool, repeat=len(free_arrows)):
                     scal = dict(ones)

@@ -21,6 +21,9 @@ from .quiver import BoundAlgebra, PathWord, path_source, path_target
 from .action import QuiverAction
 
 
+RADICAL_CUTOFF = 64  # largest n of rad^n looked at, for ranks and levels
+
+
 class NonSplitEndError(Exception):
     """End(M)/rad is a proper field extension of F_p: M is indecomposable
     over F_p but not absolutely; reported rather than silently decided."""
@@ -197,10 +200,12 @@ class ModuleTable:
     contents: the dimension vector plus the bytes of the arrow matrices.
 
     A table is owned by its algebra (`module_table`) and lives exactly as
-    long as it.  Entries hold arrays and structure constants only, never a
-    Representation, so they keep no module alive and make no reference
-    cycle through the algebra; each lookup rebinds them to the caller's
-    modules.  Stored arrays are read-only.
+    long as it.  Entries keyed on modules hold arrays and structure
+    constants only, never a Representation, so they keep no module alive;
+    each lookup rebinds them to the caller's modules.  The one exception is
+    the indecomposable projectives and injectives that `ar` keeps here,
+    whose reference cycle through the algebra the collector frees with it.
+    Stored arrays are read-only.
     """
 
     def __init__(self):
@@ -210,7 +215,7 @@ class ModuleTable:
     def key(M: Representation) -> tuple:
         return M.dims, b"".join(m.tobytes() for m in M.maps)
 
-    def lookup(self, kind: str, modules: tuple, compute):
+    def lookup(self, kind: str | tuple, modules: tuple, compute):
         """The entry `kind` for `modules`, from `compute()` on first use."""
         key = (kind, *map(self.key, modules))
         try:
@@ -740,10 +745,9 @@ class RadicalCalculator:
     built on first use, rad^1 included.
     """
 
-    def __init__(self, reps: list[Representation], cutoff: int = 64):
+    def __init__(self, reps: list[Representation]):
         self.reps = reps
         self.classes = IsoClasses(reps)
-        self.cutoff = cutoff
         self.F = reps[0].F if reps else None
         self._rad: list[dict[tuple[int, int], np.ndarray]] = []  # [n-1][i,j]
 
@@ -831,13 +835,13 @@ class RadicalCalculator:
         return not self._rad[n - 1]
 
     def membership_level(self, i: int, j: int, f: RepMorphism) -> int:
-        """Largest n <= cutoff with f in rad^n; 0 if f is not radical,
-        cutoff+1 sentinel never returned for nonzero f (chain vanishes)."""
+        """Largest n <= RADICAL_CUTOFF with f in rad^n; 0 if f is not
+        radical, RADICAL_CUTOFF + 1 for f = 0."""
         if f.is_zero():
-            return self.cutoff + 1
+            return RADICAL_CUTOFF + 1
         vec = f.to_vector()
         level = 0
-        for n in range(1, self.cutoff + 1):
+        for n in range(1, RADICAL_CUTOFF + 1):
             basis = self.rad(i, j, n)
             if basis.shape[0] and in_row_space(self.F, basis, vec):
                 level = n
@@ -896,7 +900,7 @@ def morphism_level(calc: RadicalCalculator, f: RepMorphism,
     for `niso`.  Componentwise per the block criterion: the level of f is
     the minimum over blocks of their levels (0 = some block not radical).
     """
-    best = calc.cutoff + 1
+    best = RADICAL_CUTOFF + 1
     for a, ms in enumerate(msum):
         ia, ua = miso[a]
         for b, ns in enumerate(nsum):

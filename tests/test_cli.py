@@ -184,6 +184,15 @@ def test_cli_refuses_too_large_field(capsys, tmp_path):
     ("dim 1 = -1\n}", "line 42: module 'T': negative dimension at '1'"),
     # an unterminated block is reported at its 'module' line
     ("dim 1 = 1", "line 41: unterminated module block 'T'"),
+    # a second block under a used name used to overwrite the first
+    ("dim 1 = 1\n}\nmodule T {\n  dim 2 = 1\n}",
+     "line 44: module 'T' is declared twice"),
+    ("dim 1 = 1\n}\nmodule S2 {\n  dim 2 = 1\n}",
+     "line 44: module 'S2' is declared twice"),
+    # an action line after the block naming a generator the group lacks
+    # used to be dropped
+    ("dim 1 = 1\n}\naction g2: vertex 3 -> 4",
+     "action names undeclared generator 'g2'"),
 ])
 def test_cli_rejects_bad_module(capsys, tmp_path, body, expected):
     text = data_text("fig5.skw")
@@ -194,6 +203,16 @@ def test_cli_rejects_bad_module(capsys, tmp_path, body, expected):
     assert code == 1
     assert out == ""
     assert err == f"error: {expected}\n"
+
+
+def test_cli_rejects_action_of_undeclared_generator(capsys, tmp_path):
+    """Dropping these lines skewed by the trivial action: a 12-vertex Q_G
+    in place of the 3-vertex quotient."""
+    path = tmp_path / "free_action_g2.skw"
+    path.write_text(data_text("free_action_a3.skw").replace("action g1:", "action g2:"))
+    code, out, err = run_cli(capsys, "skew", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: action names undeclared generator 'g2'\n"
 
 
 # Calls in one process share one parser; each must behave like a fresh
