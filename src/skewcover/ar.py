@@ -3,8 +3,9 @@ projectives and injectives, the translate tau as the kernel of the Nakayama
 functor applied to a minimal projective presentation, almost split
 sequences (constructed from a socle element of Ext^1 and verified),
 AR-quiver knitting by closure, and finite radical-power ranks of the module
-category.  Injectives are built over the algebra itself; the opposite
-algebra serves tau^- only, as D tau D.
+category.  The inverse translate tau^- M = coker(nu^- d1) comes from a
+minimal injective copresentation 0 -> M -> I0 -d1-> I1, so everything is
+computed over the algebra itself and no second algebra is built.
 
 The arrows of the AR quiver are read off the meshes that knitting builds
 and decomposes (an arrow that lies on two meshes is read from both, and the
@@ -47,14 +48,14 @@ def simple_modules(alg: BoundAlgebra) -> list[Representation]:
 
 def _paths_from(alg: BoundAlgebra, v: int) -> list[list[int]]:
     """Basis indices of the paths v -> u, grouped by u, in basis order."""
-    blocks = alg.basis_by_blocks()
-    return [blocks.get((u, v), []) for u in range(alg.quiver.n_vertices)]
+    blocks = alg.basis_by_blocks
+    return [list(blocks.get((u, v), ())) for u in range(alg.quiver.n_vertices)]
 
 
 def _paths_to(alg: BoundAlgebra, v: int) -> list[list[int]]:
     """Basis indices of the paths u -> v, grouped by u, in basis order."""
-    blocks = alg.basis_by_blocks()
-    return [blocks.get((v, u), []) for u in range(alg.quiver.n_vertices)]
+    blocks = alg.basis_by_blocks
+    return [list(blocks.get((v, u), ())) for u in range(alg.quiver.n_vertices)]
 
 
 def _offsets(path_groups: list[list[list[int]]]) -> list[list[int]]:
@@ -118,12 +119,6 @@ def injective_module(alg: BoundAlgebra, v: int) -> Representation:
 
 def injective_modules(alg: BoundAlgebra) -> list[Representation]:
     return [injective_module(alg, v) for v in range(alg.quiver.n_vertices)]
-
-
-def dual_rep(alg: BoundAlgebra, M: Representation) -> Representation:
-    """The linear dual of M as a module over alg, the opposite of M's algebra
-    (same vertex/arrow order, reversed directions, transposed maps)."""
-    return Representation(alg, M.dims, [m.T.copy() for m in M.maps])
 
 
 def direct_sum(alg: BoundAlgebra, reps: list[Representation]):
@@ -196,136 +191,182 @@ def cokernel_rep(f: RepMorphism):
 
 
 # ---------------------------------------------------------------------------
-# Projective covers, presentations, tau
+# Projective covers and injective envelopes, (co)presentations, tau both ways
 # ---------------------------------------------------------------------------
+# Each injective construction is the transpose of its projective one, chosen
+# by `dual`: I_v and P_v swap, and so do the paths to and from v.
+
+def _oriented(A: Representation, B: Representation, blocks, dual: bool) -> RepMorphism:
+    """A -> B with `blocks`, or (dual) B -> A with their transposes."""
+    return RepMorphism(B, A, [b.T for b in blocks]) if dual else RepMorphism(A, B, blocks)
+
+
+def _free_columns(M: Representation, dual: bool) -> list[list[int]]:
+    """Per vertex v: the non-pivot columns of the transposed maps of the
+    arrows into v, or (dual) of the maps of the arrows out of v, stacked."""
+    F, q = M.F, M.algebra.quiver
+    out = []
+    for v in range(q.n_vertices):
+        arrows = q.arrows_from(v) if dual else q.arrows_into(v)
+        pieces = [M.maps[a] if dual else M.maps[a].T for a in arrows if M.maps[a].size]
+        piv = rref(F, np.concatenate(pieces, axis=0))[1] if pieces else []
+        out.append([c for c in range(M.dims[v]) if c not in piv])
+    return out
+
 
 def top_generators(M: Representation):
     """Per vertex: unit-vector representatives of M / rad M."""
-    F, q = M.F, M.algebra.quiver
-    gens = []
-    for v in range(q.n_vertices):
-        pieces = [M.maps[a].T for a in q.arrows_into(v) if M.maps[a].size]
-        piv = rref(F, np.concatenate(pieces, axis=0))[1] if pieces else []
-        gens.append([c for c in range(M.dims[v]) if c not in piv])
-    return gens
+    return _free_columns(M, dual=False)
+
+
+def socle_cogenerators(M: Representation):
+    """Per vertex: unit functionals whose restrictions to soc M (the common
+    kernel of the arrows out of the vertex) form a basis of D soc M."""
+    return _free_columns(M, dual=True)
+
+
+def _hull(M: Representation, dual: bool):
+    """(P0, the cover P0 -> M, vertex of each summand), or (dual) the same
+    for the injective envelope M -> I0.  The component at top generator g
+    sends a basis path p: v -> u to M(p) g; the one at socle cogenerator c
+    sends m in M(u) to the functional q -> (M(q) m)_c on the paths q: u -> v."""
+    alg = M.algebra
+    F, q = M.F, alg.quiver
+    module_of, paths_of = ((injective_module, _paths_to) if dual
+                           else (projective_module, _paths_from))
+    picks = [(v, g) for v, gs in enumerate(_free_columns(M, dual)) for g in gs]
+    H = direct_sum(alg, [module_of(alg, v) for v, _ in picks])[0]
+    paths = [paths_of(alg, v) for v, _ in picks]
+    blocks = [F.zeros(M.dims[u], H.dims[u]) for u in range(q.n_vertices)]
+    for (_, g), ps, off in zip(picks, paths, _offsets(paths)):
+        for u in range(q.n_vertices):
+            for i, k in enumerate(ps[u]):
+                pm = M.path_matrix(alg.basis[k])
+                blocks[u][:, off[u] + i] = (pm.T if dual else pm)[:, g]
+    f = _oriented(H, M, blocks, dual)
+    if not f.is_valid():
+        raise AssertionError("projective cover or injective envelope fails commutation")
+    if any(rank(F, b) != d for b, d in zip(blocks, M.dims)):
+        raise AssertionError("cover not surjective or envelope not injective")
+    return H, f, [v for v, _ in picks]
 
 
 def projective_cover(M: Representation):
     """(P0, cover morphism d0: P0 -> M, list of projective vertex indices)."""
+    return _hull(M, dual=False)
+
+
+def injective_envelope(M: Representation):
+    """(I0, envelope morphism d0: M -> I0, list of injective vertex indices)."""
+    return _hull(M, dual=True)
+
+
+def _resolve(M: Representation, dual: bool):
+    """The first two terms of a minimal projective presentation
+    P1 -d1-> P0 -d0-> M -> 0, or (dual) injective copresentation
+    0 -> M -d0-> I0 -d1-> I1.
+
+    Returns (verts0, verts1, element matrix, X0, d0, Z, z): X0 is P0 (I0),
+    z: Z -> P0 the kernel of d0 (z: I0 -> Z its cokernel), and
+    element[k][l] is the algebra element giving the component of d1 between
+    summand k of X0 and summand l of X1.  It is read off d1 at the trivial
+    path of summand l, x = verts1[l]: the image of e_x, a combination of the
+    paths verts0[k] -> x; dually the row at e_x, a functional on
+    I_{verts0[k]}(x), so a combination of the paths x -> verts0[k]."""
     alg = M.algebra
-    F, q = M.F, alg.quiver
-    gens = top_generators(M)
-    verts = [v for v in range(q.n_vertices) for _ in gens[v]]
-    if not verts:
-        P0 = Representation(alg, [0] * q.n_vertices, [None] * q.n_arrows)
-        return P0, zero_morphism(P0, M), []
-    P0 = direct_sum(alg, [projective_module(alg, v) for v in verts])[0]
-    paths = [_paths_from(alg, v) for v in verts]
-    blocks = [F.zeros(M.dims[u], P0.dims[u]) for u in range(q.n_vertices)]
-    # the component P_v -> M at generator g sends a basis path p: v -> u
-    # to M(p) g
-    gpos = [g for v in range(q.n_vertices) for g in gens[v]]
-    for g, ps, off in zip(gpos, paths, _offsets(paths)):
-        for u in range(q.n_vertices):
-            for i, k in enumerate(ps[u]):
-                blocks[u][:, off[u] + i] = M.path_matrix(alg.basis[k])[:, g]
-    d0 = RepMorphism(P0, M, blocks)
-    if not d0.is_valid():
-        raise AssertionError("projective cover fails commutation")
-    for v in range(q.n_vertices):
-        if rank(F, d0.blocks[v]) != M.dims[v]:
-            raise AssertionError("projective cover not surjective")
-    return P0, d0, verts
-
-
-def _summands_in(M: Representation, classes: IsoClasses) -> bool:
-    """Every Krull-Schmidt summand of M is isomorphic to one of `classes`."""
-    return all(classes.locate(s.rep) is not None for s in decompose(M))
-
-
-def minimal_presentation(M: Representation):
-    """P1 -> P0 -> M -> 0 with minimal covers.
-
-    Returns (verts0, verts1, element matrix, P0, d0, K, incl) where
-    element[k][l] is the algebra element in Hom(P_{verts1[l]},
-    P_{verts0[k]}) = paths verts0[k] -> verts1[l], and incl: K -> P0 is the
-    kernel of the cover d0: P0 -> M."""
-    alg = M.algebra
-    P0, d0, verts0 = projective_cover(M)
-    K, incl = kernel_subrep(d0)
-    _, d1k, verts1 = projective_cover(K)
-    d1 = incl.compose(d1k)
-
-    # the (k, l) component P_x -> P_y of d1 (x = verts1[l], y = verts0[k])
-    # is given by its image of the trivial path e_x, an element of P_y(x)
-    paths0 = [_paths_from(alg, v) for v in verts0]
-    paths1 = [_paths_from(alg, v) for v in verts1]
+    X0, d0, verts0 = _hull(M, dual)
+    Z, z = cokernel_rep(d0) if dual else kernel_subrep(d0)
+    _, dz, verts1 = _hull(Z, dual)
+    d1 = dz.compose(z) if dual else z.compose(dz)
+    paths_of = _paths_to if dual else _paths_from
+    paths0 = [paths_of(alg, v) for v in verts0]
+    paths1 = [paths_of(alg, v) for v in verts1]
     off0, off1 = _offsets(paths0), _offsets(paths1)
     elements = [[None] * len(verts1) for _ in range(len(verts0))]
     for l, x in enumerate(verts1):
         trivial = [alg.basis[k].is_trivial() for k in paths1[l][x]].index(True)
-        img = d1.blocks[x][:, off1[l][x] + trivial]
+        img = (d1.blocks[x].T if dual else d1.blocks[x])[:, off1[l][x] + trivial]
         for k in range(len(verts0)):
             ys = paths0[k][x]
             elem = alg.F.zeros(1, alg.dim)[0]
             elem[ys] = img[off0[k][x]: off0[k][x] + len(ys)]
             elements[k][l] = elem
-    return verts0, verts1, elements, P0, d0, K, incl
+    return verts0, verts1, elements, X0, d0, Z, z
+
+
+def minimal_presentation(M: Representation):
+    """P1 -> P0 -> M -> 0 with minimal covers, as `_resolve` returns it."""
+    return _resolve(M, dual=False)
+
+
+def minimal_copresentation(M: Representation):
+    """0 -> M -> I0 -> I1 with minimal envelopes, as `_resolve` returns it."""
+    return _resolve(M, dual=True)
+
+
+def _nakayama(resolution, dual: bool) -> RepMorphism:
+    """nu d1: (+) I_x over verts1 -> (+) I_y over verts0 for a minimal
+    presentation, or (dual) nu^- d1: (+) P_y over verts0 -> (+) P_x over
+    verts1 for a minimal copresentation (nu P_x = I_x, nu^- I_x = P_x).  The
+    component given by a becomes, at u, the transpose of q -> a q on the
+    paths u -> y, or (dual) p -> p a on the paths y -> u."""
+    verts0, verts1, elements, X0, *_ = resolution
+    alg = X0.algebra
+    module_of, paths_of = ((projective_module, _paths_from) if dual
+                           else (injective_module, _paths_to))
+    S0 = direct_sum(alg, [module_of(alg, v) for v in verts0])[0]
+    S1 = direct_sum(alg, [module_of(alg, v) for v in verts1])[0]
+    paths = {v: paths_of(alg, v) for v in {*verts0, *verts1}}
+    off0 = _offsets([paths[v] for v in verts0])
+    off1 = _offsets([paths[v] for v in verts1])
+    blocks = [alg.F.zeros(S0.dims[u], S1.dims[u]) for u in range(alg.quiver.n_vertices)]
+    for k, y in enumerate(verts0):
+        for l, x in enumerate(verts1):
+            for u in range(alg.quiver.n_vertices):
+                c = _mult_block(alg, elements[k][l], paths[x][u], paths[y][u],
+                                left=not dual).T
+                r0, c0 = off0[k][u], off1[l][u]
+                blocks[u][r0: r0 + c.shape[0], c0: c0 + c.shape[1]] = c
+    f = _oriented(S1, S0, blocks, dual)
+    if not f.is_valid():
+        raise AssertionError("Nakayama image of the (co)presentation fails commutation")
+    return f
 
 
 def tau_from_presentation(presentation) -> Representation:
-    """tau M = ker(nu P1 -> nu P0), the Nakayama functor nu applied to the
-    minimal presentation P1 -d1-> P0 -> M -> 0 that `minimal_presentation`
-    returns (Assem-Simson-Skowronski I, IV.2.4).  nu P_x = I_x, and the
-    component of d1 given by a in P_y(x) becomes I_x -> I_y, at u the
-    transpose of q -> a q on the paths u -> y; P1 = 0 gives 0."""
-    verts0, verts1, elements, P0, *_ = presentation
-    alg = P0.algebra
-    q = alg.quiver
-    nu0 = direct_sum(alg, [injective_module(alg, v) for v in verts0])[0]
-    nu1 = direct_sum(alg, [injective_module(alg, v) for v in verts1])[0]
-    to = {v: _paths_to(alg, v) for v in {*verts0, *verts1}}
-    off0 = _offsets([to[v] for v in verts0])
-    off1 = _offsets([to[v] for v in verts1])
-    blocks = [alg.F.zeros(nu0.dims[u], nu1.dims[u]) for u in range(q.n_vertices)]
-    for k, y in enumerate(verts0):
-        for l, x in enumerate(verts1):
-            for u in range(q.n_vertices):
-                c = _mult_block(alg, elements[k][l], to[x][u], to[y][u],
-                                left=True).T
-                r0, c0 = off0[k][u], off1[l][u]
-                blocks[u][r0: r0 + c.shape[0], c0: c0 + c.shape[1]] = c
-    nu_d1 = RepMorphism(nu1, nu0, blocks)
-    if not nu_d1.is_valid():
-        raise AssertionError("Nakayama image of the presentation fails commutation")
-    return kernel_subrep(nu_d1)[0]
+    """tau M = ker(nu P1 -> nu P0), the Nakayama functor applied to the
+    minimal presentation that `minimal_presentation` returns
+    (Assem-Simson-Skowronski I, IV.2.4); P1 = 0 gives 0."""
+    return kernel_subrep(_nakayama(presentation, dual=False))[0]
 
 
 class ARToolkit:
     """The projectives, injectives and simples of an algebra, and tau both
-    ways: tau^- M = D tau D M with the inner tau over the opposite."""
+    ways over the algebra itself: tau M = ker(nu d1) on a minimal projective
+    presentation, tau^- M = coker(nu^- d1) on a minimal injective
+    copresentation 0 -> M -> I0 -d1-> I1."""
 
     def __init__(self, alg: BoundAlgebra):
         self.alg = alg
-        self.alg_op = alg.opposite()
         self.projectives = projective_modules(alg)
         self.injectives = injective_modules(alg)
-        self._projective_classes = IsoClasses(self.projectives)
-        self._injective_classes = IsoClasses(self.injectives)
         self.simples = simple_modules(alg)
 
     def tau(self, M: Representation) -> Representation:
         return tau_from_presentation(minimal_presentation(M))
 
     def tau_minus(self, M: Representation) -> Representation:
-        DM = dual_rep(self.alg_op, M)
-        return dual_rep(self.alg, tau_from_presentation(minimal_presentation(DM)))
+        return cokernel_rep(_nakayama(minimal_copresentation(M), dual=True))[0]
 
     def is_projective(self, M: Representation) -> bool:
-        return _summands_in(M, self._projective_classes)
+        """The projective cover is an isomorphism."""
+        return M.total_dim == sum(len(g) * P.total_dim for g, P in
+                                  zip(top_generators(M), self.projectives))
 
     def is_injective(self, M: Representation) -> bool:
-        return _summands_in(M, self._injective_classes)
+        """The injective envelope is an isomorphism."""
+        return M.total_dim == sum(len(c) * I.total_dim for c, I in
+                                  zip(socle_cogenerators(M), self.injectives))
 
 
 # ---------------------------------------------------------------------------

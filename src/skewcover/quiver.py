@@ -9,7 +9,10 @@ convention.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -342,28 +345,15 @@ class BoundAlgebra:
         """x o y with y applied first (functional order)."""
         return self.structure.multiply(x, y)
 
-    def basis_by_blocks(self):
-        """Indices of basis paths grouped by (target vertex, source vertex)."""
+    @cached_property
+    def basis_by_blocks(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
+        """Indices of basis paths grouped by (target vertex, source vertex),
+        built on first use and read-only."""
         q = self.quiver
         blocks: dict[tuple[int, int], list[int]] = {}
         for k, w in enumerate(self.basis):
             blocks.setdefault((path_target(q, w), path_source(q, w)), []).append(k)
-        return blocks
-
-    def opposite(self) -> "BoundAlgebra":
-        """The opposite algebra: arrows reversed, relation words reversed."""
-        q = self.quiver
-        qop = Quiver(
-            list(q.vertices),
-            [(a.name, q.vertices[a.target], q.vertices[a.source]) for a in q.arrows],
-        )
-        rels = []
-        for r in self.relations:
-            terms = []
-            for c, w in r.terms:
-                terms.append((c, PathWord(path_target(q, w), tuple(reversed(w.arrows)))))
-            rels.append(RelationElement(tuple(terms)))
-        return BoundAlgebra(self.F, qop, rels, self.length_bound)
+        return MappingProxyType({key: tuple(ks) for key, ks in blocks.items()})
 
     def __repr__(self):
         return f"BoundAlgebra(dim={self.dim}, {self.quiver!r})"

@@ -3,16 +3,47 @@ tau M = D Tr M, with the transpose Tr M taken over the opposite algebra as
 the cokernel of the dual of the minimal presentation, each component moved
 into the opposite algebra's basis.  Injectives were duals of the opposite
 algebra's projectives, and projectives were built from normal forms one
-path at a time.  Kept as an oracle for `ar.ARToolkit.tau` and `tau_minus`
-and for the projective and injective modules.
+path at a time.  The opposite algebra and the linear dual are kept here
+with them, as is the summand scan that decided whether a module is
+projective or injective.  Kept as an oracle for `ar.ARToolkit.tau`,
+`tau_minus`, `is_projective` and `is_injective`, and for the projective and
+injective modules.
 """
 
 import numpy as np
 
 from skewcover.ar import (_offsets, _paths_from, cokernel_rep, direct_sum,
-                          dual_rep, minimal_presentation)
-from skewcover.quiver import BoundAlgebra, PathWord, path_target
-from skewcover.rep import RepMorphism, Representation
+                          minimal_presentation)
+from skewcover.quiver import (BoundAlgebra, PathWord, Quiver, RelationElement,
+                              path_target)
+from skewcover.rep import IsoClasses, RepMorphism, Representation, decompose
+
+
+def opposite(alg: BoundAlgebra) -> BoundAlgebra:
+    """The opposite algebra: arrows reversed, relation words reversed."""
+    q = alg.quiver
+    qop = Quiver(
+        list(q.vertices),
+        [(a.name, q.vertices[a.target], q.vertices[a.source]) for a in q.arrows],
+    )
+    rels = []
+    for r in alg.relations:
+        terms = []
+        for c, w in r.terms:
+            terms.append((c, PathWord(path_target(q, w), tuple(reversed(w.arrows)))))
+        rels.append(RelationElement(tuple(terms)))
+    return BoundAlgebra(alg.F, qop, rels, alg.length_bound)
+
+
+def dual_rep(alg: BoundAlgebra, M: Representation) -> Representation:
+    """The linear dual of M as a module over alg, the opposite of M's algebra
+    (same vertex/arrow order, reversed directions, transposed maps)."""
+    return Representation(alg, M.dims, [m.T.copy() for m in M.maps])
+
+
+def summands_in(M: Representation, classes: IsoClasses) -> bool:
+    """Every Krull-Schmidt summand of M is isomorphic to one of `classes`."""
+    return all(classes.locate(s.rep) is not None for s in decompose(M))
 
 
 def projective_module(alg: BoundAlgebra, v: int) -> Representation:

@@ -6,7 +6,8 @@ from skewcover.field import PrimeField
 from skewcover.quiver import BoundAlgebra, Quiver
 from skewcover.rep import is_isomorphic
 from skewcover.ar import (ARToolkit, CapExceededError, almost_split_sequence,
-                          ar_quiver_dot, category_rank, knit_ar_quiver,
+                          ar_quiver_dot, category_rank, injective_envelope,
+                          knit_ar_quiver, projective_cover,
                           projective_module, projective_modules,
                           simple_modules, verify_almost_split)
 
@@ -64,6 +65,8 @@ def test_tau_a2(a2):
     t = tk.tau(S1)
     assert t.dims == (0, 1)
     assert tk.tau_minus(t).dims == (1, 0)
+    for P, I in zip(tk.projectives, tk.injectives):
+        assert tk.tau(P).is_zero() and tk.tau_minus(I).is_zero()
 
 
 def test_tau_rejects_projective(fig5):
@@ -83,6 +86,10 @@ def test_tau_of_mesh_target_is_simple(fig5, fig5_arq):
 
 def test_tau_tau_minus_roundtrip(fig5, fig5_arq):
     tk = ARToolkit(fig5.algebra)
+    for P, I in zip(tk.projectives, tk.injectives):
+        assert projective_cover(P)[1].is_invertible()
+        assert injective_envelope(I)[1].is_invertible()
+        assert tk.tau_minus(I).is_zero()
     for M in fig5_arq.modules:
         if tk.is_projective(M) or tk.is_injective(M):
             continue

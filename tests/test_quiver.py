@@ -83,8 +83,12 @@ def test_normal_form_idempotent(fig5):
 
 def test_dim_is_block_sum(fig5):
     alg = fig5.algebra
-    blocks = alg.basis_by_blocks()
+    blocks = alg.basis_by_blocks
     assert sum(len(v) for v in blocks.values()) == alg.dim
+    assert alg.basis_by_blocks is blocks
+    with pytest.raises(TypeError):
+        blocks[(0, 0)] = ()
+    assert all(isinstance(v, tuple) for v in blocks.values())
 
 
 def test_length_bound_enforced():
@@ -101,14 +105,6 @@ def test_inhomogeneous_relation_rejected():
     rel = RelationElement(((1, ff), (-1, fp)))
     with pytest.raises(InhomogeneousRelationError):
         BoundAlgebra(F, q, [rel])
-
-
-def test_opposite_involution(fig5):
-    op = fig5.algebra.opposite()
-    assert op.dim == fig5.algebra.dim
-    opop = op.opposite()
-    assert opop.dim == fig5.algebra.dim
-    assert [w.arrows for w in opop.basis] == [w.arrows for w in fig5.algebra.basis]
 
 
 def test_random_multiplication_associative(fig5):
