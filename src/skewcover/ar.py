@@ -7,6 +7,9 @@ category.  The inverse translate tau^- M = coker(nu^- d1) comes from a
 minimal injective copresentation 0 -> M -> I0 -d1-> I1, so everything is
 computed over the algebra itself and no second algebra is built.
 
+`ARToolkit` builds the P_v and I_v once and owns them; covers, envelopes,
+(co)presentations and the Nakayama functors are its methods.
+
 The arrows of the AR quiver are read off the meshes that knitting builds
 and decomposes (an arrow that lies on two meshes is read from both, and the
 readings must agree); radical layers rad^n are built only when a rank or
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .field import (in_row_space, nullspace_basis, quotient_map, rank,
 from .quiver import BoundAlgebra, PathWord
 from .rep import (RADICAL_CUTOFF, HomSpace, IsoClasses, RadicalCalculator,
                   RepMorphism, Representation, Summand, combine, decompose,
-                  end_radical, hom_basis, identity_morphism, module_table,
+                  end_radical, hom_basis, identity_morphism,
                   morphism_from_vector, sub_from_rows, zero_morphism)
 
 
@@ -83,26 +87,14 @@ def _mult_block(alg: BoundAlgebra, x: np.ndarray, rows: list[int],
     return m % F.p
 
 
-def _kept(alg: BoundAlgebra, kind: str, v: int, paths, arrow_map) -> Representation:
-    """The module with space at u on the basis paths `paths[u]` and the map
-    `arrow_map(arrow, its algebra element)` for each arrow, made once per
-    algebra and kept in its module table under (kind, v), maps read-only."""
-    def build():
-        M = Representation(alg, [len(p) for p in paths], [
-            arrow_map(arr, alg.unit_vector(PathWord(arr.source, (a,))))
-            for a, arr in enumerate(alg.quiver.arrows)])
-        for m in M.maps:
-            m.flags.writeable = False
-        return M
-    return module_table(alg).lookup((kind, v), (), build)
-
-
 def projective_module(alg: BoundAlgebra, v: int) -> Representation:
     """P_v = Lambda e_v: space at u spanned by the normal-form basis paths
     v -> u, an arrow a acting by p -> a p."""
     paths = _paths_from(alg, v)
-    return _kept(alg, "projective", v, paths, lambda arr, a: _mult_block(
-        alg, a, paths[arr.target], paths[arr.source], left=True))
+    return Representation(alg, [len(p) for p in paths], [
+        _mult_block(alg, alg.unit_vector(PathWord(arr.source, (a,))),
+                    paths[arr.target], paths[arr.source], left=True)
+        for a, arr in enumerate(alg.quiver.arrows)])
 
 
 def projective_modules(alg: BoundAlgebra) -> list[Representation]:
@@ -113,8 +105,10 @@ def injective_module(alg: BoundAlgebra, v: int) -> Representation:
     """I_v = D(e_v Lambda): space at u dual to the normal-form basis paths
     u -> v, an arrow a acting by the transpose of q -> q a."""
     paths = _paths_to(alg, v)
-    return _kept(alg, "injective", v, paths, lambda arr, a: _mult_block(
-        alg, a, paths[arr.source], paths[arr.target], left=False).T)
+    return Representation(alg, [len(p) for p in paths], [
+        _mult_block(alg, alg.unit_vector(PathWord(arr.source, (a,))),
+                    paths[arr.source], paths[arr.target], left=False).T
+        for a, arr in enumerate(alg.quiver.arrows)])
 
 
 def injective_modules(alg: BoundAlgebra) -> list[Representation]:
@@ -171,30 +165,27 @@ def cokernel_rep(f: RepMorphism):
         img = row_space(F, f.blocks[v].T)
         proj_blocks.append(quotient_map(F, img, N.dims[v]))
     dims = [b.shape[0] for b in proj_blocks]
+    sections = {}  # per source vertex, one section of its onto proj_s
     maps = []
     for a, arr in enumerate(q.arrows):
         s, t = arr.source, arr.target
         if dims[s] == 0 or dims[t] == 0:
             maps.append(F.zeros(dims[t], dims[s]))
             continue
-        # C(a) proj_s = proj_t N(a); solve on a section of proj_s
-        sec = solve_linear(F, proj_blocks[s], F.eye(dims[s]))
-        maps.append(F.mul(proj_blocks[t], F.mul(N.maps[a], sec)))
-    C = Representation(N.algebra, dims, maps, check=False)
+        # C(a) proj_s = proj_t N(a), so C(a) = proj_t N(a) sec for any section
+        if s not in sections:
+            sections[s] = solve_linear(F, proj_blocks[s], F.eye(dims[s]))
+        maps.append(F.mul(proj_blocks[t], F.mul(N.maps[a], sections[s])))
+    C = Representation(N.algebra, dims, maps)
     proj = RepMorphism(N, C, proj_blocks)
     if not proj.is_valid():
         raise AssertionError("cokernel projection fails commutation")
-    bad = C.relation_defects()
-    if bad:
-        raise AssertionError(f"cokernel violates relations {bad}")
     return C, proj
 
 
 # ---------------------------------------------------------------------------
 # Projective covers and injective envelopes, (co)presentations, tau both ways
 # ---------------------------------------------------------------------------
-# Each injective construction is the transpose of its projective one, chosen
-# by `dual`: I_v and P_v swap, and so do the paths to and from v.
 
 def _oriented(A: Representation, B: Representation, blocks, dual: bool) -> RepMorphism:
     """A -> B with `blocks`, or (dual) B -> A with their transposes."""
@@ -225,126 +216,37 @@ def socle_cogenerators(M: Representation):
     return _free_columns(M, dual=True)
 
 
-def _hull(M: Representation, dual: bool):
-    """(P0, the cover P0 -> M, vertex of each summand), or (dual) the same
-    for the injective envelope M -> I0.  The component at top generator g
-    sends a basis path p: v -> u to M(p) g; the one at socle cogenerator c
-    sends m in M(u) to the functional q -> (M(q) m)_c on the paths q: u -> v."""
-    alg = M.algebra
-    F, q = M.F, alg.quiver
-    module_of, paths_of = ((injective_module, _paths_to) if dual
-                           else (projective_module, _paths_from))
-    picks = [(v, g) for v, gs in enumerate(_free_columns(M, dual)) for g in gs]
-    H = direct_sum(alg, [module_of(alg, v) for v, _ in picks])[0]
-    paths = [paths_of(alg, v) for v, _ in picks]
-    blocks = [F.zeros(M.dims[u], H.dims[u]) for u in range(q.n_vertices)]
-    for (_, g), ps, off in zip(picks, paths, _offsets(paths)):
-        for u in range(q.n_vertices):
-            for i, k in enumerate(ps[u]):
-                pm = M.path_matrix(alg.basis[k])
-                blocks[u][:, off[u] + i] = (pm.T if dual else pm)[:, g]
-    f = _oriented(H, M, blocks, dual)
-    if not f.is_valid():
-        raise AssertionError("projective cover or injective envelope fails commutation")
-    if any(rank(F, b) != d for b, d in zip(blocks, M.dims)):
-        raise AssertionError("cover not surjective or envelope not injective")
-    return H, f, [v for v, _ in picks]
-
-
-def projective_cover(M: Representation):
-    """(P0, cover morphism d0: P0 -> M, list of projective vertex indices)."""
-    return _hull(M, dual=False)
-
-
-def injective_envelope(M: Representation):
-    """(I0, envelope morphism d0: M -> I0, list of injective vertex indices)."""
-    return _hull(M, dual=True)
-
-
-def _resolve(M: Representation, dual: bool):
+class Resolution(NamedTuple):
     """The first two terms of a minimal projective presentation
     P1 -d1-> P0 -d0-> M -> 0, or (dual) injective copresentation
     0 -> M -d0-> I0 -d1-> I1.
 
-    Returns (verts0, verts1, element matrix, X0, d0, Z, z): X0 is P0 (I0),
-    z: Z -> P0 the kernel of d0 (z: I0 -> Z its cokernel), and
-    element[k][l] is the algebra element giving the component of d1 between
-    summand k of X0 and summand l of X1.  It is read off d1 at the trivial
-    path of summand l, x = verts1[l]: the image of e_x, a combination of the
-    paths verts0[k] -> x; dually the row at e_x, a functional on
+    X0 is P0 (I0), whose summands sit at `verts0` and X1's at `verts1`;
+    z: Z -> P0 is the kernel of d0 (z: I0 -> Z its cokernel).  The
+    component of d1 between summand k of X0 and summand l of X1 is given by
+    the algebra element elements[k][l], read off d1 at the trivial path of
+    summand l, x = verts1[l]: the image of e_x, a combination of the paths
+    verts0[k] -> x; dually the row at e_x, a functional on
     I_{verts0[k]}(x), so a combination of the paths x -> verts0[k]."""
-    alg = M.algebra
-    X0, d0, verts0 = _hull(M, dual)
-    Z, z = cokernel_rep(d0) if dual else kernel_subrep(d0)
-    _, dz, verts1 = _hull(Z, dual)
-    d1 = dz.compose(z) if dual else z.compose(dz)
-    paths_of = _paths_to if dual else _paths_from
-    paths0 = [paths_of(alg, v) for v in verts0]
-    paths1 = [paths_of(alg, v) for v in verts1]
-    off0, off1 = _offsets(paths0), _offsets(paths1)
-    elements = [[None] * len(verts1) for _ in range(len(verts0))]
-    for l, x in enumerate(verts1):
-        trivial = [alg.basis[k].is_trivial() for k in paths1[l][x]].index(True)
-        img = (d1.blocks[x].T if dual else d1.blocks[x])[:, off1[l][x] + trivial]
-        for k in range(len(verts0)):
-            ys = paths0[k][x]
-            elem = alg.F.zeros(1, alg.dim)[0]
-            elem[ys] = img[off0[k][x]: off0[k][x] + len(ys)]
-            elements[k][l] = elem
-    return verts0, verts1, elements, X0, d0, Z, z
-
-
-def minimal_presentation(M: Representation):
-    """P1 -> P0 -> M -> 0 with minimal covers, as `_resolve` returns it."""
-    return _resolve(M, dual=False)
-
-
-def minimal_copresentation(M: Representation):
-    """0 -> M -> I0 -> I1 with minimal envelopes, as `_resolve` returns it."""
-    return _resolve(M, dual=True)
-
-
-def _nakayama(resolution, dual: bool) -> RepMorphism:
-    """nu d1: (+) I_x over verts1 -> (+) I_y over verts0 for a minimal
-    presentation, or (dual) nu^- d1: (+) P_y over verts0 -> (+) P_x over
-    verts1 for a minimal copresentation (nu P_x = I_x, nu^- I_x = P_x).  The
-    component given by a becomes, at u, the transpose of q -> a q on the
-    paths u -> y, or (dual) p -> p a on the paths y -> u."""
-    verts0, verts1, elements, X0, *_ = resolution
-    alg = X0.algebra
-    module_of, paths_of = ((projective_module, _paths_from) if dual
-                           else (injective_module, _paths_to))
-    S0 = direct_sum(alg, [module_of(alg, v) for v in verts0])[0]
-    S1 = direct_sum(alg, [module_of(alg, v) for v in verts1])[0]
-    paths = {v: paths_of(alg, v) for v in {*verts0, *verts1}}
-    off0 = _offsets([paths[v] for v in verts0])
-    off1 = _offsets([paths[v] for v in verts1])
-    blocks = [alg.F.zeros(S0.dims[u], S1.dims[u]) for u in range(alg.quiver.n_vertices)]
-    for k, y in enumerate(verts0):
-        for l, x in enumerate(verts1):
-            for u in range(alg.quiver.n_vertices):
-                c = _mult_block(alg, elements[k][l], paths[x][u], paths[y][u],
-                                left=not dual).T
-                r0, c0 = off0[k][u], off1[l][u]
-                blocks[u][r0: r0 + c.shape[0], c0: c0 + c.shape[1]] = c
-    f = _oriented(S1, S0, blocks, dual)
-    if not f.is_valid():
-        raise AssertionError("Nakayama image of the (co)presentation fails commutation")
-    return f
-
-
-def tau_from_presentation(presentation) -> Representation:
-    """tau M = ker(nu P1 -> nu P0), the Nakayama functor applied to the
-    minimal presentation that `minimal_presentation` returns
-    (Assem-Simson-Skowronski I, IV.2.4); P1 = 0 gives 0."""
-    return kernel_subrep(_nakayama(presentation, dual=False))[0]
+    verts0: list[int]
+    verts1: list[int]
+    elements: list[list[np.ndarray]]
+    X0: Representation
+    d0: RepMorphism
+    Z: Representation
+    z: RepMorphism
 
 
 class ARToolkit:
-    """The projectives, injectives and simples of an algebra, and tau both
-    ways over the algebra itself: tau M = ker(nu d1) on a minimal projective
+    """The projectives, injectives and simples of an algebra, built once
+    here and read by everything that needs them: projective covers and
+    injective envelopes, minimal (co)presentations, and tau both ways over
+    the algebra itself: tau M = ker(nu d1) on a minimal projective
     presentation, tau^- M = coker(nu^- d1) on a minimal injective
-    copresentation 0 -> M -> I0 -d1-> I1."""
+    copresentation 0 -> M -> I0 -d1-> I1.
+
+    Each injective construction is the transpose of its projective one,
+    chosen by `dual`: I_v and P_v swap, and so do the paths to and from v."""
 
     def __init__(self, alg: BoundAlgebra):
         self.alg = alg
@@ -352,11 +254,117 @@ class ARToolkit:
         self.injectives = injective_modules(alg)
         self.simples = simple_modules(alg)
 
+    def _hull(self, M: Representation, dual: bool):
+        """(P0, the cover P0 -> M, vertex of each summand), or (dual) the
+        same for the injective envelope M -> I0.  The component at top
+        generator g sends a basis path p: v -> u to M(p) g; the one at socle
+        cogenerator c sends m in M(u) to the functional q -> (M(q) m)_c on
+        the paths q: u -> v."""
+        alg = self.alg
+        F, q = alg.F, alg.quiver
+        modules, paths_of = ((self.injectives, _paths_to) if dual
+                             else (self.projectives, _paths_from))
+        picks = [(v, g) for v, gs in enumerate(_free_columns(M, dual)) for g in gs]
+        H = direct_sum(alg, [modules[v] for v, _ in picks])[0]
+        paths = [paths_of(alg, v) for v, _ in picks]
+        blocks = [F.zeros(M.dims[u], H.dims[u]) for u in range(q.n_vertices)]
+        for (_, g), ps, off in zip(picks, paths, _offsets(paths)):
+            for u in range(q.n_vertices):
+                for i, k in enumerate(ps[u]):
+                    pm = M.path_matrix(alg.basis[k])
+                    blocks[u][:, off[u] + i] = (pm.T if dual else pm)[:, g]
+        f = _oriented(H, M, blocks, dual)
+        if not f.is_valid():
+            raise AssertionError("projective cover or injective envelope fails commutation")
+        if any(rank(F, b) != d for b, d in zip(blocks, M.dims)):
+            raise AssertionError("cover not surjective or envelope not injective")
+        return H, f, [v for v, _ in picks]
+
+    def projective_cover(self, M: Representation):
+        """(P0, cover morphism d0: P0 -> M, list of projective vertex indices)."""
+        return self._hull(M, dual=False)
+
+    def injective_envelope(self, M: Representation):
+        """(I0, envelope morphism d0: M -> I0, list of injective vertex indices)."""
+        return self._hull(M, dual=True)
+
+    def _resolve(self, M: Representation, dual: bool) -> Resolution:
+        """The minimal presentation, or (dual) copresentation, of M."""
+        alg = self.alg
+        X0, d0, verts0 = self._hull(M, dual)
+        Z, z = cokernel_rep(d0) if dual else kernel_subrep(d0)
+        _, dz, verts1 = self._hull(Z, dual)
+        d1 = dz.compose(z) if dual else z.compose(dz)
+        paths_of = _paths_to if dual else _paths_from
+        paths0 = [paths_of(alg, v) for v in verts0]
+        paths1 = [paths_of(alg, v) for v in verts1]
+        off0, off1 = _offsets(paths0), _offsets(paths1)
+        elements = [[None] * len(verts1) for _ in range(len(verts0))]
+        for l, x in enumerate(verts1):
+            trivial = [alg.basis[k].is_trivial() for k in paths1[l][x]].index(True)
+            img = (d1.blocks[x].T if dual else d1.blocks[x])[:, off1[l][x] + trivial]
+            for k in range(len(verts0)):
+                ys = paths0[k][x]
+                elem = alg.F.zeros(1, alg.dim)[0]
+                elem[ys] = img[off0[k][x]: off0[k][x] + len(ys)]
+                elements[k][l] = elem
+        return Resolution(verts0, verts1, elements, X0, d0, Z, z)
+
+    def minimal_presentation(self, M: Representation) -> Resolution:
+        """P1 -> P0 -> M -> 0 with minimal covers."""
+        return self._resolve(M, dual=False)
+
+    def minimal_copresentation(self, M: Representation) -> Resolution:
+        """0 -> M -> I0 -> I1 with minimal envelopes."""
+        return self._resolve(M, dual=True)
+
+    def _nakayama(self, resolution: Resolution, dual: bool) -> RepMorphism:
+        """nu d1: (+) I_x over verts1 -> (+) I_y over verts0 for a minimal
+        presentation, or (dual) nu^- d1: (+) P_y over verts0 -> (+) P_x over
+        verts1 for a minimal copresentation (nu P_x = I_x, nu^- I_x = P_x).
+        The component given by a becomes, at u, the transpose of q -> a q on
+        the paths u -> y, or (dual) p -> p a on the paths y -> u.  The terms
+        of each a's multiplication matrix are found once and placed at the
+        coordinates of their paths in the two sums; a term keeps the vertex
+        u of its path, as products of paths keep their ends."""
+        alg, F = self.alg, self.alg.F
+        modules, paths_of = ((self.projectives, _paths_from) if dual
+                             else (self.injectives, _paths_to))
+        sides = []  # (sum, vertex starts, per summand the coordinate of each path)
+        for verts in (resolution.verts0, resolution.verts1):
+            S = direct_sum(alg, [modules[v] for v in verts])[0]
+            groups = [paths_of(alg, v) for v in verts]
+            starts, coords = np.cumsum((0, *S.dims)), []
+            for ps, off in zip(groups, _offsets(groups)):
+                coords.append(np.full(alg.dim, -1))
+                for u, p in enumerate(ps):
+                    coords[-1][p] = starts[u] + off[u] + np.arange(len(p))
+            sides.append((S, starts, coords))
+        (S0, starts0, rows), (S1, starts1, cols) = sides
+        total = F.zeros(S0.total_dim, S1.total_dim)
+        for row, elements in zip(rows, resolution.elements):
+            for col, a in zip(cols, elements):
+                r, c, vals = alg.structure.mult_entries(a, not dual)
+                keep = (row[c] >= 0) & (col[r] >= 0)
+                np.add.at(total, (row[c[keep]], col[r[keep]]), vals[keep])
+        blocks = [total[starts0[u]: starts0[u + 1], starts1[u]: starts1[u + 1]] % F.p
+                  for u in range(alg.quiver.n_vertices)]
+        f = _oriented(S1, S0, blocks, dual)
+        if not f.is_valid():
+            raise AssertionError("Nakayama image of the (co)presentation fails commutation")
+        return f
+
+    def tau_from_presentation(self, presentation: Resolution) -> Representation:
+        """tau M = ker(nu P1 -> nu P0), the Nakayama functor applied to the
+        minimal presentation of M (Assem-Simson-Skowronski I, IV.2.4);
+        P1 = 0 gives 0."""
+        return kernel_subrep(self._nakayama(presentation, dual=False))[0]
+
     def tau(self, M: Representation) -> Representation:
-        return tau_from_presentation(minimal_presentation(M))
+        return self.tau_from_presentation(self.minimal_presentation(M))
 
     def tau_minus(self, M: Representation) -> Representation:
-        return cokernel_rep(_nakayama(minimal_copresentation(M), dual=True))[0]
+        return cokernel_rep(self._nakayama(self.minimal_copresentation(M), dual=True))[0]
 
     def is_projective(self, M: Representation) -> bool:
         """The projective cover is an isomorphism."""
@@ -408,9 +416,9 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
     if tk.is_projective(T):
         raise ValueError("almost split sequence requires non-projective right term")
     # tau T from the presentation whose cover the pushout reuses
-    presentation = minimal_presentation(T)
-    X = tau_from_presentation(presentation)
-    *_, P0, d0, K, incl = presentation
+    pres = tk.minimal_presentation(T)
+    X = tk.tau_from_presentation(pres)
+    P0, d0, K, incl = pres.X0, pres.d0, pres.Z, pres.z
 
     homKX = hom_basis(K, X)
     if not homKX.basis:
@@ -426,19 +434,11 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
         phi = combine(H_T, radT[r])
         phi_hat = _lift_through_cover(d0, phi, homP0P0)
         # restrict to K: solve incl . psi = phi_hat . incl
-        psi_blocks = []
-        ok = True
-        for v in range(q.n_vertices):
-            rhs = F.mul(phi_hat.blocks[v], incl.blocks[v])
-            sol = solve_linear(F, incl.blocks[v], rhs)
-            if sol is None:
-                ok = False
-                break
-            psi_blocks.append(sol)
-        if not ok:
+        psi_blocks = [solve_linear(F, i, F.mul(h, i))
+                      for i, h in zip(incl.blocks, phi_hat.blocks)]
+        if any(b is None for b in psi_blocks):
             raise AssertionError("cover lift does not preserve the syzygy")
-        psi = RepMorphism(K, K, psi_blocks)
-        lift_actions.append(psi)
+        lift_actions.append(RepMorphism(K, K, psi_blocks))
 
     # socle classes: nonzero [h] with [h o psi_r] = 0 for every radical
     # basis element, i.e. h o psi_r in W and h not in W
@@ -621,17 +621,16 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
         found = known.locate(M)
         if found is not None:
             return found[0]
+        # summands are indecomposable; a sole summand is M, looked up above
         parts = decompose(M)
-        if len(parts) > 1:
-            for s in parts:
-                add(s.rep)
-            return None
-        i = known.append(M)
-        if len(known) > max_modules:
-            raise CapExceededError(f"more than {max_modules} indecomposables")
-        proj_flags.append(tk.is_projective(M))
-        inj_flags.append(tk.is_injective(M))
-        return i
+        for s in parts:
+            if len(parts) == 1 or known.locate(s.rep) is None:
+                known.append(s.rep)
+                if len(known) > max_modules:
+                    raise CapExceededError(f"more than {max_modules} indecomposables")
+                proj_flags.append(tk.is_projective(s.rep))
+                inj_flags.append(tk.is_injective(s.rep))
+        return len(known) - 1 if len(parts) == 1 else None
 
     for P in tk.projectives:
         add(P)

@@ -30,16 +30,18 @@ class NonSplitEndError(Exception):
 
 
 class Representation:
-    """Vertex dimensions plus one matrix per arrow (target x source)."""
+    """Vertex dimensions plus one matrix per arrow (target x source), as a
+    checked value: the maps are reduced mod p into new read-only arrays and
+    the relations are checked, so a module's content can key a memo."""
 
-    def __init__(self, algebra: BoundAlgebra, dims, maps, check: bool = True):
+    def __init__(self, algebra: BoundAlgebra, dims, maps):
         self.algebra = algebra
         self.F = algebra.F
         q = algebra.quiver
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) != q.n_vertices:
             raise ValueError("one dimension per vertex required")
-        self.maps = []
+        frozen = []
         for a, arr in enumerate(q.arrows):
             m = maps[a] if a < len(maps) and maps[a] is not None else None
             shape = (self.dims[arr.target], self.dims[arr.source])
@@ -49,11 +51,11 @@ class Representation:
             if m.shape != shape:
                 raise ValueError(
                     f"map for arrow {arr.name} has shape {m.shape}, want {shape}")
-            self.maps.append(m)
-        if check:
-            bad = self.relation_defects()
-            if bad:
-                raise ValueError(f"relations violated: {bad}")
+            frozen.append(_frozen(m))
+        self.maps = tuple(frozen)
+        bad = self.relation_defects()
+        if bad:
+            raise ValueError(f"relations violated: {bad}")
 
     # -- structure ----------------------------------------------------------
 
@@ -200,12 +202,10 @@ class ModuleTable:
     contents: the dimension vector plus the bytes of the arrow matrices.
 
     A table is owned by its algebra (`module_table`) and lives exactly as
-    long as it.  Entries keyed on modules hold arrays and structure
-    constants only, never a Representation, so they keep no module alive;
-    each lookup rebinds them to the caller's modules.  The one exception is
-    the indecomposable projectives and injectives that `ar` keeps here,
-    whose reference cycle through the algebra the collector frees with it.
-    Stored arrays are read-only.
+    long as it.  Entries hold arrays and structure constants only, never a
+    Representation, so they keep no module alive and no reference back to
+    the algebra; each lookup rebinds them to the caller's modules.  Stored
+    arrays are read-only.
     """
 
     def __init__(self):
@@ -535,7 +535,7 @@ def decompose(M: Representation) -> list[Summand]:
         return [Summand(M, identity_morphism(M), identity_morphism(M))]
     out = []
     for dims, maps, inc, prj in parts:
-        S = Representation(M.algebra, dims, maps, check=False)
+        S = Representation(M.algebra, dims, maps)
         out.append(Summand(S, RepMorphism(S, M, list(inc)),
                            RepMorphism(M, S, list(prj))))
     return out
@@ -578,8 +578,7 @@ def _krull_schmidt(M: Representation):
     parts = [s.inclusion.compose(s.projection).blocks for s in out]
     if any(np.any(F.sub(sum(bs), F.eye(len(bs[0])))) for bs in zip(*parts)):
         raise AssertionError("summand idempotents do not sum to the identity")
-    return [(s.rep.dims, [_frozen(m) for m in s.rep.maps],
-             [_frozen(b) for b in s.inclusion.blocks],
+    return [(s.rep.dims, s.rep.maps, [_frozen(b) for b in s.inclusion.blocks],
              [_frozen(b) for b in s.projection.blocks]) for s in out]
 
 

@@ -12,8 +12,8 @@ injective modules.
 
 import numpy as np
 
-from skewcover.ar import (_offsets, _paths_from, cokernel_rep, direct_sum,
-                          minimal_presentation)
+from skewcover.ar import (ARToolkit, _offsets, _paths_from, cokernel_rep,
+                          direct_sum)
 from skewcover.quiver import (BoundAlgebra, PathWord, Quiver, RelationElement,
                               path_target)
 from skewcover.rep import IsoClasses, RepMorphism, Representation, decompose
@@ -105,7 +105,7 @@ def _reverse_element(alg: BoundAlgebra, alg_op: BoundAlgebra,
 
 def transpose(alg: BoundAlgebra, alg_op: BoundAlgebra, presentation) -> Representation:
     """Tr M over the opposite algebra, from the minimal presentation of M
-    that `minimal_presentation` returns: the cokernel of the dual map
+    that `ARToolkit.minimal_presentation` returns: the cokernel of the dual map
     Q0 = (+)_k P^op_{verts0[k]} -> Q1 = (+)_l P^op_{verts1[l]}, each
     component placed straight into its block."""
     verts0, verts1, elements, *_ = presentation
@@ -137,10 +137,10 @@ def transpose(alg: BoundAlgebra, alg_op: BoundAlgebra, presentation) -> Represen
 
 
 def tau(alg: BoundAlgebra, alg_op: BoundAlgebra, M: Representation) -> Representation:
-    TrM = transpose(alg, alg_op, minimal_presentation(M))
+    TrM = transpose(alg, alg_op, ARToolkit(alg).minimal_presentation(M))
     return dual_rep(alg, TrM)
 
 
 def tau_minus(alg: BoundAlgebra, alg_op: BoundAlgebra, M: Representation) -> Representation:
     DM = dual_rep(alg_op, M)
-    return transpose(alg_op, alg, minimal_presentation(DM))
+    return transpose(alg_op, alg, ARToolkit(alg_op).minimal_presentation(DM))

@@ -6,8 +6,7 @@ from skewcover.field import PrimeField
 from skewcover.quiver import BoundAlgebra, Quiver
 from skewcover.rep import is_isomorphic
 from skewcover.ar import (ARToolkit, CapExceededError, almost_split_sequence,
-                          ar_quiver_dot, category_rank, injective_envelope,
-                          knit_ar_quiver, projective_cover,
+                          ar_quiver_dot, category_rank, knit_ar_quiver,
                           projective_module, projective_modules,
                           simple_modules, verify_almost_split)
 
@@ -87,8 +86,8 @@ def test_tau_of_mesh_target_is_simple(fig5, fig5_arq):
 def test_tau_tau_minus_roundtrip(fig5, fig5_arq):
     tk = ARToolkit(fig5.algebra)
     for P, I in zip(tk.projectives, tk.injectives):
-        assert projective_cover(P)[1].is_invertible()
-        assert injective_envelope(I)[1].is_invertible()
+        assert tk.projective_cover(P)[1].is_invertible()
+        assert tk.injective_envelope(I)[1].is_invertible()
         assert tk.tau_minus(I).is_zero()
     for M in fig5_arq.modules:
         if tk.is_projective(M) or tk.is_injective(M):

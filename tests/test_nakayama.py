@@ -5,16 +5,19 @@ the transpose over the opposite algebra and the summand scan kept in
 `oracle_ar`."""
 
 import functools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import oracle_ar
 from conftest import load_built, load_generated
-from skewcover.ar import (ARToolkit, direct_sum, injective_module,
-                          knit_ar_quiver, projective_module)
+from skewcover import ar
+from skewcover.ar import (ARToolkit, cokernel_rep, direct_sum, injective_module,
+                          kernel_subrep, knit_ar_quiver, projective_module)
+from skewcover.pushdown import pushdown_module
 from skewcover.quiver import BoundAlgebra
-from skewcover.rep import IsoClasses, is_isomorphic
+from skewcover.rep import IsoClasses, decompose, is_isomorphic, twist
 from skewcover.skew import build_presentation
 
 INPUTS = ("fig5", "fig6", "free_action_a3", "star2_2", "star3_1", "cover2_4")
@@ -83,14 +86,35 @@ def test_fig1_injectives_only_isomorphic(fig1):
     assert not all(_same_matrices(new, old) for new, old in pairs)
 
 
-def test_projectives_and_injectives_built_once_and_read_only(fig6):
-    alg = fig6.algebra
-    for make in (projective_module, injective_module):
-        for v in range(alg.quiver.n_vertices):
-            M = make(alg, v)
-            assert make(alg, v) is M
-            with pytest.raises(ValueError):
-                M.maps[0][...] = 0
+def test_projectives_and_injectives_built_once_and_read_only(
+        fig6, fig5, fig5_pres, monkeypatch):
+    """A knit builds each P_v and I_v once, for its toolkit, and every
+    module construction hands out read-only maps."""
+    builders, built = ("projective_module", "injective_module"), Counter()
+    for name in builders:
+        def counted(alg, v, make=getattr(ar, name), name=name):
+            built[name, v] += 1
+            return make(alg, v)
+        monkeypatch.setattr(ar, name, counted)
+    knit_ar_quiver(fig6.algebra)
+    assert built == {(name, v): 1 for name in builders
+                     for v in range(fig6.algebra.quiver.n_vertices)}
+
+    alg, g = fig5.algebra, fig5.group.elements[1]
+    tk = ARToolkit(alg)
+    P, I = tk.projectives[0], tk.injectives[3]
+    PI = direct_sum(alg, [P, I])[0]
+    modules = [P, I, PI, *[s.rep for s in decompose(PI)],
+               kernel_subrep(tk.projective_cover(I)[1])[0],
+               cokernel_rep(tk.injective_envelope(P)[1])[0], twist(fig5.action, g, I),
+               pushdown_module(fig5_pres, fig5.modules["M_1_2"]).rep,
+               *fig5.modules.values()]
+    for M in modules:
+        assert all(not m.flags.writeable for m in M.maps)
+        with pytest.raises(ValueError):
+            M.maps[0][...] = 0
+        with pytest.raises(TypeError):
+            M.maps[0] = M.maps[0]
 
 
 def test_opposite_involution(fig5):
