@@ -115,8 +115,8 @@ def injective_modules(alg: BoundAlgebra) -> list[Representation]:
     return [injective_module(alg, v) for v in range(alg.quiver.n_vertices)]
 
 
-def direct_sum(alg: BoundAlgebra, reps: list[Representation]):
-    """(sum, inclusions, projections)."""
+def _sum_module(alg: BoundAlgebra, reps: list[Representation]) -> Representation:
+    """The direct sum of `reps`, without the witnesses of `direct_sum`."""
     q, F = alg.quiver, alg.F
     dims = [sum(r.dims[v] for r in reps) for v in range(q.n_vertices)]
     maps = []
@@ -129,20 +129,21 @@ def direct_sum(alg: BoundAlgebra, reps: list[Representation]):
             ro += dt
             co += ds
         maps.append(m)
-    total = Representation(alg, dims, maps)
-    incls, projs = [], []
-    offs = [0] * q.n_vertices
-    for r in reps:
-        ib = [F.zeros(dims[v], r.dims[v]) for v in range(q.n_vertices)]
-        pb = [F.zeros(r.dims[v], dims[v]) for v in range(q.n_vertices)]
-        for v in range(q.n_vertices):
-            d = r.dims[v]
-            ib[v][offs[v]: offs[v] + d, :] = F.eye(d)
-            pb[v][:, offs[v]: offs[v] + d] = F.eye(d)
-            offs[v] += d
-        incls.append(RepMorphism(r, total, ib))
-        projs.append(RepMorphism(total, r, pb))
-    return total, incls, projs
+    return Representation(alg, dims, maps)
+
+
+def direct_sum(alg: BoundAlgebra, reps: list[Representation]):
+    """(sum, inclusions, projections); at each vertex the witnesses of a
+    summand are copies of its column and row blocks of the identity."""
+    total = _sum_module(alg, reps)
+    eyes = [alg.F.eye(d) for d in total.dims]
+    starts = np.cumsum([[0] * len(eyes)] + [r.dims for r in reps], axis=0)
+    cuts = [[slice(o, o + d) for o, d in zip(s, r.dims)] for s, r in zip(starts, reps)]
+    return (total,
+            [RepMorphism(r, total, [e[:, c].copy() for e, c in zip(eyes, cs)])
+             for r, cs in zip(reps, cuts)],
+            [RepMorphism(total, r, [e[c].copy() for e, c in zip(eyes, cs)])
+             for r, cs in zip(reps, cuts)])
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +266,7 @@ class ARToolkit:
         modules, paths_of = ((self.injectives, _paths_to) if dual
                              else (self.projectives, _paths_from))
         picks = [(v, g) for v, gs in enumerate(_free_columns(M, dual)) for g in gs]
-        H = direct_sum(alg, [modules[v] for v, _ in picks])[0]
+        H = _sum_module(alg, [modules[v] for v, _ in picks])
         paths = [paths_of(alg, v) for v, _ in picks]
         blocks = [F.zeros(M.dims[u], H.dims[u]) for u in range(q.n_vertices)]
         for (_, g), ps, off in zip(picks, paths, _offsets(paths)):
@@ -332,7 +333,7 @@ class ARToolkit:
                              else (self.injectives, _paths_to))
         sides = []  # (sum, vertex starts, per summand the coordinate of each path)
         for verts in (resolution.verts0, resolution.verts1):
-            S = direct_sum(alg, [modules[v] for v in verts])[0]
+            S = _sum_module(alg, [modules[v] for v in verts])
             groups = [paths_of(alg, v) for v in verts]
             starts, coords = np.cumsum((0, *S.dims)), []
             for ps, off in zip(groups, _offsets(groups)):
@@ -660,7 +661,9 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
             if i not in processed_tminus and not inj_flags[i]:
                 processed_tminus.add(i)
                 progressed = True
-                add(tk.tau_minus(M))
+                # M = tau T for a processed T: add() would only locate T
+                if i not in tau_of.values():
+                    add(tk.tau_minus(M))
         if not progressed:
             break
 

@@ -16,7 +16,7 @@ from .inputfmt import build_input, parse_input, serialize_presentation
 from .skew import build_presentation
 from .rep import decompose, hom_basis
 from .ar import ar_quiver_dot, category_rank, knit_ar_quiver
-from .pushdown import pushdown_module, verify_semi_covering
+from .pushdown import CoveringTable, pushdown_module
 from .transport import pushdown_sequence
 from .isosearch import find_algebra_isomorphism, roots_of_unity
 
@@ -133,22 +133,17 @@ def cmd_verify_covering(args):
     doc, built = _load(args.file, bound=args.bound)
     pres = _presentation(built, args.bound)
     if args.all_indecomposables:
-        arq = knit_ar_quiver(built.algebra)
-        mods = list(enumerate(arq.modules))
-        pairs = [(f"ind{i}", f"ind{j}", M, N)
-                 for i, M in mods for j, N in mods]
+        mods = knit_ar_quiver(built.algebra).modules
+        names = [f"ind{i}" for i in range(len(mods))]
     else:
         names = sorted(built.modules)
-        pairs = [(m, n, built.modules[m], built.modules[n])
-                 for m in names for n in names]
-    records = []
-    ok = True
-    for mn, nn, M, N in pairs:
-        r = verify_semi_covering(pres, M, N)
-        ok = ok and r.matches
-        records.append({"M": mn, "N": nn, "case": r.case,
-                        "lhs": r.lhs_dim, "rhs": r.rhs_dim,
-                        "match": r.matches})
+        mods = [built.modules[n] for n in names]
+    table = CoveringTable(pres, mods)
+    reports = [(mn, nn, table.report(i, j)) for i, mn in enumerate(names)
+               for j, nn in enumerate(names)]
+    records = [{"M": mn, "N": nn, "case": r.case, "lhs": r.lhs_dim,
+                "rhs": r.rhs_dim, "match": r.matches} for mn, nn, r in reports]
+    ok = all(r.matches for _, _, r in reports)
     _report(args, "verify-covering", built.digest,
             {"pairs": len(records), "all_match": ok, "records": records})
     if not ok:

@@ -561,8 +561,7 @@ def _distinct_degree(F: PrimeField, g: list[int]):
     out, k, h = [], 0, [0, 1]
     while len(g) - 1 >= 2 * (k + 1):
         k += 1
-        h = power(lambda a, b: poly_divmod(F, poly_mul(F, a, b), g)[1],
-                  h, F.p, [1])
+        h = power(_mul_mod(F, g), h, F.p, [1])
         g_k = poly_gcd_ext(F, g, _poly_sub(F, h, [0, 1]))[0]
         if len(g_k) > 1:
             out.append((g_k, k))
@@ -584,7 +583,7 @@ def _equal_degree(F: PrimeField, g: list[int], k: int, s: int = 0):
     if len(g) - 1 == k:
         return [g]
     p = F.p
-    mul = lambda a, b: poly_divmod(F, poly_mul(F, a, b), g)[1]  # noqa: E731
+    mul = _mul_mod(F, g)
     while True:
         a, t = [], p + s
         while t:
@@ -604,6 +603,24 @@ def _equal_degree(F: PrimeField, g: list[int], k: int, s: int = 0):
         if 1 < len(d) < len(g):
             return (_equal_degree(F, d, k, s)
                     + _equal_degree(F, poly_divmod(F, g, d)[0], k, s))
+
+
+def _mul_mod(F: PrimeField, g: list[int]):
+    """(a, b) -> a b mod the monic g, reduced as `poly_divmod` leaves it:
+    each term x^d, d >= n = deg g, is folded down by x^n = -(g - x^n)."""
+    p, n, tail = F.p, len(g) - 1, [-c for c in g[:-1]]
+
+    def mul(a, b):
+        out = poly_mul(F, a, b)
+        for d in range(len(out) - 1, n - 1, -1):
+            c = out[d] % p
+            for i, t in enumerate(tail, d - n):
+                out[i] += c * t
+        out = [c % p for c in out[:n]]
+        while len(out) > 1 and not out[-1]:
+            out.pop()
+        return out
+    return mul
 
 
 def power(mul, x, e: int, one):

@@ -317,12 +317,12 @@ def twist(action: QuiverAction, g, M: Representation) -> Representation:
 
 
 def module_stabilizer(action: QuiverAction, M: Representation) -> list:
-    """{g : gM isomorphic to M} (a subgroup; tested elementwise)."""
-    out = []
-    for g in action.group.elements:
-        if is_isomorphic(twist(action, g, M), M):
-            out.append(g)
-    return out
+    """{g : gM isomorphic to M} (a subgroup; tested elementwise, and gM is
+    built only when g's vertex permutation fixes M's dimension vector)."""
+    verts = range(M.algebra.quiver.n_vertices)
+    return [g for g in action.group.elements
+            if all(M.dims[action.vertex(g, v)] == M.dims[v] for v in verts)
+            and is_isomorphic(twist(action, g, M), M)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Every job of the benchmark's `presentation` and `modules` workloads, run
-once through the benchmark's own runner, reproduces the exit code and the
-stdout sha256 recorded in `bench/expected.json`, so a changed report shows
-here before a benchmark run rejects it.  The generated inputs are written
+"""Every job of the benchmark's `presentation`, `modules` and `wild`
+workloads, run once through the benchmark's own runner, reproduces the exit
+code and the stdout sha256 recorded in `bench/expected.json`, so a changed
+report, or a knitting change that moves a cap refusal, shows here before a
+benchmark run rejects it.  The generated inputs are written
 at the default seed to a temporary directory."""
 
 import importlib
@@ -14,7 +15,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.mark.parametrize("workload", ["presentation", "modules"])
+@pytest.mark.parametrize("workload", ["presentation", "modules", "wild"])
 def test_recorded_outputs_reproduced(workload, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     run, gen, workloads = (importlib.import_module(m)
