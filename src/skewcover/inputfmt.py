@@ -50,7 +50,7 @@ class ModuleSpec:
 @dataclass
 class InputDocument:
     prime: int | None = None
-    length_bound: int | None = None
+    length_bound: int = 12
     vertices: list[str] = dc_field(default_factory=list)
     arrows: list[tuple[str, str, str]] = dc_field(default_factory=list)
     relations: list[list[tuple[int, list[str]]]] = dc_field(default_factory=list)
@@ -115,6 +115,8 @@ def parse_input(text: str) -> InputDocument:
             if not m:
                 raise ParseError(line_no, "expected 'bound N = <int>'")
             doc.length_bound = int(m.group(1))
+            if doc.length_bound < 1:
+                raise ParseError(line_no, f"length bound {doc.length_bound} is below 1")
         elif head == "vertex":
             parts = line.split()
             if len(parts) != 2:
@@ -217,6 +219,9 @@ def build_input(doc: InputDocument, length_bound: int | None = None,
     group exponent (so all characters split).  Algebra construction may be
     skipped for recognizer-only inputs with inhomogeneous relations.
     """
+    bound = doc.length_bound if length_bound is None else length_bound
+    if bound < 1:
+        raise ValueError(f"length bound {bound} is below 1")
     group = AbelianGroup(doc.group_orders or (1,))
     F = (PrimeField(doc.prime) if doc.prime
          else PrimeField.for_group(group.exponent))
@@ -239,7 +244,6 @@ def build_input(doc: InputDocument, length_bound: int | None = None,
             rterms.append((coeff % F.p, make_path(quiver, tuple(idxs))))
         relations.append(RelationElement(tuple(rterms)))
 
-    bound = length_bound or doc.length_bound or 12
     algebra = None
     action = None
     if build_algebra:

@@ -3,6 +3,10 @@ skew algebra, its reverse G_lambda, and the verification machinery for the
 Hom-space isomorphisms, decomposition behavior, semi-density, and
 irreducible-morphism recovery.
 
+G_lambda is the pull-up along the semi-covering: a B-module N restricted
+along the map from Lambda's arrows into B described at `GLambda`.  The
+tensor-quotient construction it replaces is kept as `tests/oracle_glambda.py`.
+
 Coordinate conventions (these make the golden matrix tests deterministic):
 
 * full-orbit representative i0: the Q_G vertex (i0, tr) carries the direct
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import quotient_map, row_space, solve_linear
+from .field import solve_linear
 from .quiver import PathWord, make_path, path_source, path_target
 from .action import Character, QuiverAction
 from .rep import (IsoClasses, RepMorphism, Representation, Summand, decompose,
@@ -150,32 +154,40 @@ def pushdown_morphism(pres: SkewPresentation, f: RepMorphism,
 # ---------------------------------------------------------------------------
 
 class GLambda:
-    """(Lambda G) e-bar (x)_B (-) followed by restriction along
-    l -> l (x) 1: the reverse semi-covering, computed with dense linear
-    algebra over Z = (Lambda G) e-bar.  Z and the multiplication matrices
-    on its coordinates are read off the skew algebra's product table."""
+    """(Lambda G) e-bar (x)_B (-) restricted to Lambda, computed as the
+    pull-up N -> N o F along the semi-covering (Bongartz and Gabriel,
+    "Covering spaces in representation theory", Invent. Math. 65 (1982)).
+
+    Multiplying by 1 (x) kappa_x carries e_x (Lambda G) e-bar onto
+    (e_{i0} (x) 1) B for the representative i0 of x.  So G_lambda N at x is
+    N over the Q_G vertices above i0, in `ctx.vertices` order, and an arrow
+    a: x -> y acts by phi(a) = kappa_y(a) (x) kappa_y kappa_x^{-1}, an
+    element of B written once over B's basis paths."""
 
     def __init__(self, pres: SkewPresentation):
         self.pres = pres
         ctx = pres.context
-        F, S = pres.F, ctx.skew
+        F, S, G, A = pres.F, ctx.skew, ctx.group, ctx.algebra
         self.F, self.S = F, S
-        T = S.structure
-        # rows span Z = (Lambda G) e-bar, the images b_i e-bar
-        self.Z = row_space(F, T.right_mult_matrix(ctx.e_bar).T)
-        self.zdim = self.Z.shape[0]
-        # right multiplication by the presentation's basis paths
-        self.right_mults = [
-            self._on_Z(T.right_mult_matrix(self._eval_path(w)), left=False)
-            for w in pres.algebra.basis]
-        # left multiplication by Lambda-basis generators (vertices + arrows)
-        A = ctx.algebra
-        self.left_vertex = [
-            self._on_Z(T.left_mult_matrix(S.include(A.idempotent(v))), left=True)
-            for v in range(A.quiver.n_vertices)]
-        self.left_arrow = [self._on_Z(T.left_mult_matrix(S.include(A.unit_vector(
-            A.basis[A.bindex[make_path(A.quiver, (a,))]]))), left=True)
-            for a in range(A.quiver.n_arrows)]
+        q = A.quiver
+        # per Lambda vertex: the range of Q_G vertex indices over its
+        # representative, consecutive in `ctx.vertices`
+        self.fibres = []
+        for x in range(q.n_vertices):
+            over = [i for i, u in enumerate(ctx.vertices) if u.rep == ctx.rep_of_vertex(x)]
+            self.fibres.append((over[0], over[-1] + 1))
+        phi = F.zeros(S.dim, q.n_arrows)
+        for a, arr in enumerate(q.arrows):
+            ky, kx = ctx.kappa[arr.target], ctx.kappa[arr.source]
+            avec = A.unit_vector(A.basis[A.bindex[make_path(q, (a,))]])
+            phi[:, a] = S.group_element(ctx.action.apply(ky, avec), G.mul(ky, G.inv(kx)))
+        B = pres.algebra
+        coefs = solve_linear(F, np.stack([self._eval_path(w) for w in B.basis], axis=1), phi)
+        if coefs is None:
+            raise AssertionError("phi(a) is not in e-bar (Lambda G) e-bar")
+        # per Lambda arrow: phi(a) as (coefficient, basis path of B) pairs
+        self.phi = [[(int(coefs[k, a]), B.basis[k]) for k in np.nonzero(coefs[:, a])[0]]
+                    for a in range(q.n_arrows)]
 
     def _eval_path(self, w: PathWord) -> np.ndarray:
         ctx = self.pres.context
@@ -187,108 +199,36 @@ class GLambda:
             out = e if out is None else self.S.multiply(e, out)
         return out
 
-    def _on_Z(self, mult: np.ndarray, left: bool) -> np.ndarray:
-        """A multiplication map of the skew algebra restricted to Z, in
-        Z-coordinates: column r holds the coordinates of the image of Z[r],
-        all solved at once."""
-        coords = solve_linear(self.F, self.Z.T, self.F.mul(mult, self.Z.T))
-        if coords is None:
-            raise AssertionError("Z not left-stable under Lambda" if left else
-                                 "Z not right-stable under e(LG)e")
-        return coords
-
-    def _tensor(self, N: Representation):
-        """(quotient projection from Z (x) N_total, per-vertex bases)."""
-        F = self.F
-        B = self.pres.algebra
-        ntot = N.total_dim
-        noff = np.cumsum([0] + list(N.dims))
-        # total-space action of each B-basis element on N
-        def act_total(bi: int) -> np.ndarray:
-            w = B.basis[bi]
-            m = F.zeros(ntot, ntot)
-            s, t = path_source(B.quiver, w), path_target(B.quiver, w)
-            blk = N.path_matrix(w)
-            m[noff[t]: noff[t] + N.dims[t], noff[s]: noff[s] + N.dims[s]] = blk
-            return m
-
-        # relations (z b) (x) n - z (x) (b n): the row of the pair (z_r, n_j)
-        # sits at r * ntot + j, so each b contributes R_b^T (x) I - I (x) N_b^T
-        rel = np.concatenate(
-            [np.kron(self.right_mults[bi].T, F.eye(ntot))
-             - np.kron(F.eye(self.zdim), act_total(bi).T)
-             for bi in range(B.dim)], axis=0) % F.p
-        proj = quotient_map(F, row_space(F, rel), self.zdim * ntot)
-        return proj, ntot
-
-    def materialize(self, N: Representation):
-        """(representation, quotient data) for G_lambda N."""
-        F = self.F
-        A = self.pres.context.algebra
-        q = A.quiver
-        proj, ntot = self._tensor(N)
-        xdim = proj.shape[0]
-        sec = solve_linear(F, proj, F.eye(xdim))
-
-        def induced(left: np.ndarray) -> np.ndarray:
-            big = np.kron(left, F.eye(ntot)) % F.p
-            return F.mul(proj, F.mul(big, sec))
-
-        vert_ops = [induced(self.left_vertex[v]) for v in range(q.n_vertices)]
-        vert_bases = [row_space(F, vert_ops[v].T) for v in range(q.n_vertices)]
-        dims = [b.shape[0] for b in vert_bases]
-        maps = []
-        for a, arr in enumerate(q.arrows):
-            s, t = arr.source, arr.target
-            if dims[s] == 0 or dims[t] == 0:
-                maps.append(F.zeros(dims[t], dims[s]))
-                continue
-            op = induced(self.left_arrow[a])
-            img = F.mul(op, vert_bases[s].T)
-            coords = solve_linear(F, vert_bases[t].T, img)
-            if coords is None:
-                raise AssertionError("arrow action leaves vertex decomposition")
-            maps.append(coords)
-        rep = Representation(A, dims, maps)
-        return rep, (proj, sec, vert_bases, ntot)
+    def _fibre_slices(self, dims) -> tuple[np.ndarray, list[slice]]:
+        """Offsets of the Q_G vertices in a total space with these dims, and
+        per Lambda vertex the slice of its fibre."""
+        off = np.cumsum([0, *dims])
+        return off, [slice(off[lo], off[hi]) for lo, hi in self.fibres]
 
     def apply(self, N: Representation) -> Representation:
-        """G_lambda N as a representation of the original quiver."""
-        return self.materialize(N)[0]
+        """G_lambda N: at arrow a, the block of sum_w c_w N(w) between the
+        fibres, for phi(a) = sum_w c_w w."""
+        F, A = self.F, self.pres.context.algebra
+        qb = self.pres.algebra.quiver
+        off, span = self._fibre_slices(N.dims)
+        maps = []
+        for a, arr in enumerate(A.quiver.arrows):
+            m = F.zeros(off[-1], off[-1])
+            for c, w in self.phi[a]:
+                s, t = path_source(qb, w), path_target(qb, w)
+                m[off[t]: off[t + 1], off[s]: off[s + 1]] += F.smul(c, N.path_matrix(w))
+            maps.append(m[span[arr.target], span[arr.source]])
+        return Representation(A, [s.stop - s.start for s in span], maps)
 
-    def apply_morphism(self, f: RepMorphism, matM=None, matN=None) -> RepMorphism:
-        """G_lambda f via id_Z (x) f on the tensor quotients.
-
-        `matM` / `matN` are (rep, data) pairs from `materialize`, recomputed
-        when omitted."""
-        F = self.F
-        A = self.pres.context.algebra
-        q = A.quiver
-        matM = matM or self.materialize(f.source)
-        matN = matN or self.materialize(f.target)
-        GM, (projM, secM, basesM, ntotM) = matM
-        GN, (projN, secN, basesN, ntotN) = matN
-        ftot = F.zeros(ntotN, ntotM)
-        offs = np.cumsum([0] + list(f.source.dims))
-        offt = np.cumsum([0] + list(f.target.dims))
-        for v in range(len(f.source.dims)):  # vertices of the skew quiver
-            blk = f.blocks[v]
-            if blk.size:
-                ftot[offt[v]: offt[v] + blk.shape[0],
-                     offs[v]: offs[v] + blk.shape[1]] = blk
-        big = np.kron(F.eye(self.zdim), ftot) % F.p
-        X2X = F.mul(projN, F.mul(big, secM))
-        blocks = []
-        for v in range(q.n_vertices):
-            if GM.dims[v] == 0 or GN.dims[v] == 0:
-                blocks.append(F.zeros(GN.dims[v], GM.dims[v]))
-                continue
-            img = F.mul(X2X, basesM[v].T)
-            coords = solve_linear(F, basesN[v].T, img)
-            if coords is None:
-                raise AssertionError("morphism image leaves vertex decomposition")
-            blocks.append(coords)
-        out = RepMorphism(GM, GN, blocks)
+    def apply_morphism(self, f: RepMorphism) -> RepMorphism:
+        """G_lambda f: f made block-diagonal over the same fibres."""
+        soff, sspan = self._fibre_slices(f.source.dims)
+        toff, tspan = self._fibre_slices(f.target.dims)
+        ftot = self.F.zeros(toff[-1], soff[-1])
+        for u, blk in enumerate(f.blocks):
+            ftot[toff[u]: toff[u + 1], soff[u]: soff[u + 1]] = blk
+        out = RepMorphism(self.apply(f.source), self.apply(f.target),
+                          [ftot[t, s] for t, s in zip(tspan, sspan)])
         if not out.is_valid():
             raise AssertionError("G_lambda morphism fails commuting squares")
         return out
@@ -475,18 +415,11 @@ def recover_irreducible(pres: SkewPresentation, f: RepMorphism,
     """Given an irreducible morphism between indecomposables over the skew
     algebra whose dual-action stabilizers are proper, pull it back to an
     irreducible morphism over Lambda via G_lambda and summand matching."""
-    gl = GLambda(pres)
-    matM = gl.materialize(f.source)
-    matN = gl.materialize(f.target)
-    GM, GN = matM[0], matN[0]
-    gf = gl.apply_morphism(f, matM, matN)
-    mstab = module_stabilizer(skew_action, f.source)
-    nstab = module_stabilizer(skew_action, f.target)
     full = skew_action.group.n
-    mparts = decompose(GM)
-    nparts = decompose(GN)
-    if len(mstab) == full or len(nstab) == full:
+    if any(len(module_stabilizer(skew_action, X)) == full for X in (f.source, f.target)):
         raise ValueError("recovery hypothesis needs proper dual stabilizers")
+    gf = GLambda(pres).apply_morphism(f)
+    mparts, nparts = decompose(gf.source), decompose(gf.target)
     # proper stabilizers: G_lambda of the ends is indecomposable
     if len(mparts) != 1 or len(nparts) != 1:
         raise AssertionError("ends did not restrict to indecomposables")

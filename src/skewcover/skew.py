@@ -240,7 +240,8 @@ class SkewPresentation:
     def __init__(self, context: SkewContext, length_bound: int | None = None):
         self.context = context
         self.F = context.F
-        self.length_bound = length_bound or context.algebra.length_bound
+        self.length_bound = (context.algebra.length_bound if length_bound is None
+                             else length_bound)
         self.arrows: list[QGArrow] = []
         self.elements: dict[str, np.ndarray] = {}
         # per Lambda-arrow: (case, D-representative arrow, twist) of its orbit

@@ -12,9 +12,10 @@ pivot, with `solve_linear`, `nullspace_basis`, `inverse` and `in_row_space`
 built on it, and the basis completion that quotient maps were read from.
 They are kept verbatim so the new kernel can be checked against them.
 
-The per-basis-vector loops are how `SkewContext.basic_dim` and `GLambda`
-built their matrices before the skew algebra had a product table: one or
-two skew products per basis vector of the skew algebra or of Z.  They are
+The per-basis-vector loops are how `SkewContext.basic_dim` and the tensor
+`GLambda` (now `oracle_glambda.GLambda`) built their matrices before the
+skew algebra had a product table: one or two skew products per basis vector
+of the skew algebra or of Z.  They are
 kept verbatim too, apart from taking the context or presentation as an
 argument; their `rank` and `solve_linear` are the dense ones below.
 
@@ -107,7 +108,8 @@ def loop_basic_dim(ctx) -> int:
 
 
 def loop_glambda(pres) -> dict:
-    """Z, right_mults, left_vertex and left_arrow of `GLambda(pres)`."""
+    """Z, right_mults, left_vertex and left_arrow of
+    `oracle_glambda.GLambda(pres)`."""
     ctx = pres.context
     F, S = pres.F, ctx.skew
     # basis of Z = (Lambda G) e-bar

@@ -4,8 +4,9 @@ vertex spaces with the presentation idempotents.  This never touches the
 closed-form case matrices in skewcover.pushdown, so matching matrices is a
 genuine dual-route check.
 
-`loop_tensor_relations` is the per-entry loop that `GLambda._tensor` used to
-build its relation rows with, kept as the reference for its Kronecker blocks.
+`loop_tensor_relations` is the per-entry loop that the tensor `GLambda._tensor`
+(now `oracle_glambda.GLambda._tensor`) used to build its relation rows with,
+kept as the reference for its Kronecker blocks.
 """
 
 import numpy as np

@@ -215,6 +215,22 @@ def test_cli_rejects_action_of_undeclared_generator(capsys, tmp_path):
     assert err == "error: action names undeclared generator 'g2'\n"
 
 
+
+@pytest.mark.parametrize("line, argv, expected", [
+    # a zero bound used to build with bound 12, and a negative one to fail
+    # inside the algebra's degree walk
+    ("bound N = 0\n", (), "line 4: length bound 0 is below 1"),
+    ("", ("--bound", "0"), "length bound 0 is below 1"),
+    ("", ("--bound", "-3"), "length bound -3 is below 1"),
+])
+def test_cli_rejects_bound_below_one(capsys, tmp_path, line, argv, expected):
+    text = data_text("free_action_a3.skw")
+    assert text.splitlines()[2] == "field p = 1009"
+    path = tmp_path / "free_action_bound.skw"
+    path.write_text(text.replace("field p = 1009\n", "field p = 1009\n" + line))
+    code, out, err = run_cli(capsys, *argv, "skew", str(path))
+    assert (code, out, err) == (1, "", f"error: {expected}\n")
+
 # Calls in one process share one parser; each must behave like a fresh
 # process, so options given to one call (--json, --bound, --special) must not
 # reach the next, and argparse's own exits (errors, --help) stay exit 2 / 0.

@@ -6,9 +6,9 @@ import pytest
 from conftest import generated_text, load_built, load_generated
 from oracle_dense import (dense_multiply, dense_skew_multiply, dense_table,
                           loop_basic_dim, loop_glambda)
+from oracle_glambda import GLambda
 from skewcover.field import PrimeField, StructureConstants, coalesce, match_pairs
 from skewcover.inputfmt import build_input, parse_input
-from skewcover.pushdown import GLambda
 from skewcover.skew import SkewAlgebra, SkewContext, build_presentation
 
 BUNDLED = ["fig1.skw", "fig2.skw", "fig5.skw", "fig6.skw",
