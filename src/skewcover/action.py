@@ -11,6 +11,7 @@ exists; supplying it is the caller's job).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import lcm
 
@@ -137,8 +138,10 @@ class QuiverAction:
 
     Per generator: a vertex permutation (dict on vertex indices, identity
     where omitted) and an arrow map arrow index -> (scalar, arrow index).
-    Call `validate` before trusting orbits/characters; `validate` also
-    extends the generator data to all group elements.
+    `__init__` extends the generator data to every group element through
+    `_build_elements` and checks only that the vertex maps are bijections:
+    pass the action to `validate_action` before trusting orbits,
+    characters or `entries`.
     """
 
     def __init__(self, algebra: BoundAlgebra, group: AbelianGroup,
@@ -163,7 +166,6 @@ class QuiverAction:
             self.gen_vperm.append(full_vp)
             self.gen_amap.append(full_am)
         self._element_maps: dict[tuple[int, ...], tuple[dict, dict]] = {}
-        self._matrices: dict[tuple[int, ...], np.ndarray] = {}
         self._build_elements()
 
     # -- construction of the full-element action --------------------------
@@ -211,24 +213,35 @@ class QuiverAction:
         src = self.vertex(g, path_source(self.algebra.quiver, w))
         return scal, PathWord(src, tuple(arrows))
 
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every group element's automorphism of the normal-form basis, built
+        on first use as COO arrays (g, row, col, value), g indexing
+        `group.elements`: g(b_col) has coefficient `value` at b_row, and
+        entries at one position add up."""
+        A, p = self.algebra, self.F.p
+        terms = []
+        for gi, g in enumerate(self.group.elements):
+            for k, w in enumerate(A.basis):
+                c, gw = self.path(g, w)
+                nf = A.nf.get(gw)
+                if nf is None:
+                    raise ValueError(f"action image leaves the path domain at basis {k}")
+                for j, cj in nf.items():
+                    terms += (gi, j, k, c * cj % p)
+        return tuple(np.array(terms, dtype=np.int64).reshape(-1, 4).T)
+
     def matrix(self, g) -> np.ndarray:
-        """Matrix of the algebra automorphism g on the normal-form basis."""
-        if g in self._matrices:
-            return self._matrices[g]
-        A = self.algebra
-        M = self.F.zeros(A.dim, A.dim)
-        for k, w in enumerate(A.basis):
-            c, gw = self.path(g, w)
-            nf = A.nf.get(gw)
-            if nf is None:
-                raise ValueError(f"action image leaves the path domain at basis {k}")
-            for j, cj in nf.items():
-                M[j, k] = c * cj % self.F.p
-        self._matrices[g] = M
-        return M
+        """Dense matrix of the algebra automorphism g on the normal-form
+        basis, applied column by column on each call (for tests)."""
+        return np.stack([self.apply(g, x) for x in self.F.eye(self.algebra.dim)], axis=1)
 
     def apply(self, g, x: np.ndarray) -> np.ndarray:
-        return self.F.mul(self.matrix(g), x.reshape(-1, 1))[:, 0]
+        gs, rows, cols, vals = self.entries
+        sel = gs == self.group.eindex[g]
+        out = np.zeros(self.algebra.dim, dtype=np.int64)
+        np.add.at(out, rows[sel], vals[sel] * (x[cols[sel]] % self.F.p))
+        return out % self.F.p
 
     # -- orbit data ---------------------------------------------------------
 
@@ -359,30 +372,28 @@ def _first_non_multiplicative(algebra: BoundAlgebra, group: AbelianGroup,
     g(b_k1 b_k2) != g(b_k1) g(b_k2); None if every g is multiplicative.
 
     With T[k1, k2, :] the product b_k1 b_k2, both sides are sparse tensors
-    over (k1, k2, m): M_g T and T(M_g (x) M_g).  Their difference is built
-    term by term, and its least nonzero key names the witness.
+    over (g, k1, k2, m): M_g T and T(M_g (x) M_g), for all g at once.
+    Their difference is built term by term, and its least nonzero key
+    names the witness.
     """
     F, T, n = algebra.F, algebra.structure, algebra.dim
-    for g in group.elements:
-        Mg = action.matrix(g)
-        rows, cols = np.nonzero(Mg)
-        vals = Mg[rows, cols]
-        # M_g T: T[k1, k2, k] M_g[m, k]
-        e, f = match_pairs(T.K, cols)
-        lhs_keys = (T.I[e] * n + T.J[e]) * n + rows[f]
-        lhs_vals = T.C[e] * vals[f] % F.p
-        # T(M_g (x) M_g): M_g[a, k1] M_g[b, k2] T[a, b, m]
-        e, f = match_pairs(T.I, rows)
-        e2, f2 = match_pairs(T.J[e], rows)
-        e, f = e[e2], f[e2]
-        rhs_keys = (cols[f] * n + cols[f2]) * n + T.K[e]
-        rhs_vals = T.C[e] * vals[f] % F.p * vals[f2] % F.p
-        keys, _ = coalesce(F, np.concatenate([lhs_keys, rhs_keys]),
-                           np.concatenate([lhs_vals, F.p - rhs_vals]))
-        if keys.size:
-            k1, k2 = divmod(int(keys[0]) // n, n)
-            return g, k1, k2
-    return None
+    gs, rows, cols, vals = action.entries
+    # M_g T: T[k1, k2, k] M_g[m, k]
+    e, f = match_pairs(T.K, cols)
+    lhs_keys = ((gs[f] * n + T.I[e]) * n + T.J[e]) * n + rows[f]
+    lhs_vals = T.C[e] * vals[f] % F.p
+    # T(M_g (x) M_g): M_g[a, k1] M_g[b, k2] T[a, b, m], one g for both factors
+    e, f = match_pairs(T.I, rows)
+    e2, f2 = match_pairs(gs[f] * n + T.J[e], gs * n + rows)
+    e, f = e[e2], f[e2]
+    rhs_keys = ((gs[f] * n + cols[f]) * n + cols[f2]) * n + T.K[e]
+    rhs_vals = T.C[e] * vals[f] % F.p * vals[f2] % F.p
+    keys, _ = coalesce(F, np.concatenate([lhs_keys, rhs_keys]),
+                       np.concatenate([lhs_vals, F.p - rhs_vals]))
+    if not keys.size:
+        return None
+    gi, k1 = divmod(int(keys[0]) // n // n, n)
+    return group.elements[gi], k1, int(keys[0]) // n % n
 
 
 @dataclass

@@ -221,6 +221,8 @@ class BoundAlgebra:
     def _build(self, F: PrimeField, q: Quiver, N: int, source):
         """The one degree walk: basis, normal forms and product table.
         Returns the relations `source` gave, in degree order."""
+        if N < 1:
+            raise ValueError(f"length bound {N} is below 1")
         self.F, self.quiver, self.length_bound = F, q, N
         found: list[RelationElement] = []
         self.basis: list[PathWord] = [PathWord(v) for v in range(q.n_vertices)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (PrimeField, StructureConstants, coalesce, in_row_space,
+from .field import (StructureConstants, coalesce, in_row_space,
                     match_pairs, nullspace_basis, rank, row_space)
 from .quiver import (BoundAlgebra, PathWord, Quiver, RelationElement,
                      make_path)
@@ -32,7 +32,7 @@ class SkewAlgebra:
 
     Elements are vectors over the basis {(algebra basis k, group g)} flattened
     as k * |G| + index(g).  The product is built once, as the sparse table
-    `structure`, from Lambda's table and the matrices M_g of the action.
+    `structure`, from Lambda's table and the action's entries.
     """
 
     def __init__(self, algebra: BoundAlgebra, group: AbelianGroup, action: QuiverAction):
@@ -42,21 +42,19 @@ class SkewAlgebra:
         self.F = algebra.F
         T, p, n = algebra.structure, self.F.p, group.n
         self.dim = algebra.dim * n
-        parts = []
-        for gi, g in enumerate(group.elements):
-            Mg = action.matrix(g)
-            rows, cols = np.nonzero(Mg)
-            # (b_i (x) g)(b_j (x) h) = sum_m M_g[m, j] b_i b_m (x) gh: pair
-            # each entry e of Lambda's table with each nonzero M_g[m, j]
-            e, f = match_pairs(T.J, rows)
-            gh = [group.eindex[group.mul(g, h)] for h in group.elements]
-            parts.append((np.repeat(T.I[e] * n + gi, n),
-                          (cols[f, None] * n + np.arange(n)).reshape(-1),
-                          (T.K[e, None] * n + gh).reshape(-1),
-                          np.repeat(T.C[e] * Mg[rows[f], cols[f]] % p, n)))
-        I, J, K, C = (np.concatenate(a) for a in zip(*parts))
+        gs, rows, cols, vals = action.entries
+        gh = np.array([[group.eindex[group.mul(g, h)] for h in group.elements]
+                       for g in group.elements], dtype=np.int64)
+        # (b_i (x) g)(b_j (x) h) = sum_m M_g[m, j] b_i b_m (x) gh: pair
+        # each entry e of Lambda's table with each action entry f at row m
+        e, f = match_pairs(T.J, rows)
         self.structure = StructureConstants.from_coo(
-            self.F, self.dim, I, J, K, C, self.include(T.one))
+            self.F, self.dim,
+            np.repeat(T.I[e] * n + gs[f], n),
+            (cols[f, None] * n + np.arange(n)).reshape(-1),
+            (T.K[e, None] * n + gh[gs[f]]).reshape(-1),
+            np.repeat(T.C[e] * vals[f] % p, n),
+            self.include(T.one))
 
     def include(self, x: np.ndarray) -> np.ndarray:
         """Lambda -> Lambda G, l -> l (x) 1."""
@@ -136,26 +134,32 @@ class SkewContext:
 
     def _idempotent(self, v: QGVertex) -> np.ndarray:
         """e_{(i0, rho)} = i0 (x) e_rho with e_rho = (1/|G_{i0}|) sum rho(g) g."""
-        F = self.F
+        F, G = self.F, self.group
         stab = self.action.vertex_stabilizer(v.rep)
-        coef = F.inv(len(stab))
-        out = F.zeros(1, self.skew.dim)[0]
-        base = self.algebra.idempotent(v.rep)
-        for g in stab:
-            c = coef * self.chars.value(v.char, g) % F.p
-            out = F.add(out, F.smul(c, self.skew.group_element(base, g)))
-        return out
+        out = F.zeros(self.algebra.dim, G.n)
+        out[self.algebra.bindex[PathWord(v.rep)], [G.eindex[g] for g in stab]] = [
+            F.inv(len(stab)) * self.chars.value(v.char, g) % F.p for g in stab]
+        return out.reshape(-1)
 
     def _check_idempotents(self):
-        S = self.skew
-        items = list(self.idempotents.items())
-        for v1, e1 in items:
-            if not np.array_equal(S.multiply(e1, e1), e1):
-                raise AssertionError(f"idempotent at {v1} fails e^2 = e")
-        for i, (v1, e1) in enumerate(items):
-            for v2, e2 in items[i + 1:]:
-                if np.any(S.multiply(e1, e2)) or np.any(S.multiply(e2, e1)):
-                    raise AssertionError(f"idempotents at {v1}, {v2} not orthogonal")
+        S, F, p = self.skew, self.F, self.F.p
+        n, m = S.dim, len(self.idempotents)
+        names = list(self.idempotents)
+        E = np.stack(list(self.idempotents.values())) % p
+        # e_a e_b - delta_ab e_a over (a, b, k): the terms of b -> e_a b at
+        # the support of each e_b
+        a, rows, cols, vals = _mult_terms(S.structure, E, left=True)
+        b, idx = np.nonzero(E)
+        e, f = match_pairs(cols, idx)
+        keys, _ = coalesce(F, np.concatenate([
+            (a[e] * m + b[f]) * n + rows[e], (b * m + b) * n + idx]),
+            np.concatenate([vals[e] * E[b[f], idx[f]] % p, p - E[b, idx]]))
+        a, b = divmod(keys // n, m)
+        if np.any(a == b):
+            raise AssertionError(f"idempotent at {names[a[a == b].min()]} fails e^2 = e")
+        if keys.size:
+            lo, hi = divmod(int(np.min(np.minimum(a, b) * m + np.maximum(a, b))), m)
+            raise AssertionError(f"idempotents at {names[lo]}, {names[hi]} not orthogonal")
         if not np.array_equal(S.multiply(self.e_bar, self.e_bar), self.e_bar):
             raise AssertionError("e-bar is not idempotent")
         for rep in self.orbit_data.fixed_reps:
@@ -198,17 +202,32 @@ class SkewContext:
                 if q.arrows[a].target == j0 and q.arrows[a].source in rset]
 
     def basic_dim(self) -> int:
-        """dim e(Lambda G)e: rank of x -> e x e on the skew algebra, the
-        product L_e R_e of the two multiplication maps composed term by
-        term from the sparse table."""
+        """dim e(Lambda G)e.  The e_x are orthogonal with sum e-bar, so this
+        is the sum over (x, y) of the ranks of b -> e_x b e_y, each map
+        L_{e_x} R_{e_y} composed term by term.  The map is idempotent, so
+        its rank is its trace mod p: exact for a block with fewer than p
+        nonzero rows, which is ranked outright otherwise."""
         T, F, n = self.skew.structure, self.F, self.skew.dim
-        lrow, lcol, lval = T.mult_entries(self.e_bar, left=True)
-        rrow, rcol, rval = T.mult_entries(self.e_bar, left=False)
+        m = len(self.idempotents)
+        E = np.stack(list(self.idempotents.values())) % F.p
+        x, lrow, lcol, lval = _mult_terms(T, E, left=True)
+        y, rrow, rcol, rval = _mult_terms(T, E, left=False)
         e, f = match_pairs(lcol, rrow)
-        keys, vals = coalesce(F, lrow[e] * n + rcol[f], lval[e] * rval[f])
-        M = F.zeros(n, n)
-        M.reshape(-1)[keys] = vals
-        return rank(F, M)
+        keys, vals = coalesce(F, ((x[e] * m + y[f]) * n + lrow[e]) * n + rcol[f],
+                              lval[e] * rval[f])
+        block, row, col = keys // (n * n), keys // n % n, keys % n
+        traces = np.zeros(m * m, dtype=np.int64)
+        np.add.at(traces, block[row == col], vals[row == col])
+        # keys are sorted: a block's distinct rows start where keys // n changes
+        nrows = np.bincount(block[np.diff(keys // n, prepend=-1) != 0], minlength=m * m)
+        total = int(np.sum(traces[nrows < F.p] % F.p))
+        for b in np.flatnonzero(nrows >= F.p):
+            rows, ri = np.unique(row[block == b], return_inverse=True)
+            cols, ci = np.unique(col[block == b], return_inverse=True)
+            M = F.zeros(rows.size, cols.size)
+            M[ri, ci] = vals[block == b]
+            total += rank(F, M)
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +286,14 @@ class SkewPresentation:
         ctx = self.context
         chars, F = ctx.chars, ctx.F
         od = ctx.orbit_data
+        q = ctx.algebra.quiver
+        # (orbit representative of the source, target) of every arrow
+        linked = {(ctx.rep_of_vertex(ar.source), ar.target) for ar in q.arrows}
         counter = 0
         for i0 in od.representatives:
             for j0 in od.representatives:
+                if (i0, j0) not in linked:
+                    continue
                 stab_i = ctx.action.vertex_stabilizer(i0)
                 stab_j = ctx.action.vertex_stabilizer(j0)
                 joint = sorted(set(stab_i) & set(stab_j))
@@ -290,6 +314,21 @@ class SkewPresentation:
                             self.arrows.append(arrow)
                             self.elements[arrow.name] = elem
                             counter += 1
+        # every realizing element x of an arrow s -> t has e_t x e_s = x;
+        # the left-multiplication terms of the x serve the relation walk too
+        T, n = ctx.skew.structure, ctx.skew.dim
+        X = np.array([self.elements[ar.name] for ar in self.arrows]).reshape(-1, n)
+        E = np.stack([ctx.idempotents[v] for v in ctx.vertices])
+        ends = np.array([[ctx.vqindex[ar.source], ctx.vqindex[ar.target]]
+                         for ar in self.arrows], dtype=np.int64).reshape(-1, 2)
+        self._left_terms = _mult_terms(T, X, left=True)
+        trunc = _apply_terms(_mult_terms(T, E, left=True), ends[:, 1], _apply_terms(
+            self._left_terms, np.arange(len(X)), E[ends[:, 0]], F.p), F.p)
+        bad = np.flatnonzero(~X.any(axis=1) | (trunc != X).any(axis=1))
+        if bad.size:
+            ar = self.arrows[bad[0]]
+            raise AssertionError(f"realizing element not supported at "
+                                 f"({ar.source}, {ar.target}), case {ar.case}")
 
     def _case1_twist(self, i0: int, a: int) -> tuple[int, ...]:
         ctx = self.context
@@ -297,44 +336,31 @@ class SkewPresentation:
         src = q.arrows[a].source
         return min(g for g in ctx.group.elements if ctx.action.vertex(g, i0) == src)
 
-    def _arrow_vec(self, a: int) -> np.ndarray:
-        A = self.context.algebra
-        return A.unit_vector(A.basis[A.bindex[make_path(A.quiver, (a,))]])
-
     def _realize(self, i0, j0, case, a, rho, sigma, counter):
         ctx = self.context
-        S, F, G = ctx.skew, ctx.F, ctx.group
-        q = ctx.algebra.quiver
-        avec = self._arrow_vec(a)
-        ident = G.identity()
-        twist = ident
+        F, G, A = ctx.F, ctx.group, ctx.algebra
+        q = A.quiver
+        k = A.bindex[make_path(q, (a,))]
+        twist = G.identity()
+        elem = F.zeros(A.dim, G.n)
         if case == 1:
             twist = self._case1_twist(i0, a)
-            elem = S.group_element(avec, twist)
+            elem[k, G.eindex[twist]] = 1
         elif case == 2:
             # (1 (x) e_sigma)(a (x) 1) = (1/n) sum_h sigma(h) h(a) (x) h
-            elem = F.zeros(1, S.dim)[0]
-            coef = F.inv(G.n)
-            for h in G.elements:
-                c = coef * ctx.chars.value(sigma, h) % F.p
-                elem = F.add(elem, F.smul(c, S.group_element(ctx.action.apply(h, avec), h)))
+            coef = np.array([F.inv(G.n) * ctx.chars.value(sigma, h) % F.p
+                             for h in G.elements])
+            gs, rows, cols, vals = ctx.action.entries
+            at = cols == k
+            np.add.at(elem, (rows[at], gs[at]), vals[at] * coef[gs[at]])
         else:
             # cases 3 and 4: a (x) e_rho
-            elem = F.zeros(1, S.dim)[0]
             stab = ctx.action.vertex_stabilizer(i0)
-            coef = F.inv(len(stab))
-            for h in stab:
-                c = coef * ctx.chars.value(rho, h) % F.p
-                elem = F.add(elem, F.smul(c, S.group_element(avec, h)))
-
-        src = QGVertex(i0, rho)
-        tgt = QGVertex(j0, sigma)
-        trunc = S.multiply(ctx.idempotents[tgt], S.multiply(elem, ctx.idempotents[src]))
-        if not np.any(elem) or not np.array_equal(trunc % F.p, elem % F.p):
-            raise AssertionError(
-                f"realizing element not supported at ({src}, {tgt}), case {case}")
+            elem[k, [G.eindex[h] for h in stab]] = [
+                F.inv(len(stab)) * ctx.chars.value(rho, h) % F.p for h in stab]
+        elem = elem.reshape(-1) % F.p
         name = f"x{counter}_{q.arrows[a].name}"
-        return QGArrow(name, src, tgt, case, a, twist), elem
+        return QGArrow(name, QGVertex(i0, rho), QGVertex(j0, sigma), case, a, twist), elem
 
     def _build_quiver(self):
         ctx = self.context
@@ -351,22 +377,26 @@ class SkewPresentation:
         degree walk as the kernel of K Q_G -> e(Lambda G)e.
 
         At degree d each path evaluates to (arrow element)(value of its
-        prefix); the new relations are the kernel vectors outside the span
-        of the ideal the lower degrees generate, kept in nullspace order.
+        prefix): the left-multiplication terms of every path's first arrow,
+        rows sorted, are laid end to end and applied to the prefix values
+        with one gather and one reduceat.  The new relations are the kernel
+        vectors outside the span of the ideal the lower degrees generate,
+        kept in nullspace order.
         """
         ctx = self.context
-        F, S = self.F, ctx.skew
+        F = self.F
         values = {PathWord(v): ctx.idempotents[u] for v, u in enumerate(ctx.vertices)}
 
         def relations(paths, closure):
             nonlocal values
-            values = {w: S.multiply(self.elements[self.arrows[w.arrows[0]].name],
-                                    values[PathWord(w.vertex, w.arrows[1:])])
-                      for w in paths}
-            E = np.stack([values[w] for w in paths], axis=0) % F.p
+            prefix = np.stack([values[PathWord(w.vertex, w.arrows[1:])] for w in paths])
+            E = _apply_terms(self._left_terms, np.array([w.arrows[0] for w in paths]),
+                             prefix, F.p)
+            values = dict(zip(paths, E))
             span = row_space(F, closure)
             new = []
-            for vec in nullspace_basis(F, E.T):
+            # the kernel on the coordinates where some path's value is nonzero
+            for vec in nullspace_basis(F, E.T[np.any(E, axis=0)]):
                 if in_row_space(F, span, vec):
                     continue
                 new.append(RelationElement(tuple(
@@ -401,7 +431,8 @@ class SkewPresentation:
         ctx = self.context
         S = ctx.skew
         case, rep_arrow, twist = self.orbit_arrow_data[a]
-        elem = S.group_element(self._arrow_vec(rep_arrow),
+        A = ctx.algebra
+        elem = S.group_element(A.unit_vector(make_path(A.quiver, (rep_arrow,))),
                                twist if case == 1 else ctx.group.identity())
         return S.multiply(ctx.e_bar, S.multiply(elem, ctx.e_bar))
 
@@ -427,6 +458,20 @@ class SkewPresentation:
         ctx = self.context
         F, G, chars = self.F, ctx.group, ctx.chars
         dual = chars.dual_group()
+
+        def normalized(X):
+            """Rows of X divided by their first nonzero entries, and those."""
+            lead = X[np.arange(len(X)), np.argmax(X != 0, axis=1)]
+            inv = np.array([F.inv(int(c)) for c in lead], dtype=np.int64)
+            return X * inv[:, None] % F.p, lead
+
+        # two elements are scalar multiples when their normalized rows agree
+        X = np.array([self.elements[ar.name] for ar in self.arrows]).reshape(
+            -1, ctx.skew.dim) % F.p
+        rows, lead = normalized(X)
+        first = {}
+        for aj, row in enumerate(rows):
+            first.setdefault(row.tobytes(), aj)
         vperm_list, amap_list = [], []
         for gen in dual.generators():
             chi = Character(gen)
@@ -436,19 +481,15 @@ class SkewPresentation:
                     vperm[i] = i
                 else:
                     vperm[i] = ctx.vqindex[QGVertex(v.rep, chars.mul(v.char, chi))]
+            # coordinate i of an element lies over group element i mod |G|
+            weights = np.tile([chars.value(chi, g) for g in G.elements], ctx.algebra.dim)
             amap = {}
-            for ai, ar in enumerate(self.arrows):
-                twisted = self._apply_char(chi, self.elements[ar.name])
-                hit = None
-                for aj, ar2 in enumerate(self.arrows):
-                    c = _scalar_multiple(F, twisted, self.elements[ar2.name])
-                    if c is not None:
-                        hit = (c, aj)
-                        break
-                if hit is None:
+            for ai, (row, c) in enumerate(zip(*normalized(X * weights % F.p))):
+                aj = first.get(row.tobytes())
+                if aj is None:
                     raise AssertionError(
-                        f"dual action does not permute arrows at {ar.name}")
-                amap[ai] = hit
+                        f"dual action does not permute arrows at {self.arrows[ai].name}")
+                amap[ai] = (int(c) * F.inv(int(lead[aj])) % F.p, aj)
             vperm_list.append(vperm)
             amap_list.append(amap)
         action = QuiverAction(self.algebra, dual, vperm_list, amap_list)
@@ -458,23 +499,29 @@ class SkewPresentation:
         self._dual_cache = (dual, action)
         return self._dual_cache
 
-    def _apply_char(self, chi: Character, x: np.ndarray) -> np.ndarray:
-        ctx = self.context
-        F, G = self.F, ctx.group
-        out = x.copy() % F.p
-        for i in np.nonzero(out)[0]:
-            _, gi = divmod(int(i), G.n)
-            out[i] = out[i] * ctx.chars.value(chi, G.elements[gi]) % F.p
-        return out
+
+def _mult_terms(T: StructureConstants, X: np.ndarray, left: bool):
+    """The terms of y -> x y (left) or y -> y x for every row x of X, as
+    arrays (owner, row, col, value) sorted by owner and then by row: the
+    table entries whose I (left) or J lies in the support of x."""
+    fixed, free = (T.I, T.J) if left else (T.J, T.I)
+    owner, idx = np.nonzero(X)
+    e, f = match_pairs(fixed, idx)
+    order = np.argsort(owner[f], kind="stable")
+    e, f = e[order], f[order]
+    return owner[f], T.K[e], free[e], T.C[e] * (X[owner[f], idx[f]] % T.F.p) % T.F.p
 
 
-def _scalar_multiple(F: PrimeField, x: np.ndarray, y: np.ndarray):
-    """c with x = c*y (c != 0), or None."""
-    nx, ny = np.nonzero(x % F.p)[0], np.nonzero(y % F.p)[0]
-    if len(nx) == 0 or len(nx) != len(ny) or not np.array_equal(nx, ny):
-        return None
-    c = int(x[nx[0]]) * F.inv(int(y[nx[0]])) % F.p
-    return c if np.array_equal((c * y) % F.p, x % F.p) else None
+def _apply_terms(terms, which: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    """Row i is x_{which[i]} Y[i] for the left terms of `_mult_terms` and
+    reduced rows Y: one gather and one reduceat for all rows."""
+    owner, rows, cols, vals = terms
+    i, t = match_pairs(which, owner)
+    keys = i * Y.shape[1] + rows[t]
+    heads = np.flatnonzero(np.diff(keys, prepend=-1))
+    out = np.zeros_like(Y)
+    out.reshape(-1)[keys[heads]] = np.add.reduceat(Y[i, cols[t]] * vals[t] % p, heads) % p
+    return out
 
 
 def build_presentation(algebra: BoundAlgebra, group: AbelianGroup,

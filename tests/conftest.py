@@ -1,5 +1,6 @@
 import importlib.resources as resources
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,16 @@ def generated_text(key: str) -> str:
 
 def load_generated(key: str):
     return build_input(parse_input(generated_text(key)))
+
+
+def workload_generated_keys() -> list[str]:
+    """Keys of every generated input the benchmark's workloads run."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", GEN.with_name("workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks the module up
+    spec.loader.exec_module(workloads)
+    return sorted(workloads.generated_inputs())
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,13 @@ The product oracles rebuild the dense dim^3 structure tensor from the normal for
 multiply through it, multiply skew elements one pair of nonzero coordinates
 at a time, straight from the definition (l (x) g)(m (x) h) = l g(m) (x) gh,
 and run the multiplicativity check of an action as the exhaustive loop over
-(g, k1, k2).  None of them touches the COO arrays.
+(g, k1, k2).  None of them touches the COO arrays: the action's matrices
+come from `action_matrix`, the loop `QuiverAction.matrix` ran before the
+action kept its entries sparse, kept verbatim.
+
+`loop_check_idempotents` is the pairwise loop `SkewContext` ran over its
+idempotents before it took all products from one contraction, kept
+verbatim; its first failure and message are the reference.
 
 The elimination oracles are the dense Gauss-Jordan kernel the package used
 before its list and row-sparse paths: a whole-matrix `outer` update per
@@ -35,6 +41,7 @@ from skewcover.field import row_space
 from skewcover.quiver import (BoundAlgebra, NotAdmissibleError, PathWord,
                               RelationElement, ideal_closure, make_path,
                               path_source, path_target)
+from skewcover.skew import QGVertex
 
 
 def dense_table(alg):
@@ -66,7 +73,7 @@ def dense_skew_multiply(S, table, x, y):
             k2, gi2 = divmod(int(iy), G.n)
             b2 = np.zeros(A.dim, dtype=np.int64)
             b2[k2] = 1
-            gb2 = F.mul(S.action.matrix(g1), b2.reshape(-1, 1))[:, 0]
+            gb2 = F.mul(action_matrix(S.action, g1), b2.reshape(-1, 1))[:, 0]
             prod = gb2 @ table[k1] % F.p  # b_k1 * g(b_k2)
             c = int(x[ix]) * int(y[iy]) % F.p
             gh = G.eindex[G.mul(g1, G.elements[gi2])]
@@ -76,13 +83,28 @@ def dense_skew_multiply(S, table, x, y):
     return out
 
 
-def first_non_multiplicative(algebra, group, action):
+def action_matrix(action, g):
+    """Matrix of the algebra automorphism g on the normal-form basis."""
+    A = action.algebra
+    M = action.F.zeros(A.dim, A.dim)
+    for k, w in enumerate(A.basis):
+        c, gw = action.path(g, w)
+        nf = A.nf.get(gw)
+        if nf is None:
+            raise ValueError(f"action image leaves the path domain at basis {k}")
+        for j, cj in nf.items():
+            M[j, k] = c * cj % action.F.p
+    return M
+
+
+def first_non_multiplicative(algebra, group, action, matrices=None):
     """First (g, k1, k2), looping over g, then k1, then k2, with
-    g(b_k1 b_k2) != g(b_k1) g(b_k2); None if there is none."""
+    g(b_k1 b_k2) != g(b_k1) g(b_k2); None if there is none.  `matrices`
+    replaces `action_matrix` for the group elements it names."""
     F, n = algebra.F, algebra.dim
     table = dense_table(algebra)
     for g in group.elements:
-        Mg = action.matrix(g)
+        Mg = matrices[g] if matrices and g in matrices else action_matrix(action, g)
         for k1 in range(n):
             for k2 in range(n):
                 lhs = F.mul(Mg, table[k1, k2].reshape(-1, 1))[:, 0]
@@ -90,6 +112,29 @@ def first_non_multiplicative(algebra, group, action):
                 if not np.array_equal(lhs, rhs):
                     return g, k1, k2
     return None
+
+
+def loop_check_idempotents(ctx):
+    """Raise AssertionError at the first failing idempotent relation."""
+    S = ctx.skew
+    items = list(ctx.idempotents.items())
+    for v1, e1 in items:
+        if not np.array_equal(S.multiply(e1, e1), e1):
+            raise AssertionError(f"idempotent at {v1} fails e^2 = e")
+    for i, (v1, e1) in enumerate(items):
+        for v2, e2 in items[i + 1:]:
+            if np.any(S.multiply(e1, e2)) or np.any(S.multiply(e2, e1)):
+                raise AssertionError(f"idempotents at {v1}, {v2} not orthogonal")
+    if not np.array_equal(S.multiply(ctx.e_bar, ctx.e_bar), ctx.e_bar):
+        raise AssertionError("e-bar is not idempotent")
+    for rep in ctx.orbit_data.fixed_reps:
+        tot = ctx.F.zeros(1, S.dim)[0]
+        for chi in ctx.stab_chars[rep]:
+            tot = ctx.F.add(tot, ctx.idempotents[QGVertex(rep, chi)])
+        expected = S.include(ctx.algebra.idempotent(rep))
+        if not np.array_equal(tot, expected):
+            raise AssertionError(
+                f"character idempotents at rep {rep} do not sum to i0 (x) 1")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
-from conftest import load_built
-from oracle_dense import first_non_multiplicative
+from conftest import load_built, load_generated, workload_generated_keys
+from oracle_dense import action_matrix, first_non_multiplicative
 from skewcover.field import PrimeField
 from skewcover.quiver import BoundAlgebra, Quiver, RelationElement, make_path
 from skewcover.action import (AbelianGroup, QuiverAction, arrow_character,
@@ -221,6 +222,19 @@ def test_arrow_character_dual_side(fig2):
     assert ch.value(chi_b, (1,)) == F.p - 1
 
 
+@pytest.mark.parametrize("key", [
+    "fig1.skw", "fig2.skw", "fig5.skw", "fig6.skw", "free_action_a3.skw",
+    "kronecker_z3.skw", *workload_generated_keys()])
+def test_sparse_entries_equal_dense_oracle(key):
+    built = load_built(key) if key.endswith(".skw") else load_generated(key)
+    act = built.action
+    x = np.arange(1, built.algebra.dim + 1)
+    for g in built.group.elements:
+        M = action_matrix(act, g)
+        assert np.array_equal(act.matrix(g), M)
+        assert np.array_equal(act.apply(g, x), M @ x % F.p)
+
+
 @pytest.mark.parametrize("name,column,kind", [
     ("fig5.skw", 3, "scale"), ("fig1.skw", 7, "scale"),
     ("fig1.skw", 12, "extra"), ("kronecker_z3.skw", 0, "extra")])
@@ -229,13 +243,19 @@ def test_corrupted_matrix_gives_first_witness(name, column, kind):
     built = load_built(name)
     alg, G, act = built.algebra, built.group, built.action
     g = G.elements[-1]
-    M = act.matrix(g).copy()
+    gi = G.eindex[g]
+    M = action_matrix(act, g)
+    gs, rows, cols, vals = act.entries
     if kind == "scale":
         M[:, column] = 2 * M[:, column] % F.p
+        vals = np.where((gs == gi) & (cols == column), 2 * vals % F.p, vals)
     else:
         M[(column + 1) % alg.dim, column] += 1
-    act._matrices[g] = M
-    expected = first_non_multiplicative(alg, G, act)
+        gs, rows, cols, vals = (np.append(a, t) for a, t in zip(
+            (gs, rows, cols, vals), (gi, (column + 1) % alg.dim, column, 1)))
+    act.entries = (gs, rows, cols, vals)
+    assert np.array_equal(act.matrix(g), M % F.p)
+    expected = first_non_multiplicative(alg, G, act, {g: M})
     assert expected is not None and expected[0] == g
     rep = validate_action(alg, G, act)
     assert [(i.check, i.witness) for i in rep.issues] == [

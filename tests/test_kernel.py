@@ -98,6 +98,17 @@ def test_basic_dim_matches_loop(name):
     assert ctx.basic_dim() == loop_basic_dim(ctx)
 
 
+def test_basic_dim_with_a_block_of_rank_p():
+    """Z2 acting trivially on the 3-Kronecker quiver over F_3: the block
+    e_(1, rho) (Lambda G) e_(2, rho) has rank 3, which its trace (0 mod 3)
+    does not give, so it must be ranked outright."""
+    b = build_input(parse_input(
+        "field p = 3\nvertex 1\nvertex 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n"
+        "arrow c: 1 -> 2\ngroup Z2\n"))
+    ctx = SkewContext(b.algebra, b.group, b.action)
+    assert ctx.basic_dim() == loop_basic_dim(ctx) == 2 * b.algebra.dim
+
+
 @pytest.mark.parametrize("key, bound, expected",
                          [("star3_8", None, 63), ("cover3_20", 60, 210)])
 def test_basic_dim_at_scale(key, bound, expected):

@@ -6,15 +6,18 @@ and rebuilds the ideal in a second one.  Both must give the same relations,
 basis, normal forms and product table.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import load_built, load_generated
+from conftest import generated_text, load_built, load_generated
 from oracle_dense import two_pass_presentation
 from skewcover.field import PrimeField
+from skewcover.inputfmt import build_input, parse_input
 from skewcover.quiver import (BoundAlgebra, NotAdmissibleError, Quiver,
                               RelationElement, make_path)
-from skewcover.skew import build_presentation
+from skewcover.skew import SkewContext, SkewPresentation, build_presentation
 
 BUNDLED = ["fig1.skw", "fig2.skw", "fig5.skw", "fig6.skw",
            "free_action_a3.skw", "kronecker_z3.skw"]
@@ -52,6 +55,32 @@ def test_presentation_refused_below_its_degree(name, bound):
     with pytest.raises(NotAdmissibleError):
         build_presentation(built.algebra, built.group, built.action,
                            length_bound=bound)
+
+
+def test_presentation_at_scale_stays_small():
+    """A scale guard: the skew algebra of cover3_20 has dimension 1,260,
+    and building its presentation once held 66 MiB in dense action
+    matrices and full-table products."""
+    b = build_input(parse_input(generated_text("cover3_20")), length_bound=40)
+    tracemalloc.start()
+    try:
+        pres = build_presentation(b.algebra, b.group, b.action, length_bound=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    old = two_pass_presentation(pres)
+    assert pres.relation_gens == old.relation_gens
+    assert pres.basic_dim == old.basic_dim == 210
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_bound_below_one_refused_up_front(fig5, bound):
+    with pytest.raises(ValueError, match=f"length bound {bound} is below 1"):
+        BoundAlgebra(fig5.algebra.F, fig5.quiver, fig5.algebra.relations, bound)
+    ctx = SkewContext(fig5.algebra, fig5.group, fig5.action)
+    with pytest.raises(ValueError, match=f"length bound {bound} is below 1"):
+        SkewPresentation(ctx, length_bound=bound)
 
 
 @pytest.mark.parametrize("name,bound", [("fig5.skw", 3), ("kronecker_z3.skw", 2)])

@@ -1,16 +1,19 @@
 import json
 
 import numpy as np
+import pytest
 
 from skewcover.field import PrimeField
 from skewcover.quiver import (BoundAlgebra, PathWord, Quiver, RelationElement,
                               make_path)
 from skewcover.action import AbelianGroup, QuiverAction
-from skewcover.skew import QGVertex, SkewAlgebra, build_presentation
+from skewcover.skew import (QGVertex, SkewAlgebra, SkewPresentation,
+                            build_presentation)
 from skewcover.inputfmt import build_input, parse_input, serialize_presentation
 from skewcover.isosearch import find_algebra_isomorphism, roots_of_unity
 
-from conftest import golden_text
+from conftest import golden_text, load_built
+from oracle_dense import loop_check_idempotents
 
 F = PrimeField(1009)
 
@@ -298,3 +301,71 @@ def test_kronecker_arrow_pattern(kron_pres):
     assert al_arrows == [("1_r0", "2_r0"), ("1_r1", "2_r1"), ("1_r2", "2_r2")]
     assert be_arrows == [("1_r0", "2_r2"), ("1_r1", "2_r0"), ("1_r2", "2_r1")]
     assert kron_pres.relation_gens == []
+
+
+@pytest.mark.parametrize("name", ["fig1.skw", "fig5.skw", "kronecker_z3.skw"])
+@pytest.mark.parametrize("kind", ["square", "both-orders", "second-order-only"])
+def test_idempotent_check_reports_the_loops_first_failure(name, kind):
+    built = load_built(name)
+    pres = build_presentation(built.algebra, built.group, built.action)
+    ctx = pres.context
+    es, vs = ctx.idempotents, ctx.vertices
+    if kind == "square":
+        # (2e)^2 = 4e, at two vertices: the earlier one is reported
+        for v in (vs[len(vs) // 2], vs[-1]):
+            es[v] = F.smul(2, es[v])
+    elif kind == "both-orders":
+        # with l the last vertex, e_1 + e_l and e_{l-1} + e_l stay
+        # idempotent but meet e_l and each other on both sides: three
+        # pairs fail, (1, l-1) first
+        for v in (vs[1], vs[-2]):
+            es[v] = F.add(es[v], es[vs[-1]])
+    else:
+        # x realizes an arrow s -> t with s two or more places before t:
+        # e_s + x stays idempotent, (e_s + x) e_t = 0 and e_t (e_s + x) = x.
+        # e_k + e_j with s < k < t and s < j fails in both orders, so the
+        # least failing product e_k e_j precedes e_t e_s, yet the pair
+        # (s, t) is the loop's first
+        ar = next(a for a in pres.arrows
+                  if ctx.vqindex[a.target] - ctx.vqindex[a.source] >= 2)
+        s, t = ctx.vqindex[ar.source], ctx.vqindex[ar.target]
+        k = s + 1
+        j = next(u for u in range(s + 1, len(vs)) if u not in (k, t))
+        es[vs[s]] = F.add(es[vs[s]], pres.elements[ar.name])
+        es[vs[k]] = F.add(es[vs[k]], es[vs[j]])
+    with pytest.raises(AssertionError) as old:
+        loop_check_idempotents(ctx)
+    with pytest.raises(AssertionError) as new:
+        ctx._check_idempotents()
+    assert str(new.value) == str(old.value)
+    assert ("e^2 = e" in str(old.value)) == (kind == "square")
+    if kind == "second-order-only":
+        assert str(old.value) == f"idempotents at {vs[s]}, {vs[t]} not orthogonal"
+
+
+def test_dual_action_without_arrows():
+    built = build_input(parse_input(
+        "field p = 1009\nvertex a\nvertex b\ngroup Z2\n"
+        "action g1: vertex a -> b\naction g1: vertex b -> a\n"))
+    pres = build_presentation(built.algebra, built.group, built.action)
+    _, dact = pres.dual_group_action()
+    assert pres.arrows == [] and dact.gen_amap == [{}]
+
+
+def test_unsupported_realizing_element_is_refused(fig5, monkeypatch):
+    # adding e_s to the second element x: e_t (x + e_s) e_s = x
+    realize, bent = SkewPresentation._realize, []
+
+    def bend(self, i0, j0, case, a, rho, sigma, counter):
+        arrow, elem = realize(self, i0, j0, case, a, rho, sigma, counter)
+        if counter == 1:
+            bent.append(arrow)
+            elem = (elem + self.context.idempotents[arrow.source]) % F.p
+        return arrow, elem
+
+    monkeypatch.setattr(SkewPresentation, "_realize", bend)
+    with pytest.raises(AssertionError) as err:
+        build_presentation(fig5.algebra, fig5.group, fig5.action)
+    ar, = bent
+    assert str(err.value) == (f"realizing element not supported at "
+                              f"({ar.source}, {ar.target}), case {ar.case}")
