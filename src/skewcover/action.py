@@ -138,10 +138,9 @@ class QuiverAction:
 
     Per generator: a vertex permutation (dict on vertex indices, identity
     where omitted) and an arrow map arrow index -> (scalar, arrow index).
-    `__init__` extends the generator data to every group element through
-    `_build_elements` and checks only that the vertex maps are bijections:
-    pass the action to `validate_action` before trusting orbits,
-    characters or `entries`.
+    `__init__` extends the generator data to every group element; pass the
+    action to `validate_action` before trusting orbits, characters or
+    `entries`.
     """
 
     def __init__(self, algebra: BoundAlgebra, group: AbelianGroup,
@@ -215,10 +214,9 @@ class QuiverAction:
 
     @cached_property
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every group element's automorphism of the normal-form basis, built
-        on first use as COO arrays (g, row, col, value), g indexing
-        `group.elements`: g(b_col) has coefficient `value` at b_row, and
-        entries at one position add up."""
+        """Every group element's automorphism of the normal-form basis as COO
+        arrays (g, row, col, value), built on first use: g(b_col) has
+        coefficient `value` at b_row, with g indexing `group.elements`."""
         A, p = self.algebra, self.F.p
         terms = []
         for gi, g in enumerate(self.group.elements):
@@ -240,7 +238,7 @@ class QuiverAction:
         gs, rows, cols, vals = self.entries
         sel = gs == self.group.eindex[g]
         out = np.zeros(self.algebra.dim, dtype=np.int64)
-        np.add.at(out, rows[sel], vals[sel] * (x[cols[sel]] % self.F.p))
+        np.add.at(out, rows[sel], vals[sel] * (x[cols[sel]] % self.F.p) % self.F.p)
         return out % self.F.p
 
     # -- orbit data ---------------------------------------------------------
@@ -372,9 +370,8 @@ def _first_non_multiplicative(algebra: BoundAlgebra, group: AbelianGroup,
     g(b_k1 b_k2) != g(b_k1) g(b_k2); None if every g is multiplicative.
 
     With T[k1, k2, :] the product b_k1 b_k2, both sides are sparse tensors
-    over (g, k1, k2, m): M_g T and T(M_g (x) M_g), for all g at once.
-    Their difference is built term by term, and its least nonzero key
-    names the witness.
+    over (g, k1, k2, m), all g at once: M_g T and T(M_g (x) M_g).  Their
+    difference is built term by term; its least nonzero key is the witness.
     """
     F, T, n = algebra.F, algebra.structure, algebra.dim
     gs, rows, cols, vals = action.entries

@@ -440,12 +440,19 @@ class StructureConstants:
 
     def mult_entries(self, x: np.ndarray, left: bool):
         """The matrix of y -> x*y (left) or y -> y*x as sparse terms
-        (rows, cols, values); terms at one position add up."""
+        (rows, cols, values), rows ascending; terms at one position add up.
+        A stack of elements x gives (owner, rows, cols, values), by owner."""
         p = self.F.p
         fixed, free = (self.I, self.J) if left else (self.J, self.I)
-        coef = (x % p)[fixed]
-        nz = np.flatnonzero(coef)
-        return self.K[nz], free[nz], coef[nz] * self.C[nz] % p
+        if np.ndim(x) == 1:
+            coef = (x % p)[fixed]
+            nz = np.flatnonzero(coef)
+            return self.K[nz], free[nz], coef[nz] * self.C[nz] % p
+        owner, idx = np.nonzero(x % p)
+        e, f = match_pairs(fixed, idx)
+        order = np.argsort(owner[f], kind="stable")
+        e, f = e[order], f[order]
+        return owner[f], self.K[e], free[e], self.C[e] * (x[owner[f], idx[f]] % p) % p
 
     def _dense(self, rows, cols, vals) -> np.ndarray:
         p, n = self.F.p, self.dim

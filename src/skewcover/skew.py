@@ -143,12 +143,10 @@ class SkewContext:
 
     def _check_idempotents(self):
         S, F, p = self.skew, self.F, self.F.p
-        n, m = S.dim, len(self.idempotents)
-        names = list(self.idempotents)
+        names, n, m = list(self.idempotents), S.dim, len(self.idempotents)
         E = np.stack(list(self.idempotents.values())) % p
-        # e_a e_b - delta_ab e_a over (a, b, k): the terms of b -> e_a b at
-        # the support of each e_b
-        a, rows, cols, vals = _mult_terms(S.structure, E, left=True)
+        # e_a e_b - delta_ab e_b over (a, b, k), from the terms of y -> e_a y
+        a, rows, cols, vals = S.structure.mult_entries(E, left=True)
         b, idx = np.nonzero(E)
         e, f = match_pairs(cols, idx)
         keys, _ = coalesce(F, np.concatenate([
@@ -202,32 +200,19 @@ class SkewContext:
                 if q.arrows[a].target == j0 and q.arrows[a].source in rset]
 
     def basic_dim(self) -> int:
-        """dim e(Lambda G)e.  The e_x are orthogonal with sum e-bar, so this
-        is the sum over (x, y) of the ranks of b -> e_x b e_y, each map
-        L_{e_x} R_{e_y} composed term by term.  The map is idempotent, so
-        its rank is its trace mod p: exact for a block with fewer than p
-        nonzero rows, which is ranked outright otherwise."""
+        """dim e(Lambda G)e: rank of x -> e x e on the skew algebra, the
+        product L_e R_e of the two multiplication maps composed term by
+        term from the sparse table, ranked on its nonzero rows and columns."""
         T, F, n = self.skew.structure, self.F, self.skew.dim
-        m = len(self.idempotents)
-        E = np.stack(list(self.idempotents.values())) % F.p
-        x, lrow, lcol, lval = _mult_terms(T, E, left=True)
-        y, rrow, rcol, rval = _mult_terms(T, E, left=False)
+        lrow, lcol, lval = T.mult_entries(self.e_bar, left=True)
+        rrow, rcol, rval = T.mult_entries(self.e_bar, left=False)
         e, f = match_pairs(lcol, rrow)
-        keys, vals = coalesce(F, ((x[e] * m + y[f]) * n + lrow[e]) * n + rcol[f],
-                              lval[e] * rval[f])
-        block, row, col = keys // (n * n), keys // n % n, keys % n
-        traces = np.zeros(m * m, dtype=np.int64)
-        np.add.at(traces, block[row == col], vals[row == col])
-        # keys are sorted: a block's distinct rows start where keys // n changes
-        nrows = np.bincount(block[np.diff(keys // n, prepend=-1) != 0], minlength=m * m)
-        total = int(np.sum(traces[nrows < F.p] % F.p))
-        for b in np.flatnonzero(nrows >= F.p):
-            rows, ri = np.unique(row[block == b], return_inverse=True)
-            cols, ci = np.unique(col[block == b], return_inverse=True)
-            M = F.zeros(rows.size, cols.size)
-            M[ri, ci] = vals[block == b]
-            total += rank(F, M)
-        return total
+        keys, vals = coalesce(F, lrow[e] * n + rcol[f], lval[e] * rval[f])
+        rows, ri = np.unique(keys // n, return_inverse=True)
+        cols, ci = np.unique(keys % n, return_inverse=True)
+        M = F.zeros(rows.size, cols.size)
+        M[ri, ci] = vals
+        return rank(F, M)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +271,9 @@ class SkewPresentation:
         ctx = self.context
         chars, F = ctx.chars, ctx.F
         od = ctx.orbit_data
-        q = ctx.algebra.quiver
-        # (orbit representative of the source, target) of every arrow
-        linked = {(ctx.rep_of_vertex(ar.source), ar.target) for ar in q.arrows}
         counter = 0
         for i0 in od.representatives:
             for j0 in od.representatives:
-                if (i0, j0) not in linked:
-                    continue
                 stab_i = ctx.action.vertex_stabilizer(i0)
                 stab_j = ctx.action.vertex_stabilizer(j0)
                 joint = sorted(set(stab_i) & set(stab_j))
@@ -314,15 +294,14 @@ class SkewPresentation:
                             self.arrows.append(arrow)
                             self.elements[arrow.name] = elem
                             counter += 1
-        # every realizing element x of an arrow s -> t has e_t x e_s = x;
-        # the left-multiplication terms of the x serve the relation walk too
+        # e_t x e_s = x for every realizing element x of an arrow s -> t
         T, n = ctx.skew.structure, ctx.skew.dim
         X = np.array([self.elements[ar.name] for ar in self.arrows]).reshape(-1, n)
         E = np.stack([ctx.idempotents[v] for v in ctx.vertices])
         ends = np.array([[ctx.vqindex[ar.source], ctx.vqindex[ar.target]]
                          for ar in self.arrows], dtype=np.int64).reshape(-1, 2)
-        self._left_terms = _mult_terms(T, X, left=True)
-        trunc = _apply_terms(_mult_terms(T, E, left=True), ends[:, 1], _apply_terms(
+        self._left_terms = T.mult_entries(X, left=True)
+        trunc = _apply_terms(T.mult_entries(E, left=True), ends[:, 1], _apply_terms(
             self._left_terms, np.arange(len(X)), E[ends[:, 0]], F.p), F.p)
         bad = np.flatnonzero(~X.any(axis=1) | (trunc != X).any(axis=1))
         if bad.size:
@@ -335,6 +314,10 @@ class SkewPresentation:
         q = ctx.algebra.quiver
         src = q.arrows[a].source
         return min(g for g in ctx.group.elements if ctx.action.vertex(g, i0) == src)
+
+    def _arrow_vec(self, a: int) -> np.ndarray:
+        A = self.context.algebra
+        return A.unit_vector(A.basis[A.bindex[make_path(A.quiver, (a,))]])
 
     def _realize(self, i0, j0, case, a, rho, sigma, counter):
         ctx = self.context
@@ -377,11 +360,9 @@ class SkewPresentation:
         degree walk as the kernel of K Q_G -> e(Lambda G)e.
 
         At degree d each path evaluates to (arrow element)(value of its
-        prefix): the left-multiplication terms of every path's first arrow,
-        rows sorted, are laid end to end and applied to the prefix values
-        with one gather and one reduceat.  The new relations are the kernel
-        vectors outside the span of the ideal the lower degrees generate,
-        kept in nullspace order.
+        prefix), for all paths in one batched product.  The new relations are
+        the kernel vectors outside the span of the ideal the lower degrees
+        generate, kept in nullspace order.
         """
         ctx = self.context
         F = self.F
@@ -431,8 +412,7 @@ class SkewPresentation:
         ctx = self.context
         S = ctx.skew
         case, rep_arrow, twist = self.orbit_arrow_data[a]
-        A = ctx.algebra
-        elem = S.group_element(A.unit_vector(make_path(A.quiver, (rep_arrow,))),
+        elem = S.group_element(self._arrow_vec(rep_arrow),
                                twist if case == 1 else ctx.group.identity())
         return S.multiply(ctx.e_bar, S.multiply(elem, ctx.e_bar))
 
@@ -469,9 +449,7 @@ class SkewPresentation:
         X = np.array([self.elements[ar.name] for ar in self.arrows]).reshape(
             -1, ctx.skew.dim) % F.p
         rows, lead = normalized(X)
-        first = {}
-        for aj, row in enumerate(rows):
-            first.setdefault(row.tobytes(), aj)
+        first = {row.tobytes(): aj for aj, row in reversed(list(enumerate(rows)))}
         vperm_list, amap_list = [], []
         for gen in dual.generators():
             chi = Character(gen)
@@ -500,21 +478,9 @@ class SkewPresentation:
         return self._dual_cache
 
 
-def _mult_terms(T: StructureConstants, X: np.ndarray, left: bool):
-    """The terms of y -> x y (left) or y -> y x for every row x of X, as
-    arrays (owner, row, col, value) sorted by owner and then by row: the
-    table entries whose I (left) or J lies in the support of x."""
-    fixed, free = (T.I, T.J) if left else (T.J, T.I)
-    owner, idx = np.nonzero(X)
-    e, f = match_pairs(fixed, idx)
-    order = np.argsort(owner[f], kind="stable")
-    e, f = e[order], f[order]
-    return owner[f], T.K[e], free[e], T.C[e] * (X[owner[f], idx[f]] % T.F.p) % T.F.p
-
-
 def _apply_terms(terms, which: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
-    """Row i is x_{which[i]} Y[i] for the left terms of `_mult_terms` and
-    reduced rows Y: one gather and one reduceat for all rows."""
+    """Row i is x_{which[i]} Y[i], given the left `mult_entries` of a stack
+    of x and reduced rows Y: one gather and one reduceat for all rows."""
     owner, rows, cols, vals = terms
     i, t = match_pairs(which, owner)
     keys = i * Y.shape[1] + rows[t]

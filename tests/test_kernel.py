@@ -100,8 +100,8 @@ def test_basic_dim_matches_loop(name):
 
 def test_basic_dim_with_a_block_of_rank_p():
     """Z2 acting trivially on the 3-Kronecker quiver over F_3: the block
-    e_(1, rho) (Lambda G) e_(2, rho) has rank 3, which its trace (0 mod 3)
-    does not give, so it must be ranked outright."""
+    e_(1, rho) (Lambda G) e_(2, rho) has rank p = 3, so a count mod p,
+    such as the trace of the idempotent map onto it, would read 0."""
     b = build_input(parse_input(
         "field p = 3\nvertex 1\nvertex 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n"
         "arrow c: 1 -> 2\ngroup Z2\n"))
