@@ -1,21 +1,36 @@
 """Exact linear algebra over prime fields F_p.
 
-Matrices are numpy int64 arrays with entries reduced to [0, p).  All pivoting
-is deterministic (first nonzero entry scanning rows top to bottom), so every
-basis produced here is reproducible across runs.  Primes are kept below
-2^26, so a product of two entries times an inner dimension up to 2048 stays
-below 2^63; `PrimeField.mul` reduces after each slice of 2048 beyond that.
+Matrices are numpy int64 arrays with entries reduced to [0, p).  Every
+elimination result is the unique reduced row echelon form or is read off
+it, so every basis produced here is reproducible across runs.  Primes are
+kept below 2^26, so a product of two entries times an inner dimension up
+to 2048 stays below 2^63; `PrimeField.mul` reduces after each slice of
+2048 beyond that.
 
 Every elimination (`rref`, `rank`, `row_space`, `solve_linear`,
-`nullspace_basis`, `inverse`, `in_row_space`) runs one Gauss-Jordan kernel
-with two paths chosen by size.  A matrix of at most 64 entries, the bulk of
-the traffic, is eliminated on Python int lists: one `tolist()` in, one
-array out, and no array at all for `rank` and `in_row_space`.  A larger one
-stays an int64 array; each pivot updates only the columns from the pivot
-on, and only the rows with a nonzero in the pivot column unless those are
-most of the rows.  Both stay exact in int64: every update term is a product
-of two reduced entries, below p^2 < 2^52, and is reduced at once.  The
-reduced row echelon form is unique, so both paths return the same matrix.
+`nullspace_basis`, `sparse_nullspace_basis`, `inverse`, `in_row_space`)
+runs one Gauss-Jordan kernel with three paths, chosen from the shape and
+the nonzero count of its input, an array or sparse rows:
+
+* at most 64 entries, the bulk of the traffic: Python int lists, one
+  `tolist()` in and no array at all for `rank`, `in_row_space` and a
+  nullspace.  Below this size the fixed cost of each numpy call outweighs
+  the work, and dict rows cost two to three times as much as lists.
+* fewer nonzeros than 0.35 of cols * min(rows, cols): rows as
+  {col: value} dicts with a column -> rows occupancy index, so a pivot
+  touches only the rows with a nonzero in its column, and in each only
+  the pivot row's nonzeros.  Commuting-square (Hom) systems are mostly of
+  this kind.  This path's work goes with the nonzeros, the array path's
+  with the pivots, at most min(rows, cols), times whole rows; so a tall
+  matrix must be sparser to gain, and on tall low-rank matrices such as
+  minimal-polynomial systems the array path is several times faster.
+* everything else: an int64 array; each pivot updates the columns from
+  the pivot on, of only the rows with a nonzero in the pivot column
+  unless those are most of the rows.
+
+All stay exact: every update term is a product of two reduced entries,
+below p^2 < 2^52, and is reduced at once.  As the reduced form is unique,
+the three paths return the same matrix whatever rows they pivot on.
 
 Also provides the algebra-level primitives consumed by the module-category
 code: sparse tensors over F_p, structure-constant algebras stored by their
@@ -131,7 +146,10 @@ class PrimeField:
             return (a @ b) % p
         out = 0
         for s in range(0, k, _MUL_SLICE):
-            out = (out + a[..., s:s + _MUL_SLICE] @ b[s:s + _MUL_SLICE]) % p
+            # b contracts along its axis -2, or its only axis for a vector
+            cut = slice(s, s + _MUL_SLICE)
+            bs = b[cut] if b.ndim == 1 else b[..., cut, :]
+            out = (out + a[..., cut] @ bs) % p
         return out
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -165,6 +183,12 @@ def _prime_divisors(n: int):
 # Matrices with at most this many entries are eliminated on Python int
 # lists: below it the fixed cost of each numpy call outweighs the work.
 _LIST_CELLS = 64
+# A larger matrix is eliminated on sparse rows when it has fewer nonzeros
+# than this share of cols * min(rows, cols).  On the matrices of one pass
+# of each benchmark workload this choice came within 5% of the faster path
+# for every matrix.  Cuts up to 0.5 did as well; lower cuts, and a cut on
+# the nonzero share of rows * cols alone, did worse.
+_SPARSE_SHARE = 0.35
 
 
 def _eliminate_rows(p: int, rows: list, ncols: int):
@@ -193,6 +217,56 @@ def _eliminate_rows(p: int, rows: list, ncols: int):
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def _eliminate_sparse(p: int, rows: list):
+    """Gauss-Jordan elimination of reduced {col: value} rows without zero
+    values, in place.  Returns the rows, pivot rows first in pivot order
+    and then the rest, which end empty, and the pivot columns.
+
+    `occ[c]` holds the rows with a nonzero in column c.  Row operations
+    never make a zero column nonzero, and the rows not yet used as pivots
+    are zero left of the current column, so the columns are those of
+    `occ` in ascending order.  Any unused row with a nonzero there may be
+    the pivot, as the reduced form is unique; the shortest is taken.
+    """
+    occ: dict[int, set] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            occ.setdefault(c, set()).add(i)
+    used = [False] * len(rows)
+    order, pivots = [], []
+    for c in sorted(occ):
+        hit = occ[c]
+        i = best = -1
+        for j in hit:
+            if not used[j] and (best < 0 or len(rows[j]) < best):
+                i, best = j, len(rows[j])
+        if i < 0:
+            continue
+        prow = rows[i]
+        inv = pow(prow[c], -1, p)
+        if inv != 1:
+            for k in prow:
+                prow[k] = prow[k] * inv % p
+        terms = [(k, v, occ[k]) for k, v in prow.items()]
+        for j in [j for j in hit if j != i]:
+            row = rows[j]
+            f, get = row[c], row.get
+            for k, v, rows_at_k in terms:
+                # f * v is nonzero mod p, so a zero sum was an entry of row
+                x = (get(k, 0) - f * v) % p
+                if x:
+                    row[k] = x
+                    rows_at_k.add(j)
+                else:
+                    del row[k]
+                    rows_at_k.discard(j)
+        used[i] = True
+        order.append(i)
+        pivots.append(c)
+    order += [i for i in range(len(rows)) if not used[i]]
+    return [rows[i] for i in order], pivots
 
 
 def _eliminate_array(p: int, R: np.ndarray):
@@ -232,21 +306,55 @@ def _eliminate_array(p: int, R: np.ndarray):
     return R, pivots
 
 
+def _sparse_pays(shape, nnz: int) -> bool:
+    return nnz < _SPARSE_SHARE * shape[1] * min(shape)
+
+
 def _eliminate(p: int, A: np.ndarray):
-    """(R, pivot columns) of the reduced row echelon form of A mod p; R is a
-    list of int lists for small A and an int64 array otherwise.  A is never
-    written."""
+    """(R, pivot columns) of the reduced row echelon form of A mod p.  R is
+    a list of int lists (at most _LIST_CELLS entries), a list of
+    {col: value} dicts (sparse A) or an int64 array.  A is never written."""
     if A.size <= _LIST_CELLS:
         return _eliminate_rows(p, (A % p).tolist(), A.shape[1])
-    return _eliminate_array(p, A % p)
+    A = A % p
+    keys = np.flatnonzero(A)
+    if not _sparse_pays(A.shape, keys.size):
+        return _eliminate_array(p, A)
+    rows = [{} for _ in range(A.shape[0])]
+    at, col = np.divmod(keys, A.shape[1])
+    for i, c, v in zip(at.tolist(), col.tolist(), A.reshape(-1)[keys].tolist()):
+        rows[i][c] = v
+    return _eliminate_sparse(p, rows)
+
+
+def _eliminate_dict_rows(p: int, rows: list, ncols: int):
+    """`_eliminate` of the matrix with reduced {col: value} rows without
+    zero values, which it may overwrite, by the same choice of path."""
+    shape = (len(rows), ncols)
+    if shape[0] * ncols <= _LIST_CELLS:
+        return _eliminate_rows(
+            p, [[row.get(c, 0) for c in range(ncols)] for row in rows], ncols)
+    if _sparse_pays(shape, sum(map(len, rows))):
+        return _eliminate_sparse(p, rows)
+    return _eliminate_array(p, _as_array(rows, shape))
+
+
+def _as_array(R, shape) -> np.ndarray:
+    """The matrix R, an array, int lists or {col: value} rows, as an array."""
+    if isinstance(R, np.ndarray):
+        return R
+    if not (R and isinstance(R[0], dict)):
+        return np.array(R, dtype=np.int64).reshape(shape)
+    out = np.zeros(shape[0] * shape[1], dtype=np.int64)
+    out[[i * shape[1] + c for i, row in enumerate(R) for c in row]] = \
+        [v for row in R for v in row.values()]
+    return out.reshape(shape)
 
 
 def rref(F: PrimeField, A: np.ndarray):
     """Reduced row echelon form.  Returns (R, pivot column list)."""
     R, pivots = _eliminate(F.p, A)
-    if isinstance(R, list):
-        R = np.array(R, dtype=np.int64).reshape(A.shape)
-    return R, pivots
+    return _as_array(R, A.shape), pivots
 
 
 def rank(F: PrimeField, A: np.ndarray) -> int:
@@ -263,16 +371,29 @@ def row_space(F: PrimeField, A: np.ndarray) -> np.ndarray:
     return R[: len(piv)]
 
 
-def _complement(F: PrimeField, R: np.ndarray, piv: list, n: int) -> np.ndarray:
+def _complement(p: int, R, piv: list, n: int) -> np.ndarray:
     """Q with Q[:, free] = I and Q[:, piv] = -R[:, free]^T for the reduced
-    echelon rows R with pivot columns piv; Q R^T = 0."""
+    echelon rows R with pivot columns piv, R as `_eliminate` returns it;
+    Q R^T = 0.  List and dict rows are read entry by entry into one
+    assignment."""
     pivset = set(piv)
     free = [c for c in range(n) if c not in pivset]
-    Q = np.zeros((len(free), n), dtype=np.int64)
-    Q[range(len(free)), free] = 1
-    if piv:
-        Q[:, piv] = -R[: len(piv)][:, free].T % F.p
-    return Q
+    if isinstance(R, np.ndarray):
+        Q = np.zeros((len(free), n), dtype=np.int64)
+        Q[range(len(free)), free] = 1
+        if piv:
+            Q[:, piv] = -R[: len(piv)][:, free].T % p
+        return Q
+    slot = {c: t for t, c in enumerate(free)}
+    at, vals = [t * n + c for t, c in enumerate(free)], [1] * len(free)
+    for pc, row in zip(piv, R):
+        for c, v in (row.items() if isinstance(row, dict) else enumerate(row)):
+            if v and c in slot:
+                at.append(slot[c] * n + pc)
+                vals.append(p - v)
+    Q = np.zeros(len(free) * n, dtype=np.int64)
+    Q[at] = vals
+    return Q.reshape(len(free), n)
 
 
 def quotient_map(F: PrimeField, rows: np.ndarray, n: int) -> np.ndarray:
@@ -285,7 +406,7 @@ def quotient_map(F: PrimeField, rows: np.ndarray, n: int) -> np.ndarray:
     vector.
     """
     piv = [int(c) for c in np.argmax(rows != 0, axis=1)] if rows.size else []
-    return _complement(F, rows, piv, n)
+    return _complement(F.p, rows, piv, n)
 
 
 def solve_linear(F: PrimeField, A: np.ndarray, B: np.ndarray):
@@ -318,8 +439,14 @@ def nullspace_basis(F: PrimeField, A: np.ndarray) -> np.ndarray:
         return F.zeros(0, 0)
     if rows == 0:
         return F.eye(cols)
-    R, piv = rref(F, A)
-    return _complement(F, R, piv, cols)
+    return _complement(F.p, *_eliminate(F.p, A), cols)
+
+
+def sparse_nullspace_basis(F: PrimeField, rows: list, ncols: int) -> np.ndarray:
+    """`nullspace_basis` of the matrix with the given reduced
+    {col: value} rows without zero values, which it may overwrite.  On the
+    sparse path the matrix is never built densely."""
+    return _complement(F.p, *_eliminate_dict_rows(F.p, rows, ncols), ncols)
 
 
 def inverse(F: PrimeField, A: np.ndarray):
@@ -481,17 +608,12 @@ class StructureConstants:
                 and np.array_equal(self.right_mult_matrix(self.one), eye))
 
 
-def _unit(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n, dtype=np.int64)
-    v[i] = 1
-    return v
-
-
 def algebra_radical(A: StructureConstants) -> np.ndarray:
     """Echelon basis (rows) of the Jacobson radical of A.
 
     Computed as the kernel of the trace form (x, y) -> tr(L_x L_y), which
-    equals the radical whenever char(F) > dim(A).
+    equals the radical whenever char(F) > dim(A).  The Gram matrix is one
+    product: tr(L_i L_j) is the sum of L_i[a, b] L_j[b, a] over a, b.
     """
     F = A.F
     if F.p <= A.dim:
@@ -499,13 +621,11 @@ def algebra_radical(A: StructureConstants) -> np.ndarray:
             f"field F_{F.p} too small for trace-form radical of a {A.dim}-dim algebra"
         )
     n = A.dim
-    lefts = [A.left_mult_matrix(_unit(n, i)) for i in range(n)]
-    gram = F.zeros(n, n)
-    for i in range(n):
-        for j in range(i, n):
-            t = int(np.trace(F.mul(lefts[i], lefts[j])) % F.p)
-            gram[i, j] = t
-            gram[j, i] = t
+    lefts = np.zeros((n, n, n), dtype=np.int64)  # lefts[i] = L_{b_i}
+    np.add.at(lefts, (A.I, A.K, A.J), A.C)
+    lefts %= F.p
+    gram = F.mul(lefts.reshape(n, n * n),
+                 lefts.transpose(0, 2, 1).reshape(n, n * n).T)
     return nullspace_basis(F, gram)
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from .field import (factor_poly, in_row_space, minimal_polynomial,
                     nullspace_basis, poly_divmod, poly_gcd_ext, poly_mul,
                     poly_eval_matrix, power, algebra_radical, quotient_map, rank,
-                    rref, row_space, solve_linear, StructureConstants, inverse)
+                    rref, row_space, solve_linear, sparse_nullspace_basis,
+                    StructureConstants, inverse)
 from .quiver import BoundAlgebra, PathWord, path_source, path_target
 from .action import QuiverAction
 
@@ -255,48 +256,59 @@ def hom_basis(M: Representation, N: Representation) -> HomSpace:
 
 
 def _solve_hom(M: Representation, N: Representation) -> list[list[np.ndarray]]:
-    """The hom basis as per-vertex block lists, each checked to commute."""
-    F, q = M.F, M.algebra.quiver
-    nunk = sum(dm * dn for dm, dn in zip(M.dims, N.dims))
+    """The hom basis as per-vertex block lists, all checked to commute.
+
+    The system has one row per entry (i, j) of each commuting square
+    f_t M(a) - N(a) f_s = 0 of an arrow a: s -> t, built as sparse
+    {unknown: coefficient} rows from the nonzeros of M(a) and N(a).  Its
+    nullspace basis is cut into per-vertex stacks of blocks of one array,
+    so the squares are checked by one stacked product per arrow."""
+    F, q, p = M.F, M.algebra.quiver, M.F.p
+    sizes = [dm * dn for dm, dn in zip(M.dims, N.dims)]
+    nunk = sum(sizes)
     if nunk == 0:
         return []
-    offsets = []
-    off = 0
-    for dm, dn in zip(M.dims, N.dims):
-        offsets.append(off)
-        off += dm * dn
-    rows = []
+    offsets = [0]
+    for size in sizes:
+        offsets.append(offsets[-1] + size)
+    rows: list[dict] = []
     for a, arr in enumerate(q.arrows):
         s, t = arr.source, arr.target
-        ds_m, dt_m = M.dims[s], M.dims[t]
-        ds_n, dt_n = N.dims[s], N.dims[t]
-        # constraint: f_t M(a) - N(a) f_s = 0, entries (i, j) i<dt_n, j<ds_m
-        nrows = dt_n * ds_m
-        if nrows == 0:
-            continue
-        block = F.zeros(nrows, nunk)
-        Ma, Na = M.maps[a], N.maps[a]
-        for i in range(dt_n):
-            for j in range(ds_m):
-                r = i * ds_m + j
-                # f_t entries: f_t[i, k] * M(a)[k, j]
-                for k in range(dt_m):
-                    block[r, offsets[t] + i * dt_m + k] = (
-                        block[r, offsets[t] + i * dt_m + k] + Ma[k, j]) % F.p
-                # -N(a)[i, k] * f_s[k, j]
-                for k in range(ds_n):
-                    block[r, offsets[s] + k * ds_m + j] = (
-                        block[r, offsets[s] + k * ds_m + j] - Na[i, k]) % F.p
-        rows.append(block)
-    A = np.concatenate(rows, axis=0) if rows else F.zeros(0, nunk)
-    basis_vecs = nullspace_basis(F, A)
-    basis = []
-    for i in range(basis_vecs.shape[0]):
-        f = morphism_from_vector(M, N, basis_vecs[i])
-        if not f.is_valid():
+        ds_m, dt_m, dt_n = M.dims[s], M.dims[t], N.dims[t]
+        base = len(rows)
+        rows.extend({} for _ in range(dt_n * ds_m))
+        # f_t[i, k] M(a)[k, j] at row (i, j), for every i
+        for k, line in enumerate(M.maps[a].tolist()):
+            for j, v in enumerate(line):
+                if v:
+                    for i in range(dt_n):
+                        rows[base + i * ds_m + j][offsets[t] + i * dt_m + k] = v
+        # -N(a)[i, k] f_s[k, j] at row (i, j), for every j; on a loop
+        # (s = t) it can meet an f_t term
+        for i, line in enumerate(N.maps[a].tolist()):
+            for k, v in enumerate(line):
+                if v:
+                    for j in range(ds_m):
+                        row = rows[base + i * ds_m + j]
+                        c = offsets[s] + k * ds_m + j
+                        x = (row.get(c, 0) - v) % p
+                        if x:
+                            row[c] = x
+                        else:
+                            del row[c]
+    basis = _frozen(sparse_nullspace_basis(F, rows, nunk))
+    n = basis.shape[0]
+    if n == 0:
+        return []
+    blocks = [basis[:, offsets[v]:offsets[v + 1]].reshape(n, dn, dm)
+              for v, (dm, dn) in enumerate(zip(M.dims, N.dims))]
+    for a, arr in enumerate(q.arrows):
+        # a square with no entries (N at t or M at s is zero) always commutes
+        if N.dims[arr.target] and M.dims[arr.source] and np.any(
+                F.mul(blocks[arr.target], M.maps[a])
+                != F.mul(N.maps[a], blocks[arr.source])):
             raise AssertionError("hom basis element fails commuting squares")
-        basis.append([_frozen(b) for b in f.blocks])
-    return basis
+    return [[b[e] for b in blocks] for e in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +357,12 @@ def _end_structure(M: Representation, H: HomSpace) -> StructureConstants:
     """Structure constants of End(M) over the basis H: all n^2 products
     b_i after b_j solved for in one elimination."""
     F, n = M.F, H.dimension
+    if n == 1:
+        # a brick: End(M) = F_p, and the one basis element is the identity
+        if not all(np.array_equal(b, F.eye(d))
+                   for b, d in zip(H.basis[0].blocks, M.dims)):
+            raise AssertionError("identity not in End(M) span")
+        return StructureConstants.from_coo(F, 1, [0], [0], [0], [1], [1])
     vecs = np.stack([f.to_vector() for f in H.basis], axis=0)
     parts = []
     for v, d in enumerate(M.dims):
@@ -364,8 +382,14 @@ def end_radical(M: Representation) -> np.ndarray:
     """Echelon basis (rows) of rad End(M), in coordinates over the basis of
     end_algebra(M); memoized with it."""
     E, _ = end_algebra(M)
+    if E.dim == 1:
+        return _BRICK_RADICAL
     return module_table(M.algebra).lookup(
         "rad", (M,), lambda: _frozen(algebra_radical(E)))
+
+
+# rad F_p = 0, the End radical of every brick
+_BRICK_RADICAL = _frozen(np.zeros((0, 1), dtype=np.int64))
 
 
 def is_indecomposable(M: Representation) -> bool:

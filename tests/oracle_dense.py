@@ -25,6 +25,17 @@ of the skew algebra or of Z.  They are
 kept verbatim too, apart from taking the context or presentation as an
 argument; their `rank` and `solve_linear` are the dense ones below.
 
+`solve_hom` is `rep._solve_hom` as it was before the commuting-square
+system was built as sparse rows: dense blocks written one entry at a time,
+a dense nullspace, and each basis element checked by `is_valid`.  It is
+kept verbatim apart from its name; its `nullspace_basis` is the dense one
+below.
+
+`trace_form_gram` is the pairwise loop `algebra_radical` ran for its Gram
+matrix, one product and trace per pair, before it took one stacked
+product; kept verbatim apart from building the unit vectors inline and
+returning the Gram matrix in place of its nullspace.
+
 `two_pass_presentation` is how `SkewPresentation` found the relations of
 Q_G and built its bound algebra before the algebra's degree walk asked
 for them: one walk over Q_G for the kernel of K Q_G -> e(Lambda G)e, then
@@ -38,6 +49,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from skewcover.field import row_space
+from skewcover.rep import _frozen, morphism_from_vector
 from skewcover.quiver import (BoundAlgebra, NotAdmissibleError, PathWord,
                               RelationElement, ideal_closure, make_path,
                               path_source, path_target)
@@ -402,3 +414,61 @@ def quotient_by_completion(F, img: np.ndarray, n: int) -> np.ndarray:
         B[img.shape[0] + i, c] = 1
     Bt_inv = solve_linear(F, B.T, F.eye(n))
     return Bt_inv[img.shape[0]:, :]
+
+
+def solve_hom(M, N) -> list[list[np.ndarray]]:
+    """The hom basis as per-vertex block lists, each checked to commute."""
+    F, q = M.F, M.algebra.quiver
+    nunk = sum(dm * dn for dm, dn in zip(M.dims, N.dims))
+    if nunk == 0:
+        return []
+    offsets = []
+    off = 0
+    for dm, dn in zip(M.dims, N.dims):
+        offsets.append(off)
+        off += dm * dn
+    rows = []
+    for a, arr in enumerate(q.arrows):
+        s, t = arr.source, arr.target
+        ds_m, dt_m = M.dims[s], M.dims[t]
+        ds_n, dt_n = N.dims[s], N.dims[t]
+        # constraint: f_t M(a) - N(a) f_s = 0, entries (i, j) i<dt_n, j<ds_m
+        nrows = dt_n * ds_m
+        if nrows == 0:
+            continue
+        block = F.zeros(nrows, nunk)
+        Ma, Na = M.maps[a], N.maps[a]
+        for i in range(dt_n):
+            for j in range(ds_m):
+                r = i * ds_m + j
+                # f_t entries: f_t[i, k] * M(a)[k, j]
+                for k in range(dt_m):
+                    block[r, offsets[t] + i * dt_m + k] = (
+                        block[r, offsets[t] + i * dt_m + k] + Ma[k, j]) % F.p
+                # -N(a)[i, k] * f_s[k, j]
+                for k in range(ds_n):
+                    block[r, offsets[s] + k * ds_m + j] = (
+                        block[r, offsets[s] + k * ds_m + j] - Na[i, k]) % F.p
+        rows.append(block)
+    A = np.concatenate(rows, axis=0) if rows else F.zeros(0, nunk)
+    basis_vecs = nullspace_basis(F, A)
+    basis = []
+    for i in range(basis_vecs.shape[0]):
+        f = morphism_from_vector(M, N, basis_vecs[i])
+        if not f.is_valid():
+            raise AssertionError("hom basis element fails commuting squares")
+        basis.append([_frozen(b) for b in f.blocks])
+    return basis
+
+
+def trace_form_gram(A) -> np.ndarray:
+    F = A.F
+    n = A.dim
+    lefts = [A.left_mult_matrix(np.eye(n, dtype=np.int64)[i]) for i in range(n)]
+    gram = F.zeros(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            t = int(np.trace(F.mul(lefts[i], lefts[j])) % F.p)
+            gram[i, j] = t
+            gram[j, i] = t
+    return gram

@@ -1,8 +1,9 @@
 """The elimination kernel of `skewcover.field` against the dense oracle.
 
-RREF is unique, so the list path (small matrices), the row-sparse array
-path and the whole-matrix update must all return exactly what the dense
-Gauss-Jordan oracle returns, on every shape, density and prime.
+RREF is unique, so the list path (small matrices), the sparse-row path,
+the array path and its whole-matrix update must all return exactly what
+the dense Gauss-Jordan oracle returns, on every shape, density and prime,
+whether the matrix comes as an array or as sparse rows.
 """
 
 import numpy as np
@@ -53,6 +54,10 @@ def _same(F, got, want):
         assert np.array_equal(_reduced(F, got), want)
 
 
+def _dict_rows(F, A):
+    return [{c: v for c, v in enumerate(row) if v} for row in (A % F.p).tolist()]
+
+
 def check_kernel(F, A, seed):
     rows, cols = A.shape
     before = A.copy()
@@ -65,6 +70,8 @@ def check_kernel(F, A, seed):
     if rows:
         assert np.array_equal(_reduced(F, field.row_space(F, A)), R0[: len(piv0)])
     _same(F, field.nullspace_basis(F, A), oracle.nullspace_basis(F, A))
+    _same(F, field.sparse_nullspace_basis(F, _dict_rows(F, A), cols),
+          oracle.nullspace_basis(F, A))
     _same(F, field.quotient_map(F, R0[: len(piv0)], cols),
           oracle.quotient_by_completion(F, R0[: len(piv0)], cols))
 
@@ -85,8 +92,9 @@ def check_kernel(F, A, seed):
 
 
 # Sizes straddle the list path's 64 cells (8x8 against 8x9, 1x64 against
-# 1x65); densities straddle the half of the rows at which a pivot updates
-# the whole matrix instead of the rows it hits.
+# 1x65); densities straddle the sparse-row cut of 0.35 * cols * min(rows,
+# cols) nonzeros (CUT_SIDES) and the half of the rows at which an array
+# pivot updates the whole matrix instead of the rows it hits.
 SIZES = st.one_of(st.integers(0, 12), st.integers(0, 100))
 
 
@@ -107,6 +115,15 @@ SIZES = st.one_of(st.integers(0, 12), st.integers(0, 100))
 @example(p=67108859, rows=48, cols=48, density=0.45, low_rank=True, seed=5)
 @example(p=1009, rows=200, cols=200, density=0.03, low_rank=False, seed=6)
 @example(p=2, rows=120, cols=120, density=1.0, low_rank=True, seed=7)
+@example(p=2, rows=30, cols=30, density=0.5, low_rank=False, seed=8)
+@example(p=2, rows=30, cols=30, density=0.95, low_rank=False, seed=8)
+@example(p=2, rows=90, cols=10, density=0.04, low_rank=False, seed=9)
+@example(p=2, rows=90, cols=10, density=0.16, low_rank=False, seed=9)
+@example(p=67108859, rows=30, cols=30, density=0.25, low_rank=False, seed=8)
+@example(p=67108859, rows=30, cols=30, density=0.45, low_rank=False, seed=8)
+@example(p=67108859, rows=90, cols=10, density=0.02, low_rank=False, seed=9)
+@example(p=67108859, rows=90, cols=10, density=0.08, low_rank=False, seed=9)
+@example(p=1009, rows=70, cols=70, density=0.0, low_rank=False, seed=10)
 def test_kernel_matches_dense_oracle(p, rows, cols, density, low_rank, seed):
     F = FIELDS[p]
     check_kernel(F, _matrix(p, rows, cols, density, low_rank, seed), seed)
@@ -117,3 +134,31 @@ def test_inverse_of_identity_and_empty(n):
     F = FIELDS[1009]
     Inv = field.inverse(F, F.eye(n))
     assert Inv.shape == (n, n) and np.array_equal(_reduced(F, Inv), F.eye(n))
+
+
+# The examples above on each side of the sparse-row cut, with the path
+# each must take.  For p = 2 half the drawn entries vanish mod p.
+CUT_SIDES = [
+    ((2, 30, 30, 0.5, 8), "sparse"), ((2, 30, 30, 0.95, 8), "array"),
+    ((2, 90, 10, 0.04, 9), "sparse"), ((2, 90, 10, 0.16, 9), "array"),
+    ((67108859, 30, 30, 0.25, 8), "sparse"),
+    ((67108859, 30, 30, 0.45, 8), "array"),
+    ((67108859, 90, 10, 0.02, 9), "sparse"),
+    ((67108859, 90, 10, 0.08, 9), "array"),
+]
+
+
+@pytest.mark.parametrize("case, path", CUT_SIDES)
+def test_examples_straddle_the_sparse_cut(case, path, monkeypatch):
+    p, rows, cols, density, seed = case
+    F = FIELDS[p]
+    A = _matrix(p, rows, cols, density, False, seed)
+    taken = []
+    for name in ("sparse", "array"):
+        kernel = getattr(field, f"_eliminate_{name}")
+        monkeypatch.setattr(field, f"_eliminate_{name}",
+                            lambda *a, name=name, kernel=kernel:
+                            taken.append(name) or kernel(*a))
+    field.rank(F, A)
+    field.sparse_nullspace_basis(F, _dict_rows(F, A), cols)
+    assert taken == [path, path]

@@ -265,6 +265,25 @@ def test_mul_exact_beyond_2048(k, seed, extreme):
     assert Fb.mul(a[0], b).tolist() == want[0]
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3, 2100), (2, 2100, 4)),      # a stack on the right
+    ((2, 3, 2100), (2100, 4)),      # a stack on the left
+    ((2, 3, 2100), (2, 2100, 4)),   # stacks on both sides
+    ((2100,), (2, 2100, 4)),        # a vector against a stack
+])
+def test_mul_stacks_beyond_2048(a_shape, b_shape):
+    """Stacked products slice the contracted axis, never the batch axis,
+    at the largest admissible prime; against an object-dtype product."""
+    Fb = PrimeField(P_BIG)
+    gen = np.random.default_rng(7)
+    a = gen.integers(0, P_BIG, a_shape)
+    b = gen.integers(0, P_BIG, b_shape)
+    want = np.matmul(a.astype(object), b.astype(object)) % P_BIG
+    got = Fb.mul(a, b)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+
+
 def test_inverse():
     A = F101.mat([[1, 2], [3, 4]])
     Ai = inverse(F101, A)
