@@ -1,9 +1,9 @@
 """Auslander-Reiten theory for representation-finite bound quiver algebras:
 projectives and injectives, the translate tau as the kernel of the Nakayama
 functor applied to a minimal projective presentation, almost split
-sequences (constructed from a socle element of Ext^1 and verified),
-AR-quiver knitting by closure, and finite radical-power ranks of the module
-category.  The inverse translate tau^- M = coker(nu^- d1) comes from a
+sequences (pushed out along a class of Ext^1(T, tau T) in the socle under
+the left End(tau T)-action, ARS V.2, and verified), AR-quiver knitting by
+closure, and finite radical-power ranks of the module category.  The inverse translate tau^- M = coker(nu^- d1) comes from a
 minimal injective copresentation 0 -> M -> I0 -d1-> I1, so everything is
 computed over the algebra itself and no second algebra is built.
 
@@ -27,8 +27,8 @@ import numpy as np
 from .field import (in_row_space, nullspace_basis, quotient_map, rank,
                     row_space, rref, solve_linear)
 from .quiver import BoundAlgebra, PathWord
-from .rep import (RADICAL_CUTOFF, HomSpace, IsoClasses, RadicalCalculator,
-                  RepMorphism, Representation, Summand, combine, decompose,
+from .rep import (RADICAL_CUTOFF, IsoClasses, RadicalCalculator, RepMorphism,
+                  Representation, Summand, combine, decompose, end_algebra,
                   end_radical, hom_basis, identity_morphism,
                   morphism_from_vector, sub_from_rows, zero_morphism)
 
@@ -406,12 +406,12 @@ def _span(F, morphisms: list[RepMorphism]) -> np.ndarray:
 
 def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequence:
     """The AR sequence 0 -> tau T -> E -> T -> 0 for indecomposable
-    non-projective T.
-
-    Built from a class in the socle of Ext^1(T, tau T) under the right
-    End(T)-action; exactness and the non-split property are verified here,
-    the full almost-split factorization property by `verify_almost_split`.
-    """
+    non-projective T: the pushout along K -> P0 of h: K -> tau T spanning
+    the socle of Ext^1(T, tau T) = Hom(K, tau T)/W under the left
+    End(tau T)-action, which is the socle under the right End(T)-action
+    (Auslander-Reiten-Smalø, Representation Theory of Artin Algebras, V.2)
+    and needs no lift through P0.  Exactness and the non-split property are
+    verified here, the factorization property by `verify_almost_split`."""
     alg = tk.alg
     F, q = alg.F, alg.quiver
     if tk.is_projective(T):
@@ -420,55 +420,8 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
     pres = tk.minimal_presentation(T)
     X = tk.tau_from_presentation(pres)
     P0, d0, K, incl = pres.X0, pres.d0, pres.Z, pres.z
-
-    homKX = hom_basis(K, X)
-    if not homKX.basis:
-        raise AssertionError("Ext^1(T, tau T) computed zero; tau must be wrong")
     W = _span(F, [g.compose(incl) for g in hom_basis(P0, X).basis])
-
-    # right End(T)-action on Hom(K, X) via lifts through the cover
-    H_T = hom_basis(T, T)
-    radT = end_radical(T)
-    homP0P0 = hom_basis(P0, P0)
-    lift_actions = []
-    for r in range(radT.shape[0]):
-        phi = combine(H_T, radT[r])
-        phi_hat = _lift_through_cover(d0, phi, homP0P0)
-        # restrict to K: solve incl . psi = phi_hat . incl
-        psi_blocks = [solve_linear(F, i, F.mul(h, i))
-                      for i, h in zip(incl.blocks, phi_hat.blocks)]
-        if any(b is None for b in psi_blocks):
-            raise AssertionError("cover lift does not preserve the syzygy")
-        lift_actions.append(RepMorphism(K, K, psi_blocks))
-
-    # socle classes: nonzero [h] with [h o psi_r] = 0 for every radical
-    # basis element, i.e. h o psi_r in W and h not in W
-    nbasis = len(homKX.basis)
-    veclen = homKX.basis[0].to_vector().shape[0]
-    if lift_actions:
-        totw = W.shape[0]
-        width = nbasis + totw * len(lift_actions)
-        sysrows = []
-        for ridx, psi in enumerate(lift_actions):
-            mat = np.stack([homKX.basis[i].compose(psi).to_vector()
-                            for i in range(nbasis)])
-            blk = F.zeros(veclen, width)
-            blk[:, :nbasis] = mat.T
-            if totw:
-                off = nbasis + ridx * totw
-                blk[:, off: off + totw] = (-W.T) % F.p
-            sysrows.append(blk)
-        sol_space = nullspace_basis(F, np.concatenate(sysrows, axis=0))
-        candidates = (combine(homKX, sol_space[r, :nbasis]).to_vector()
-                      for r in range(sol_space.shape[0]))
-    else:
-        # End(T) = K: the radical condition is vacuous, Ext^1 is 1-dim
-        candidates = (f.to_vector() for f in homKX.basis)
-    h_coords = next((hv for hv in candidates if not in_row_space(F, W, hv)),
-                    None)
-    if h_coords is None:
-        raise AssertionError("no socle class found in Ext^1(T, tau T)")
-    h = morphism_from_vector(K, X, h_coords)
+    h = _socle_class(X, W, hom_basis(K, X).basis)
 
     # pushout of X <-h- K -incl-> P0
     XP, incls, projs = direct_sum(alg, [X, P0])
@@ -499,6 +452,31 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
     return seq
 
 
+def _socle_class(X: Representation, W: np.ndarray,
+                 candidates: list[RepMorphism]) -> RepMorphism:
+    """h: K -> X outside W that rad End(X) sends into W from the left: the
+    first candidate outside W, replaced by phi h while a rad End(X) basis
+    element phi keeps it outside.  After k steps h lies in rad^k applied to
+    the candidate; rad End(X) is nilpotent, so this ends within dim End(X)."""
+    F = X.F
+
+    def first_outside(maps):
+        return next((f for f in maps if not in_row_space(F, W, f.to_vector())),
+                    None)
+
+    h = first_outside(candidates)
+    if h is None:
+        raise AssertionError("Ext^1(T, tau T) computed zero; tau must be wrong")
+    _, H = end_algebra(X)
+    radical = [combine(H, r) for r in end_radical(X)]
+    for _ in range(H.dimension):
+        lower = first_outside(phi.compose(h) for phi in radical)
+        if lower is None:
+            return h
+        h = lower
+    raise AssertionError("rad End(tau T) descent did not end")
+
+
 def split_section(proj: RepMorphism) -> RepMorphism | None:
     """A section s of proj: E -> T (proj s = 1_T), or None if there is none.
 
@@ -516,18 +494,6 @@ def split_section(proj: RepMorphism) -> RepMorphism | None:
     one = identity_morphism(T).to_vector().reshape(-1, 1)
     coeffs = solve_linear(T.F, A, one)
     return None if coeffs is None else combine(H, coeffs[:, 0])
-
-
-def _lift_through_cover(d0: RepMorphism, phi: RepMorphism,
-                        homP0P0: HomSpace) -> RepMorphism:
-    """phi_hat: P0 -> P0 with d0 phi_hat = phi d0 (exists, P0 projective)."""
-    F = d0.source.F
-    target = phi.compose(d0)  # P0 -> T
-    rows = np.stack([d0.compose(g).to_vector() for g in homP0P0.basis])
-    sol = solve_linear(F, rows.T, target.to_vector().reshape(-1, 1))
-    if sol is None:
-        raise AssertionError("no lift through projective cover")
-    return combine(homP0P0, sol[:, 0])
 
 
 def _check_exact(seq: AlmostSplitSequence):
@@ -714,27 +680,17 @@ def category_rank(arq: ARQuiver) -> tuple[RankValue, RankValue]:
     """(rank, stable rank): the first n with rad^n = 0, and the first n with
     rad^n = rad^{n+1}, over the knitted list.  Both finite for
     representation-finite algebras; cut off otherwise."""
-    calc = arq.calc
-    npairs = len(arq.modules)
-    prev_dims = None
-    rank_val = None
-    stable_val = None
+    calc, m = arq.calc, len(arq.modules)
+    prev, stable = None, None
     for n in range(1, RADICAL_CUTOFF + 1):
-        dims = tuple(calc.rad_dim(i, j, n)
-                     for i in range(npairs) for j in range(npairs))
-        if all(d == 0 for d in dims):
-            rank_val = RankValue(True, n)
-            if stable_val is None:
-                stable_val = RankValue(True, n)
-            break
-        if prev_dims is not None and dims == prev_dims and stable_val is None:
-            stable_val = RankValue(True, n - 1)
-        prev_dims = dims
-    if rank_val is None:
-        rank_val = RankValue(False, RADICAL_CUTOFF)
-        if stable_val is None:
-            stable_val = RankValue(False, RADICAL_CUTOFF)
-    return rank_val, stable_val
+        dims = tuple(calc.rad_dim(i, j, n) for i in range(m) for j in range(m))
+        if not any(dims):
+            return RankValue(True, n), stable or RankValue(True, n)
+        if dims == prev and stable is None:
+            stable = RankValue(True, n - 1)
+        prev = dims
+    cut = RankValue(False, RADICAL_CUTOFF)
+    return cut, stable or cut
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ matrices with N(a) f_s = f_t M(a).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,11 @@ class Representation:
 
     def is_zero(self) -> bool:
         return self.total_dim == 0
+
+    @cached_property
+    def content_key(self) -> tuple:
+        """Dims plus arrow-matrix bytes, built once: the maps are read-only."""
+        return self.dims, b"".join(m.tobytes() for m in self.maps)
 
     def path_matrix(self, w: PathWord) -> np.ndarray:
         q = self.algebra.quiver
@@ -214,7 +220,7 @@ class ModuleTable:
 
     @staticmethod
     def key(M: Representation) -> tuple:
-        return M.dims, b"".join(m.tobytes() for m in M.maps)
+        return M.content_key
 
     def lookup(self, kind: str | tuple, modules: tuple, compute):
         """The entry `kind` for `modules`, from `compute()` on first use."""
@@ -355,7 +361,7 @@ def end_algebra(M: Representation):
 
 def _end_structure(M: Representation, H: HomSpace) -> StructureConstants:
     """Structure constants of End(M) over the basis H: all n^2 products
-    b_i after b_j solved for in one elimination."""
+    b_i after b_j and the identity solved for in one elimination."""
     F, n = M.F, H.dimension
     if n == 1:
         # a brick: End(M) = F_p, and the one basis element is the identity
@@ -369,13 +375,13 @@ def _end_structure(M: Representation, H: HomSpace) -> StructureConstants:
         S = np.stack([f.blocks[v] for f in H.basis])
         parts.append((np.einsum("ixy,jyz->ijxz", S, S) % F.p).reshape(n * n, d * d))
     prods = np.concatenate(parts, axis=1)
-    coords = solve_linear(F, vecs.T, prods.T)
+    one = identity_morphism(M).to_vector()
+    coords = solve_linear(F, vecs.T, np.vstack([prods, one]).T)
     if coords is None:
+        if solve_linear(F, vecs.T, one) is None:
+            raise AssertionError("identity not in End(M) span")
         raise AssertionError("End(M) not closed under composition")
-    one = solve_linear(F, vecs.T, identity_morphism(M).to_vector().reshape(-1, 1))
-    if one is None:
-        raise AssertionError("identity not in End(M) span")
-    return StructureConstants(F, coords.T.reshape(n, n, n), one[:, 0])
+    return StructureConstants(F, coords[:, :-1].T.reshape(n, n, n), coords[:, -1])
 
 
 def end_radical(M: Representation) -> np.ndarray:

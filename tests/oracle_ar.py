@@ -8,15 +8,23 @@ with them, as is the summand scan that decided whether a module is
 projective or injective.  Kept as an oracle for `ar.ARToolkit.tau`,
 `tau_minus`, `is_projective` and `is_injective`, and for the projective and
 injective modules.
+
+`right_socle_class` is the socle class of Ext^1(T, tau T) that
+`ar.almost_split_sequence` chose under the right End(T)-action, from lifts
+of rad End(T) through the projective cover and a stacked nullspace system;
+kept as an oracle for `ar._socle_class`.
 """
 
 import numpy as np
 
-from skewcover.ar import (ARToolkit, _offsets, _paths_from, cokernel_rep,
-                          direct_sum)
+from skewcover.ar import (ARToolkit, _offsets, _paths_from, _span,
+                          cokernel_rep, direct_sum)
+from skewcover.field import in_row_space, nullspace_basis, solve_linear
 from skewcover.quiver import (BoundAlgebra, PathWord, Quiver, RelationElement,
                               path_target)
-from skewcover.rep import IsoClasses, RepMorphism, Representation, decompose
+from skewcover.rep import (HomSpace, IsoClasses, RepMorphism, Representation,
+                           combine, decompose, end_radical, hom_basis,
+                           morphism_from_vector)
 
 
 def opposite(alg: BoundAlgebra) -> BoundAlgebra:
@@ -144,3 +152,76 @@ def tau(alg: BoundAlgebra, alg_op: BoundAlgebra, M: Representation) -> Represent
 def tau_minus(alg: BoundAlgebra, alg_op: BoundAlgebra, M: Representation) -> Representation:
     DM = dual_rep(alg_op, M)
     return transpose(alg_op, alg, ARToolkit(alg_op).minimal_presentation(DM))
+
+
+def right_socle_class(tk: ARToolkit, T: Representation):
+    """(tau T, W, h) for indecomposable non-projective T: h: K -> tau T
+    spans the socle of Ext^1(T, tau T) = Hom(K, tau T)/W under the right
+    End(T)-action, K the syzygy of the minimal presentation of T and W the
+    maps that extend to its cover P0."""
+    alg = tk.alg
+    F = alg.F
+    pres = tk.minimal_presentation(T)
+    X = tk.tau_from_presentation(pres)
+    P0, d0, K, incl = pres.X0, pres.d0, pres.Z, pres.z
+
+    homKX = hom_basis(K, X)
+    if not homKX.basis:
+        raise AssertionError("Ext^1(T, tau T) computed zero; tau must be wrong")
+    W = _span(F, [g.compose(incl) for g in hom_basis(P0, X).basis])
+
+    # right End(T)-action on Hom(K, X) via lifts through the cover
+    H_T = hom_basis(T, T)
+    radT = end_radical(T)
+    homP0P0 = hom_basis(P0, P0)
+    lift_actions = []
+    for r in range(radT.shape[0]):
+        phi = combine(H_T, radT[r])
+        phi_hat = _lift_through_cover(d0, phi, homP0P0)
+        # restrict to K: solve incl . psi = phi_hat . incl
+        psi_blocks = [solve_linear(F, i, F.mul(h, i))
+                      for i, h in zip(incl.blocks, phi_hat.blocks)]
+        if any(b is None for b in psi_blocks):
+            raise AssertionError("cover lift does not preserve the syzygy")
+        lift_actions.append(RepMorphism(K, K, psi_blocks))
+
+    # socle classes: nonzero [h] with [h o psi_r] = 0 for every radical
+    # basis element, i.e. h o psi_r in W and h not in W
+    nbasis = len(homKX.basis)
+    veclen = homKX.basis[0].to_vector().shape[0]
+    if lift_actions:
+        totw = W.shape[0]
+        width = nbasis + totw * len(lift_actions)
+        sysrows = []
+        for ridx, psi in enumerate(lift_actions):
+            mat = np.stack([homKX.basis[i].compose(psi).to_vector()
+                            for i in range(nbasis)])
+            blk = F.zeros(veclen, width)
+            blk[:, :nbasis] = mat.T
+            if totw:
+                off = nbasis + ridx * totw
+                blk[:, off: off + totw] = (-W.T) % F.p
+            sysrows.append(blk)
+        sol_space = nullspace_basis(F, np.concatenate(sysrows, axis=0))
+        candidates = (combine(homKX, sol_space[r, :nbasis]).to_vector()
+                      for r in range(sol_space.shape[0]))
+    else:
+        # End(T) = K: the radical condition is vacuous, Ext^1 is 1-dim
+        candidates = (f.to_vector() for f in homKX.basis)
+    h_coords = next((hv for hv in candidates if not in_row_space(F, W, hv)),
+                    None)
+    if h_coords is None:
+        raise AssertionError("no socle class found in Ext^1(T, tau T)")
+    return X, W, morphism_from_vector(K, X, h_coords)
+
+
+def _lift_through_cover(d0: RepMorphism, phi: RepMorphism,
+                        homP0P0: HomSpace) -> RepMorphism:
+    """phi_hat: P0 -> P0 with d0 phi_hat = phi d0 (exists, P0 projective)."""
+    F = d0.source.F
+    target = phi.compose(d0)  # P0 -> T
+    rows = np.stack([d0.compose(g).to_vector() for g in homP0P0.basis])
+    sol = solve_linear(F, rows.T, target.to_vector().reshape(-1, 1))
+    if sol is None:
+        raise AssertionError("no lift through projective cover")
+    return combine(homP0P0, sol[:, 0])

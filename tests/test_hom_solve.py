@@ -15,7 +15,7 @@ from conftest import load_built, load_generated
 from skewcover import ar, field, rep
 from skewcover.ar import CapExceededError, knit_ar_quiver, simple_module
 from skewcover.field import PrimeField, StructureConstants, algebra_radical
-from skewcover.quiver import BoundAlgebra, Quiver
+from skewcover.quiver import BoundAlgebra, Quiver, RelationElement, make_path
 from skewcover.skew import build_presentation
 
 F = PrimeField(1009)
@@ -107,6 +107,24 @@ def test_a_tampered_brick_end_basis_is_refused():
     not_one = [[np.ones((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)]]
     rep.module_table(alg)._entries[("hom", key, key)] = not_one
     with pytest.raises(AssertionError, match="identity not in End"):
+        rep.end_algebra(M)
+
+
+@pytest.mark.parametrize("powers,message", [
+    ((1, 2), "identity not in End"),
+    ((0, 1), "End.M. not closed under composition"),
+])
+def test_a_tampered_end_basis_names_what_fails(powers, message):
+    """A planted End basis of powers of x on F_p[x]/(x^3): {x, x^2} is
+    closed but misses the identity, {1, x} holds it but not x^2."""
+    q = Quiver(["1"], [("x", "1", "1")])
+    alg = BoundAlgebra(F, q, [RelationElement(((1, make_path(q, (0, 0, 0))),))])
+    x = np.eye(3, k=-1, dtype=np.int64)
+    M = rep.Representation(alg, (3,), [x])
+    key = rep.ModuleTable.key(M)
+    rep.module_table(alg)._entries[("hom", key, key)] = [
+        [np.linalg.matrix_power(x, k)] for k in powers]
+    with pytest.raises(AssertionError, match=message):
         rep.end_algebra(M)
 
 
