@@ -12,8 +12,8 @@ computed over the algebra itself and no second algebra is built.
 
 The arrows of the AR quiver are read off the meshes that knitting builds
 and decomposes (an arrow that lies on two meshes is read from both, and the
-readings must agree); radical layers rad^n are built only when a rank or
-radical-level question asks for them.
+readings must agree); rows of the radical powers rad^n are built only when
+a rank or radical-level question asks for them.
 """
 
 from __future__ import annotations
@@ -565,9 +565,6 @@ class ARQuiver:
     injective_flags: list[bool]
     calc: RadicalCalculator
 
-    def labels(self) -> list[str]:
-        return [m.label() for m in self.modules]
-
 
 def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
                    max_dimension: int = 60) -> ARQuiver:
@@ -677,20 +674,21 @@ class RankValue:
 
 
 def category_rank(arq: ARQuiver) -> tuple[RankValue, RankValue]:
-    """(rank, stable rank): the first n with rad^n = 0, and the first n with
-    rad^n = rad^{n+1}, over the knitted list.  Both finite for
-    representation-finite algebras; cut off otherwise."""
+    """(rank, stable rank) of mod A over the knitted list: the first n with
+    rad^n = 0, tested on the rows of the projectives P_a alone.  A nonzero
+    f in rad^n(X, Y) with f(x) != 0 for some x in X(a) gives the nonzero
+    f o g in rad^n(P_a, Y), where g(e_a) = x.  A closed knit means A is
+    representation-finite (Auslander, Comm. Algebra 1 (1974)), so rad is
+    nilpotent, rad^n = rad^{n+1} only where rad^n = 0, and the stable rank
+    is the rank.  Both are cut off at RADICAL_CUTOFF."""
     calc, m = arq.calc, len(arq.modules)
-    prev, stable = None, None
+    projectives = [a for a, p in enumerate(arq.projective_flags) if p]
     for n in range(1, RADICAL_CUTOFF + 1):
-        dims = tuple(calc.rad_dim(i, j, n) for i in range(m) for j in range(m))
-        if not any(dims):
-            return RankValue(True, n), stable or RankValue(True, n)
-        if dims == prev and stable is None:
-            stable = RankValue(True, n - 1)
-        prev = dims
+        if not any(calc.rad_dim(a, j, n) for a in projectives for j in range(m)):
+            value = RankValue(True, n)
+            return value, value
     cut = RankValue(False, RADICAL_CUTOFF)
-    return cut, stable or cut
+    return cut, cut
 
 
 # ---------------------------------------------------------------------------
@@ -712,17 +710,5 @@ def ar_quiver_dot(arq: ARQuiver) -> str:
         lines.append(f"  n{i} -> n{j}{attr};")
     for t, l in sorted(arq.tau_map.items()):
         lines.append(f"  n{t} -> n{l} [style=dashed, constraint=false];")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def quiver_dot(alg: BoundAlgebra) -> str:
-    q = alg.quiver
-    lines = ["digraph quiver {"]
-    for v in q.vertices:
-        lines.append(f'  "{v}";')
-    for a in q.arrows:
-        lines.append(f'  "{q.vertices[a.source]}" -> "{q.vertices[a.target]}"'
-                     f' [label="{a.name}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -1,6 +1,9 @@
 """Representations of a bound quiver algebra: hom spaces, twists,
 indecomposability, Krull-Schmidt decomposition, and radical powers of the
-module category relative to a complete list of indecomposables.
+module category relative to a complete list of indecomposables.  Those
+grow one source row at a time, so a rank question reads only the rows of
+the projectives; `ar.category_rank` says why those rows suffice, and why
+the stable rank is the rank (Auslander, Comm. Algebra 1 (1974)).
 
 Representations are covariant: M(a): M(s(a)) -> M(t(a)), i.e. left modules
 under the functional composition convention.  Morphisms are per-vertex
@@ -770,35 +773,60 @@ class RadicalCalculator:
     indecomposables (canonical representatives, pairwise non-isomorphic).
 
     rad^1(M, N) = Hom(M, N) for M != N in the list, rad End(M) on the
-    diagonal; rad^{n+1}(M, N) = sum_Z rad^n(Z, N) . rad^1(M, Z).  Layers are
-    built on first use, rad^1 included.
+    diagonal.  Higher powers grow one source row at a time,
+    rad^{n+1}(M_i, N) = sum_Z rad^1(Z, N) . rad^n(M_i, Z), and a row of
+    rad^n, like each rad^1 row it composes with, is built on first use.
+    So `ar.category_rank`, which tests rad^n = 0 on the projective rows
+    alone, grows no other row beyond the rad^1 rows those compose with;
+    with a closed knit the algebra is representation-finite and rad is
+    nilpotent (Auslander 1974), so its stable rank is its rank.
     """
 
     def __init__(self, reps: list[Representation]):
         self.reps = reps
         self.classes = IsoClasses(reps)
         self.F = reps[0].F if reps else None
-        self._rad: list[dict[tuple[int, int], np.ndarray]] = []  # [n-1][i,j]
+        # source i -> [n-1] -> {j: echelon basis of nonzero rad^n(i, j)}
+        self._rows: dict[int, list[dict[int, np.ndarray]]] = {}
 
     def hom(self, i: int, j: int) -> HomSpace:
         return hom_basis(self.reps[i], self.reps[j])
 
-    def _build_rad1(self):
-        F = self.F
-        level: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(len(self.reps)):
-            for j in range(len(self.reps)):
-                H = self.hom(i, j)
-                if not H.basis:
-                    continue
-                vecs = np.stack([f.to_vector() for f in H.basis], axis=0)
-                if i != j:
-                    level[(i, j)] = vecs
-                else:
-                    radb = end_radical(self.reps[i])
-                    if radb.shape[0]:
-                        level[(i, j)] = row_space(F, F.mul(radb, vecs))
-        self._rad.append(level)
+    def _rad1_row(self, i: int) -> dict[int, np.ndarray]:
+        row: dict[int, np.ndarray] = {}
+        for j in range(len(self.reps)):
+            H = self.hom(i, j)
+            if not H.basis:
+                continue
+            vecs = np.stack([f.to_vector() for f in H.basis], axis=0)
+            if i != j:
+                row[j] = vecs
+            else:
+                radb = end_radical(self.reps[i])
+                if radb.shape[0]:
+                    row[j] = row_space(self.F, self.F.mul(radb, vecs))
+        return row
+
+    def _row(self, i: int, n: int) -> dict[int, np.ndarray]:
+        """The nonzero rad^n(reps[i], -), keyed by target, for n >= 1."""
+        layers = self._rows.get(i)
+        if layers is None:
+            layers = self._rows[i] = [self._rad1_row(i)]
+        while len(layers) < n:
+            prev = layers[-1]
+            pieces: dict[int, list[np.ndarray]] = {}
+            for k, A in prev.items():
+                for j, B in self._row(k, 1).items():
+                    if j in prev:   # rad^{n+1}(i, j) lies in rad^n(i, j)
+                        pieces.setdefault(j, []).append(
+                            self._compose_spans(i, k, j, A, B))
+            nxt: dict[int, np.ndarray] = {}
+            for j, parts in pieces.items():
+                span = row_space(self.F, np.concatenate(parts, axis=0))
+                if span.shape[0]:
+                    nxt[j] = span
+            layers.append(nxt)
+        return layers[n - 1]
 
     def rad(self, i: int, j: int, n: int) -> np.ndarray:
         """Echelon row basis of rad^n(reps[i], reps[j]) as morphism vectors."""
@@ -808,10 +836,8 @@ class RadicalCalculator:
                 return np.zeros((0, _pair_len(self.reps[i], self.reps[j])),
                                 dtype=np.int64)
             return row_space(self.F, np.stack([f.to_vector() for f in H.basis]))
-        while len(self._rad) < n:
-            self._grow()
-        return self._rad[n - 1].get(
-            (i, j), np.zeros((0, _pair_len(self.reps[i], self.reps[j])), dtype=np.int64))
+        return self._row(i, n).get(
+            j, np.zeros((0, _pair_len(self.reps[i], self.reps[j])), dtype=np.int64))
 
     def _compose_spans(self, i: int, k: int, j: int,
                        A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -832,36 +858,11 @@ class RadicalCalculator:
         return np.concatenate(parts, axis=1) if parts else \
             np.zeros((nb * na, 0), dtype=np.int64)
 
-    def _grow(self):
-        """Build the next radical layer, rad^1 first, on first use."""
-        if not self._rad:
-            self._build_rad1()
-            return
-        F = self.F
-        prev = self._rad[-1]
-        rad1 = self._rad[0]
-        nxt: dict[tuple[int, int], np.ndarray] = {}
-        for (i, j) in prev.keys() | rad1.keys():
-            pieces = []
-            for k in range(len(self.reps)):
-                A = rad1.get((i, k))
-                B = prev.get((k, j))
-                if A is None or B is None:
-                    continue
-                pieces.append(self._compose_spans(i, k, j, A, B))
-            if pieces:
-                span = row_space(F, np.concatenate(pieces, axis=0))
-                if span.shape[0]:
-                    nxt[(i, j)] = span
-        self._rad.append(nxt)
-
     def rad_dim(self, i: int, j: int, n: int) -> int:
         return self.rad(i, j, n).shape[0]
 
     def all_zero_at(self, n: int) -> bool:
-        while len(self._rad) < n:
-            self._grow()
-        return not self._rad[n - 1]
+        return not any(self._row(i, n) for i in range(len(self.reps)))
 
     def membership_level(self, i: int, j: int, f: RepMorphism) -> int:
         """Largest n <= RADICAL_CUTOFF with f in rad^n; 0 if f is not

@@ -13,18 +13,26 @@ injective modules.
 `ar.almost_split_sequence` chose under the right End(T)-action, from lifts
 of rad End(T) through the projective cover and a stacked nullspace system;
 kept as an oracle for `ar._socle_class`.
+
+`LayerRadicalCalculator` is the radical calculator that grew rad^n one
+layer at a time over every ordered pair of the list, rad^1 first, and
+`layer_category_rank` the rank loop that compared the dimension tuples of
+successive layers to find the stable rank; kept as oracles for the
+per-row growth of `rep.RadicalCalculator` and for `ar.category_rank`.
 """
 
 import numpy as np
 
-from skewcover.ar import (ARToolkit, _offsets, _paths_from, _span,
-                          cokernel_rep, direct_sum)
-from skewcover.field import in_row_space, nullspace_basis, solve_linear
+from skewcover.ar import (ARQuiver, ARToolkit, RankValue, _offsets,
+                          _paths_from, _span, cokernel_rep, direct_sum)
+from skewcover.field import (in_row_space, nullspace_basis, row_space,
+                             solve_linear)
 from skewcover.quiver import (BoundAlgebra, PathWord, Quiver, RelationElement,
                               path_target)
-from skewcover.rep import (HomSpace, IsoClasses, RepMorphism, Representation,
-                           combine, decompose, end_radical, hom_basis,
-                           morphism_from_vector)
+from skewcover.rep import (RADICAL_CUTOFF, HomSpace, IsoClasses,
+                           RadicalCalculator, RepMorphism, Representation,
+                           _pair_len, combine, decompose, end_radical,
+                           hom_basis, morphism_from_vector)
 
 
 def opposite(alg: BoundAlgebra) -> BoundAlgebra:
@@ -225,3 +233,86 @@ def _lift_through_cover(d0: RepMorphism, phi: RepMorphism,
     if sol is None:
         raise AssertionError("no lift through projective cover")
     return combine(homP0P0, sol[:, 0])
+
+
+class LayerRadicalCalculator(RadicalCalculator):
+    """rad^{n+1}(M, N) = sum_Z rad^n(Z, N) . rad^1(M, Z), one layer over all
+    ordered pairs at a time; `hom`, `_compose_spans` and `rad_dim` are the
+    package's."""
+
+    def __init__(self, reps: list[Representation]):
+        self.reps = reps
+        self.classes = IsoClasses(reps)
+        self.F = reps[0].F if reps else None
+        self._rad: list[dict[tuple[int, int], np.ndarray]] = []  # [n-1][i,j]
+
+    def _build_rad1(self):
+        F = self.F
+        level: dict[tuple[int, int], np.ndarray] = {}
+        for i in range(len(self.reps)):
+            for j in range(len(self.reps)):
+                H = self.hom(i, j)
+                if not H.basis:
+                    continue
+                vecs = np.stack([f.to_vector() for f in H.basis], axis=0)
+                if i != j:
+                    level[(i, j)] = vecs
+                else:
+                    radb = end_radical(self.reps[i])
+                    if radb.shape[0]:
+                        level[(i, j)] = row_space(F, F.mul(radb, vecs))
+        self._rad.append(level)
+
+    def rad(self, i: int, j: int, n: int) -> np.ndarray:
+        """Echelon row basis of rad^n(reps[i], reps[j]) as morphism vectors."""
+        if n <= 0:
+            H = self.hom(i, j)
+            if not H.basis:
+                return np.zeros((0, _pair_len(self.reps[i], self.reps[j])),
+                                dtype=np.int64)
+            return row_space(self.F, np.stack([f.to_vector() for f in H.basis]))
+        while len(self._rad) < n:
+            self._grow()
+        return self._rad[n - 1].get(
+            (i, j), np.zeros((0, _pair_len(self.reps[i], self.reps[j])), dtype=np.int64))
+
+    def _grow(self):
+        """Build the next radical layer, rad^1 first, on first use."""
+        if not self._rad:
+            self._build_rad1()
+            return
+        F = self.F
+        prev = self._rad[-1]
+        rad1 = self._rad[0]
+        nxt: dict[tuple[int, int], np.ndarray] = {}
+        for (i, j) in prev.keys() | rad1.keys():
+            pieces = []
+            for k in range(len(self.reps)):
+                A = rad1.get((i, k))
+                B = prev.get((k, j))
+                if A is None or B is None:
+                    continue
+                pieces.append(self._compose_spans(i, k, j, A, B))
+            if pieces:
+                span = row_space(F, np.concatenate(pieces, axis=0))
+                if span.shape[0]:
+                    nxt[(i, j)] = span
+        self._rad.append(nxt)
+
+
+def layer_category_rank(arq: ARQuiver) -> tuple[RankValue, RankValue]:
+    """(rank, stable rank): the first n with rad^n = 0, and the first n with
+    rad^n = rad^{n+1}, over the knitted list.  Both finite for
+    representation-finite algebras; cut off otherwise."""
+    calc, m = LayerRadicalCalculator(arq.modules), len(arq.modules)
+    prev, stable = None, None
+    for n in range(1, RADICAL_CUTOFF + 1):
+        dims = tuple(calc.rad_dim(i, j, n) for i in range(m) for j in range(m))
+        if not any(dims):
+            return RankValue(True, n), stable or RankValue(True, n)
+        if dims == prev and stable is None:
+            stable = RankValue(True, n - 1)
+        prev = dims
+    cut = RankValue(False, RADICAL_CUTOFF)
+    return cut, stable or cut
+
