@@ -219,8 +219,9 @@ class BoundAlgebra:
     # -- construction -----------------------------------------------------
 
     def _build(self, F: PrimeField, q: Quiver, N: int, source):
-        """The one degree walk: basis, normal forms and product table.
-        Returns the relations `source` gave, in degree order."""
+        """The one degree walk: basis and normal forms, from which the
+        product table is built on first use.  Returns the relations
+        `source` gave, in degree order."""
         if N < 1:
             raise ValueError(f"length bound {N} is below 1")
         self.F, self.quiver, self.length_bound = F, q, N
@@ -306,10 +307,14 @@ class BoundAlgebra:
 
         self.dim = len(self.basis)
         self.bindex = {w: i for i, w in enumerate(self.basis)}
-        self._build_structure()
         return found
 
-    def _build_structure(self):
+    @cached_property
+    def structure(self) -> StructureConstants:
+        """The sparse product table, built on first use."""
+        return self._build_structure()
+
+    def _build_structure(self) -> StructureConstants:
         """Nonzero structure constants straight from the normal forms,
         visiting only composable pairs (b_i after b_j needs s(b_i) = t(b_j))."""
         F, q = self.F, self.quiver
@@ -331,7 +336,7 @@ class BoundAlgebra:
         one = F.zeros(1, self.dim)[0]
         for v in range(q.n_vertices):
             one[self.bindex[PathWord(v)]] = 1
-        self.structure = StructureConstants.from_coo(F, self.dim, I, J, K, C, one)
+        return StructureConstants.from_coo(F, self.dim, I, J, K, C, one)
 
     # -- public API -------------------------------------------------------
 

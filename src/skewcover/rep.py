@@ -13,7 +13,7 @@ matrices with N(a) f_s = f_t M(a).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -86,16 +86,38 @@ class Representation:
         return out
 
     def relation_defects(self):
+        """Indices of the relations the maps violate.  Each term is read off
+        arrow-suffix products built once and shared by every term of every
+        relation; a relation with a zero end space holds vacuously."""
+        F, q, known = self.F, self.algebra.quiver, {}
         bad = []
         for i, r in enumerate(self.algebra.relations):
             _, w0 = r.terms[0]
-            s, t = path_source(self.algebra.quiver, w0), path_target(self.algebra.quiver, w0)
-            acc = self.F.zeros(self.dims[t], self.dims[s])
-            for c, w in r.terms:
-                acc = self.F.add(acc, self.F.smul(c, self.path_matrix(w)))
-            if np.any(acc):
+            if not (self.dims[path_source(q, w0)] and self.dims[path_target(q, w0)]):
+                continue
+            live = [(c, m) for c, w in r.terms
+                    if (m := self._suffix_product(w.arrows, known)) is not None]
+            # one nonzero term is a nonzero scalar times a nonzero matrix
+            if len(live) == 1 or (live and reduce(
+                    F.add, (F.smul(c, m) for c, m in live)).any()):
                 bad.append(i)
         return bad
+
+    def _suffix_product(self, arrows: tuple[int, ...], known: dict):
+        """The path matrix of `arrows`, or None when it is zero, built from
+        its suffixes (rightmost arrows first) kept in `known`; a zero
+        suffix ends the path."""
+        prod = None
+        for k in range(len(arrows) - 1, -1, -1):
+            key = arrows[k:]
+            if key not in known:
+                m = self.maps[arrows[k]]
+                m = m if prod is None else self.F.mul(m, prod)
+                known[key] = m if m.any() else None
+            prod = known[key]
+            if prod is None:
+                break
+        return prod
 
     def radical_layers(self) -> tuple[tuple[int, ...], ...]:
         """Loewy series dim vectors (top first); a canonical iso invariant."""
@@ -836,8 +858,11 @@ class RadicalCalculator:
                 return np.zeros((0, _pair_len(self.reps[i], self.reps[j])),
                                 dtype=np.int64)
             return row_space(self.F, np.stack([f.to_vector() for f in H.basis]))
-        return self._row(i, n).get(
-            j, np.zeros((0, _pair_len(self.reps[i], self.reps[j])), dtype=np.int64))
+        rows = self._row(i, n).get(j)
+        if rows is None:
+            return np.zeros((0, _pair_len(self.reps[i], self.reps[j])), dtype=np.int64)
+        # a rad^1 row off the diagonal is the Hom basis as solved
+        return row_space(self.F, rows) if n == 1 and i != j else rows
 
     def _compose_spans(self, i: int, k: int, j: int,
                        A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -859,7 +884,10 @@ class RadicalCalculator:
             np.zeros((nb * na, 0), dtype=np.int64)
 
     def rad_dim(self, i: int, j: int, n: int) -> int:
-        return self.rad(i, j, n).shape[0]
+        """dim rad^n(reps[i], reps[j]) for n >= 1, a row count that needs
+        no echelon form."""
+        rows = self._row(i, n).get(j)
+        return 0 if rows is None else rows.shape[0]
 
     def all_zero_at(self, n: int) -> bool:
         return not any(self._row(i, n) for i in range(len(self.reps)))

@@ -192,13 +192,6 @@ class SkewContext:
             reps.append(v)
         return reps
 
-    def d_set(self, i0: int, j0: int) -> list[int]:
-        """D(i0, j0): arrows from R_{i0 j0}-vertices into j0, in declaration order."""
-        q = self.algebra.quiver
-        rset = set(self.r_set(i0, j0))
-        return [a for a in range(q.n_arrows)
-                if q.arrows[a].target == j0 and q.arrows[a].source in rset]
-
     def basic_dim(self) -> int:
         """dim e(Lambda G)e: rank of x -> e x e on the skew algebra, the
         product L_e R_e of the two multiplication maps composed term by
@@ -270,30 +263,37 @@ class SkewPresentation:
     def _build_arrows(self):
         ctx = self.context
         chars, F = ctx.chars, ctx.F
-        od = ctx.orbit_data
+        od, q = ctx.orbit_data, ctx.algebra.quiver
+        # one pass over Lambda's arrows: those into each representative j0,
+        # keyed by (i0, j0) with i0 the representative of the source's orbit
+        order = {r: k for k, r in enumerate(od.representatives)}
+        into: dict[tuple[int, int], list[int]] = {}
+        for a, arr in enumerate(q.arrows):
+            if arr.target in order:
+                into.setdefault((ctx.rep_of_vertex(arr.source), arr.target), []).append(a)
         counter = 0
-        for i0 in od.representatives:
-            for j0 in od.representatives:
-                stab_i = ctx.action.vertex_stabilizer(i0)
-                stab_j = ctx.action.vertex_stabilizer(j0)
-                joint = sorted(set(stab_i) & set(stab_j))
-                case = self._case_of(i0, j0)
-                for a in ctx.d_set(i0, j0):
-                    chi_a = arrow_character(ctx.action, chars, a, subgroup=joint)
-                    for b in ctx.action.arrow_orbit(a):
-                        self.orbit_arrow_data[b] = (case, a, self._case1_twist(i0, a))
-                    for rho in ctx.stab_chars[i0]:
-                        for sigma in ctx.stab_chars[j0]:
-                            lhs = chars.restriction_values(rho, joint)
-                            rhs = tuple(
-                                chars.value(sigma, h) * chars.value(chi_a, h) % F.p
-                                for h in joint)
-                            if lhs != rhs:
-                                continue
-                            arrow, elem = self._realize(i0, j0, case, a, rho, sigma, counter)
-                            self.arrows.append(arrow)
-                            self.elements[arrow.name] = elem
-                            counter += 1
+        for i0, j0 in sorted(into, key=lambda ij: (order[ij[0]], order[ij[1]])):
+            joint = sorted(set(od.stabilizers[i0]) & set(od.stabilizers[j0]))
+            case = self._case_of(i0, j0)
+            rset = set(ctx.r_set(i0, j0))
+            for a in into[i0, j0]:
+                if q.arrows[a].source not in rset:  # D(i0, j0): sources in R_{i0 j0}
+                    continue
+                chi_a = arrow_character(ctx.action, chars, a, subgroup=joint)
+                for b in ctx.action.arrow_orbit(a):
+                    self.orbit_arrow_data[b] = (case, a, self._case1_twist(i0, a))
+                for rho in ctx.stab_chars[i0]:
+                    for sigma in ctx.stab_chars[j0]:
+                        lhs = chars.restriction_values(rho, joint)
+                        rhs = tuple(
+                            chars.value(sigma, h) * chars.value(chi_a, h) % F.p
+                            for h in joint)
+                        if lhs != rhs:
+                            continue
+                        arrow, elem = self._realize(i0, j0, case, a, rho, sigma, counter)
+                        self.arrows.append(arrow)
+                        self.elements[arrow.name] = elem
+                        counter += 1
         # e_t x e_s = x for every realizing element x of an arrow s -> t
         T, n = ctx.skew.structure, ctx.skew.dim
         X = np.array([self.elements[ar.name] for ar in self.arrows]).reshape(-1, n)

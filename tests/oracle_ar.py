@@ -237,8 +237,9 @@ def _lift_through_cover(d0: RepMorphism, phi: RepMorphism,
 
 class LayerRadicalCalculator(RadicalCalculator):
     """rad^{n+1}(M, N) = sum_Z rad^n(Z, N) . rad^1(M, Z), one layer over all
-    ordered pairs at a time; `hom`, `_compose_spans` and `rad_dim` are the
-    package's."""
+    ordered pairs at a time; `hom` and `_compose_spans` are the package's.
+    rad^1 off the diagonal is stored as the Hom basis and reduced to echelon
+    form when read."""
 
     def __init__(self, reps: list[Representation]):
         self.reps = reps
@@ -273,8 +274,12 @@ class LayerRadicalCalculator(RadicalCalculator):
             return row_space(self.F, np.stack([f.to_vector() for f in H.basis]))
         while len(self._rad) < n:
             self._grow()
-        return self._rad[n - 1].get(
+        rows = self._rad[n - 1].get(
             (i, j), np.zeros((0, _pair_len(self.reps[i], self.reps[j])), dtype=np.int64))
+        return row_space(self.F, rows) if n == 1 and i != j else rows
+
+    def rad_dim(self, i: int, j: int, n: int) -> int:
+        return self.rad(i, j, n).shape[0]
 
     def _grow(self):
         """Build the next radical layer, rad^1 first, on first use."""

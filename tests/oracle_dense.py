@@ -42,6 +42,17 @@ for them: one walk over Q_G for the kernel of K Q_G -> e(Lambda G)e, then
 a second one inside `BoundAlgebra` rebuilding the ideal.  Its two methods
 are kept verbatim, run on a namespace in place of the presentation; their
 `nullspace_basis` and `in_row_space` are the dense ones below.
+
+`pair_loop_arrows` is how `SkewPresentation` found the arrows of Q_G
+before it took one pass over Lambda's arrows: every ordered pair of orbit
+representatives, with `d_set` re-scanning all arrows for each.  Both are
+kept verbatim apart from taking the context or presentation namespace as
+an argument.
+
+`dense_relation_defects` is `Representation.relation_defects` as it was
+before the terms shared their suffix products: each term's path matrix
+rebuilt from the arrow maps and summed into a dense accumulator, kept
+verbatim with the module as its argument.
 """
 
 from types import SimpleNamespace
@@ -53,7 +64,8 @@ from skewcover.rep import _frozen, morphism_from_vector
 from skewcover.quiver import (BoundAlgebra, NotAdmissibleError, PathWord,
                               RelationElement, ideal_closure, make_path,
                               path_source, path_target)
-from skewcover.skew import QGVertex
+from skewcover.action import arrow_character
+from skewcover.skew import QGVertex, _apply_terms
 
 
 def dense_table(alg):
@@ -305,6 +317,88 @@ def _build_algebra(self):
         raise AssertionError(
             f"bound algebra of Q_G has dim {self.algebra.dim}, "
             f"expected {self.basic_dim}")
+
+
+# ---------------------------------------------------------------------------
+# Q_G arrows from every pair of orbit representatives
+# ---------------------------------------------------------------------------
+
+def pair_loop_arrows(pres):
+    """Namespace with `arrows`, `elements` and `orbit_arrow_data` found by
+    the pair loop on the context of `pres`, with its realizing helpers."""
+    ns = SimpleNamespace(context=pres.context, arrows=[], elements={},
+                         orbit_arrow_data={}, _case_of=pres._case_of,
+                         _realize=pres._realize, _case1_twist=pres._case1_twist)
+    _build_arrows(ns)
+    return ns
+
+
+def d_set(self, i0: int, j0: int) -> list[int]:
+    """D(i0, j0): arrows from R_{i0 j0}-vertices into j0, in declaration order."""
+    q = self.algebra.quiver
+    rset = set(self.r_set(i0, j0))
+    return [a for a in range(q.n_arrows)
+            if q.arrows[a].target == j0 and q.arrows[a].source in rset]
+
+
+def _build_arrows(self):
+    ctx = self.context
+    chars, F = ctx.chars, ctx.F
+    od = ctx.orbit_data
+    counter = 0
+    for i0 in od.representatives:
+        for j0 in od.representatives:
+            stab_i = ctx.action.vertex_stabilizer(i0)
+            stab_j = ctx.action.vertex_stabilizer(j0)
+            joint = sorted(set(stab_i) & set(stab_j))
+            case = self._case_of(i0, j0)
+            for a in d_set(ctx, i0, j0):
+                chi_a = arrow_character(ctx.action, chars, a, subgroup=joint)
+                for b in ctx.action.arrow_orbit(a):
+                    self.orbit_arrow_data[b] = (case, a, self._case1_twist(i0, a))
+                for rho in ctx.stab_chars[i0]:
+                    for sigma in ctx.stab_chars[j0]:
+                        lhs = chars.restriction_values(rho, joint)
+                        rhs = tuple(
+                            chars.value(sigma, h) * chars.value(chi_a, h) % F.p
+                            for h in joint)
+                        if lhs != rhs:
+                            continue
+                        arrow, elem = self._realize(i0, j0, case, a, rho, sigma, counter)
+                        self.arrows.append(arrow)
+                        self.elements[arrow.name] = elem
+                        counter += 1
+    # e_t x e_s = x for every realizing element x of an arrow s -> t
+    T, n = ctx.skew.structure, ctx.skew.dim
+    X = np.array([self.elements[ar.name] for ar in self.arrows]).reshape(-1, n)
+    E = np.stack([ctx.idempotents[v] for v in ctx.vertices])
+    ends = np.array([[ctx.vqindex[ar.source], ctx.vqindex[ar.target]]
+                     for ar in self.arrows], dtype=np.int64).reshape(-1, 2)
+    self._left_terms = T.mult_entries(X, left=True)
+    trunc = _apply_terms(T.mult_entries(E, left=True), ends[:, 1], _apply_terms(
+        self._left_terms, np.arange(len(X)), E[ends[:, 0]], F.p), F.p)
+    bad = np.flatnonzero(~X.any(axis=1) | (trunc != X).any(axis=1))
+    if bad.size:
+        ar = self.arrows[bad[0]]
+        raise AssertionError(f"realizing element not supported at "
+                             f"({ar.source}, {ar.target}), case {ar.case}")
+
+
+# ---------------------------------------------------------------------------
+# Relation check by dense path matrices
+# ---------------------------------------------------------------------------
+
+def dense_relation_defects(self):
+    bad = []
+    for i, r in enumerate(self.algebra.relations):
+        _, w0 = r.terms[0]
+        s, t = path_source(self.algebra.quiver, w0), path_target(self.algebra.quiver, w0)
+        acc = self.F.zeros(self.dims[t], self.dims[s])
+        for c, w in r.terms:
+            acc = self.F.add(acc, self.F.smul(c, self.path_matrix(w)))
+        if np.any(acc):
+            bad.append(i)
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 import skewcover.ar
 from skewcover.ar import category_rank, knit_ar_quiver
+from skewcover.field import row_space
 from skewcover.rep import RadicalCalculator, irr_space
 from skewcover.skew import build_presentation
 
@@ -97,3 +98,20 @@ def test_knitting_builds_no_radical_layer(fig5):
     r, s = category_rank(arq)
     assert (r.finite, r.value, s.finite, s.value) == (True, 13, True, 13)
     assert arq.calc._rows
+
+
+@pytest.mark.parametrize("arq_name", ["fig5_arq", "fig6_arq"])
+def test_rad_returns_echelon_bases(arq_name, request):
+    """Every rad(i, j, n) with n <= 3 is its own echelon form, rad^1 off
+    the diagonal included, and rad_dim counts its rows."""
+    arq = request.getfixturevalue(arq_name)
+    calc, m = RadicalCalculator(arq.modules), len(arq.modules)
+    reduced = 0
+    for n in range(1, 4):
+        for i in range(m):
+            for j in range(m):
+                basis = calc.rad(i, j, n)
+                assert np.array_equal(basis, row_space(calc.F, basis)), (n, i, j)
+                assert calc.rad_dim(i, j, n) == basis.shape[0]
+                reduced += n == 1 and i != j and basis.shape[0] > 0
+    assert reduced
