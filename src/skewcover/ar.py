@@ -7,8 +7,9 @@ closure, and finite radical-power ranks of the module category.  The inverse tra
 minimal injective copresentation 0 -> M -> I0 -d1-> I1, so everything is
 computed over the algebra itself and no second algebra is built.
 
-`ARToolkit` builds the P_v and I_v once and owns them; covers, envelopes,
-(co)presentations and the Nakayama functors are its methods.
+`ARToolkit` builds the P_v and I_v once and owns them, and each direct sum
+of them once per vertex tuple; covers, envelopes, (co)presentations and
+the Nakayama functors are its methods.
 
 The arrows of the AR quiver are read off the meshes that knitting builds
 and decomposes (an arrow that lies on two meshes is read from both, and the
@@ -254,6 +255,16 @@ class ARToolkit:
         self.projectives = projective_modules(alg)
         self.injectives = injective_modules(alg)
         self.simples = simple_modules(alg)
+        self._sums: dict[tuple[bool, tuple[int, ...]], Representation] = {}
+
+    def _sum(self, injective: bool, verts: list[int]) -> Representation:
+        """The direct sum of the I_v (or P_v) over `verts`, built once per
+        vertex tuple."""
+        key = (injective, tuple(verts))
+        if key not in self._sums:
+            modules = self.injectives if injective else self.projectives
+            self._sums[key] = _sum_module(self.alg, [modules[v] for v in verts])
+        return self._sums[key]
 
     def _hull(self, M: Representation, dual: bool):
         """(P0, the cover P0 -> M, vertex of each summand), or (dual) the
@@ -263,10 +274,9 @@ class ARToolkit:
         the paths q: u -> v."""
         alg = self.alg
         F, q = alg.F, alg.quiver
-        modules, paths_of = ((self.injectives, _paths_to) if dual
-                             else (self.projectives, _paths_from))
+        paths_of = _paths_to if dual else _paths_from
         picks = [(v, g) for v, gs in enumerate(_free_columns(M, dual)) for g in gs]
-        H = _sum_module(alg, [modules[v] for v, _ in picks])
+        H = self._sum(dual, [v for v, _ in picks])
         paths = [paths_of(alg, v) for v, _ in picks]
         blocks = [F.zeros(M.dims[u], H.dims[u]) for u in range(q.n_vertices)]
         for (_, g), ps, off in zip(picks, paths, _offsets(paths)):
@@ -329,11 +339,10 @@ class ARToolkit:
         coordinates of their paths in the two sums; a term keeps the vertex
         u of its path, as products of paths keep their ends."""
         alg, F = self.alg, self.alg.F
-        modules, paths_of = ((self.projectives, _paths_from) if dual
-                             else (self.injectives, _paths_to))
+        paths_of = _paths_from if dual else _paths_to
         sides = []  # (sum, vertex starts, per summand the coordinate of each path)
         for verts in (resolution.verts0, resolution.verts1):
-            S = _sum_module(alg, [modules[v] for v in verts])
+            S = self._sum(not dual, verts)
             groups = [paths_of(alg, v) for v in verts]
             starts, coords = np.cumsum((0, *S.dims)), []
             for ps, off in zip(groups, _offsets(groups)):

@@ -652,15 +652,56 @@ def factor_poly(F: PrimeField, coeffs: list[int]):
     the constant content dropped, ordered by degree, then multiplicity,
     then the coefficients read from the leading one down.  Cantor and
     Zassenhaus (Math. Comp. 36, 1981): a squarefree decomposition,
-    distinct-degree factoring by x^(p^k) mod g, equal-degree splitting."""
+    distinct-degree factoring by x^(p^k) mod g, equal-degree splitting.
+    A quadratic, the common case, is split in closed form instead."""
     f = _poly_sub(F, coeffs)
     if len(f) < 2:
         return []
     f = poly_divmod(F, f, [f[-1]])[0]
-    out = [(h, m) for g, m in _squarefree(F, f)
-           for g_k, k in _distinct_degree(F, g)
-           for h in _equal_degree(F, g_k, k)]
+    if len(f) == 3:
+        hs = _split_quadratic(F, f)
+        out = [(hs[0], 2)] if hs[1:] == hs[:1] else [(h, 1) for h in hs]
+    else:
+        out = [(h, m) for g, m in _squarefree(F, f)
+               for g_k, k in _distinct_degree(F, g)
+               for h in _equal_degree(F, g_k, k)]
     return sorted(out, key=lambda hm: (len(hm[0]), hm[1], hm[0][::-1]))
+
+
+def _split_quadratic(F: PrimeField, g: list[int]) -> list[list[int]]:
+    """The monic irreducible factors of the monic quadratic
+    g = x^2 + b x + c, a double root listed twice: g itself, or x - r for
+    its roots r.  For odd p the roots are (-b +- sqrt D) / 2 when the
+    discriminant D = b^2 - 4c is a square (Euler's criterion), the root by
+    Tonelli and Shanks; for p = 2 they are read off g(0) and g(1), one
+    root being a double one."""
+    p, (c, b, _) = F.p, g
+    if p == 2:   # x^2 and x^2 + 1 have one root, a double one
+        roots = [r for r in (0, 1) if (r + b * r + c) % 2 == 0]
+        return [[r, 1] for r in (roots * 2)[:2]] if roots else [g]
+    disc = (b * b - 4 * c) % p
+    if disc and pow(disc, (p - 1) // 2, p) != 1:
+        return [g]
+    s, half = _sqrt_mod(disc, p) if disc else 0, (p + 1) // 2
+    return [[(b - root) * half % p, 1] for root in (s, -s % p)]
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the nonzero square a modulo the odd prime p
+    (Tonelli-Shanks): p - 1 = q 2^s with q odd, z a non-square; the loop
+    keeps r^2 = a t, t of order 2^m, and halves the order of t each step."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def _squarefree(F: PrimeField, f: list[int]):
@@ -706,9 +747,12 @@ def _equal_degree(F: PrimeField, g: list[int], k: int, s: int = 0):
     and the trace to F_p.  The a are x, x + 1, ..., x + p - 1, 2x, ...: the
     base-p digits of p + s, p + s + 1, ....  By the Chinese remainder
     theorem one of degree below deg g separates two factors; the pieces
-    go on from the next a, since no earlier one separates their factors."""
+    go on from the next a, since no earlier one separates their factors.
+    Two linear factors are split in closed form."""
     if len(g) - 1 == k:
         return [g]
+    if k == 1 and len(g) == 3:
+        return _split_quadratic(F, g)
     p = F.p
     mul = _mul_mod(F, g)
     while True:

@@ -13,6 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +59,12 @@ class Quiver:
                 raise ValueError(f"arrow {name!r} has undeclared endpoint")
             self.arrows.append(Arrow(name, self.vindex[s], self.vindex[t]))
         self.aindex = {a.name: i for i, a in enumerate(self.arrows)}
+        # per vertex, the arrows out of it and into it, in index order
+        outs, ins = [[] for _ in vertices], [[] for _ in vertices]
+        for i, a in enumerate(self.arrows):
+            outs[a.source].append(i)
+            ins[a.target].append(i)
+        self._out, self._in = list(map(tuple, outs)), list(map(tuple, ins))
 
     @property
     def n_vertices(self) -> int:
@@ -67,11 +74,11 @@ class Quiver:
     def n_arrows(self) -> int:
         return len(self.arrows)
 
-    def arrows_from(self, v: int):
-        return [i for i, a in enumerate(self.arrows) if a.source == v]
+    def arrows_from(self, v: int) -> tuple[int, ...]:
+        return self._out[v]
 
-    def arrows_into(self, v: int):
-        return [i for i, a in enumerate(self.arrows) if a.target == v]
+    def arrows_into(self, v: int) -> tuple[int, ...]:
+        return self._in[v]
 
     def indegree(self, v: int) -> int:
         return len(self.arrows_into(v))
@@ -83,10 +90,11 @@ class Quiver:
         return f"Quiver({self.n_vertices} vertices, {self.n_arrows} arrows)"
 
 
-@dataclass(frozen=True)
-class PathWord:
+class PathWord(NamedTuple):
     """A composable path: `arrows` lists arrow indices in functional order
-    (rightmost applied first).  Trivial paths carry the vertex alone."""
+    (rightmost applied first).  Trivial paths carry the vertex alone.  A
+    tuple, so it hashes and compares in C; no dict keyed by path words
+    holds any other tuple."""
 
     vertex: int          # source vertex for trivial paths; else derived
     arrows: tuple[int, ...] = ()

@@ -145,6 +145,11 @@ class Representation:
         return tuple(layers)
 
     def label(self) -> str:
+        """The Loewy layers as text, computed once per module."""
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
         return "|".join(",".join(str(d) for d in layer)
                         for layer in self.radical_layers()) or "0"
 
@@ -162,6 +167,9 @@ class RepMorphism:
         q = self.source.algebra.quiver
         F = self.source.F
         for a, arr in enumerate(q.arrows):
+            # a square with no entries always commutes
+            if not (self.target.dims[arr.target] and self.source.dims[arr.source]):
+                continue
             lhs = F.mul(self.blocks[arr.target], self.source.maps[a])
             rhs = F.mul(self.target.maps[a], self.blocks[arr.source])
             if not np.array_equal(lhs, rhs):
@@ -432,15 +440,14 @@ def is_indecomposable(M: Representation) -> bool:
     return E.dim - end_radical(M).shape[0] == 1
 
 
-def _splitting_element(M: Representation):
-    """(f, minimal polynomial of f, its factors) for an endomorphism f of M,
-    as a total matrix, whose minimal polynomial has two or more distinct
-    irreducible factors; M must have dim End(M)/rad > 1.  Drawn lazily in
-    a fixed order over the End basis b: sum (k+1) b_k, each b_k, b_i + b_j
-    and b_i b_j for i < j, and last the lift from `_frobenius_fixed`."""
+def _split_candidates(M: Representation):
+    """(f, minimal polynomial of f, its factors) for endomorphisms f of M,
+    as total matrices, drawn lazily in a fixed order over the End basis b:
+    sum (k+1) b_k, each b_k, b_i + b_j and b_i b_j for i < j, and last the
+    lift from `_frobenius_fixed`.  Only that lift needs End's structure
+    constants and radical."""
     F = M.F
-    _, H = end_algebra(M)
-    mats = np.stack([_total_matrix(f) for f in H.basis])
+    mats = np.stack([_total_matrix(f) for f in hom_basis(M, M).basis])
     n = len(mats)
 
     def combination(x):
@@ -457,7 +464,14 @@ def _splitting_element(M: Representation):
 
     for f in candidates():
         mp = minimal_polynomial(F, f)
-        factors = factor_poly(F, mp)
+        yield f, mp, factor_poly(F, mp)
+
+
+def _splitting_element(drawn):
+    """The first (f, mp, factors) of `drawn` whose minimal polynomial has
+    two or more distinct irreducible factors; the module drawn from must
+    have dim End(M)/rad > 1."""
+    for f, mp, factors in drawn:
         if len(factors) > 1:
             return f, mp, factors
     raise AssertionError("a non-scalar Frobenius-fixed element did not split")
@@ -580,7 +594,8 @@ def decompose(M: Representation) -> list[Summand]:
     split finds them in, which depends on M's bases, not only on its
     isomorphism class.  The inclusion/projection pairs compose to idempotents of M
     summing to the identity.  An indecomposable M is its own summand, with
-    identity witnesses.  Memoized in the module table of M's algebra.
+    identity witnesses.  Memoized in the module table of M's algebra, with
+    each summand's Loewy label.
     """
     if M.is_zero():
         return []
@@ -589,28 +604,35 @@ def decompose(M: Representation) -> list[Summand]:
     if parts is None:
         return [Summand(M, identity_morphism(M), identity_morphism(M))]
     out = []
-    for dims, maps, inc, prj in parts:
+    for dims, maps, label, inc, prj in parts:
         S = Representation(M.algebra, dims, maps)
+        S._label = label   # seeds the cached property
         out.append(Summand(S, RepMorphism(S, M, list(inc)),
                            RepMorphism(M, S, list(prj))))
     return out
 
 
 def _krull_schmidt(M: Representation):
-    """The summands of M as (dims, maps, inclusion blocks, projection
-    blocks), or None when M is indecomposable.  A piece on the stack is cut
-    by one splitting element f into all of its primary components
-    ker q(f)^m, the images of the CRT idempotents of the primary factors
-    q^m of the minimal polynomial; only pieces with dim End/rad > 1 go
-    back on the stack."""
-    if is_indecomposable(M):
-        return None
+    """The summands of M as (dims, maps, Loewy label, inclusion blocks,
+    projection blocks), or None when M is indecomposable.  M's first
+    splitting candidate is tried before M is certified indecomposable, so a
+    module it splits builds no End structure constants or radical.  A piece
+    on the stack is cut by one splitting element f into all of its primary
+    components ker q(f)^m, the images of the CRT idempotents of the primary
+    factors q^m of the minimal polynomial; only pieces with dim End/rad > 1
+    go back on the stack."""
+    drawn = _split_candidates(M) if hom_basis(M, M).dimension > 1 else iter(())
+    first = next(drawn, None)
+    if first is None or len(first[2]) < 2:
+        if is_indecomposable(M):
+            return None
+        first = _splitting_element(drawn)
     F = M.F
-    work = [Summand(M, identity_morphism(M), identity_morphism(M))]
+    work = [(Summand(M, identity_morphism(M), identity_morphism(M)), first)]
     out: list[Summand] = []
     while work:
-        cur = work.pop()
-        f, mp, factors = _splitting_element(cur.rep)
+        cur, split = work.pop()
+        f, mp, factors = split or _splitting_element(_split_candidates(cur.rep))
         for q, m in factors:
             qm = power(lambda a, b: poly_mul(F, a, b), q, m, [1])
             rest = poly_divmod(F, mp, qm)[0]
@@ -620,21 +642,31 @@ def _krull_schmidt(M: Representation):
             sub, incl, proj = _image_subrep(_matrix_to_morphism(cur.rep, e))
             piece = Summand(sub, cur.inclusion.compose(incl),
                             proj.compose(cur.projection))
-            (out if is_indecomposable(sub) else work).append(piece)
+            if is_indecomposable(sub):
+                out.append(piece)
+            else:
+                work.append((piece, None))
     out.sort(key=lambda s: (s.rep.dims, s.rep.label()))
-    if sum(s.rep.total_dim for s in out) != M.total_dim:
+    check_summands(M, out)
+    return [(s.rep.dims, s.rep.maps, s.rep.label(),
+             [_frozen(b) for b in s.inclusion.blocks],
+             [_frozen(b) for b in s.projection.blocks]) for s in out]
+
+
+def check_summands(M: Representation, summands: list[Summand]):
+    """Raise unless the summands split M: their dimensions add up to M's,
+    each projection after its inclusion is the identity, and the
+    idempotents inclusion after projection sum to the identity of M."""
+    F = M.F
+    if sum(s.rep.total_dim for s in summands) != M.total_dim:
         raise AssertionError("decomposition loses dimension")
-    # verify the witnesses: projections . inclusions = identity blocks
-    for s in out:
+    for s in summands:
         pi = s.projection.compose(s.inclusion)
         if not all(np.array_equal(b, F.eye(b.shape[0])) for b in pi.blocks):
             raise AssertionError("summand witness is not a splitting")
-    # ... and the idempotents inclusion . projection sum to the identity
-    parts = [s.inclusion.compose(s.projection).blocks for s in out]
+    parts = [s.inclusion.compose(s.projection).blocks for s in summands]
     if any(np.any(F.sub(sum(bs), F.eye(len(bs[0])))) for bs in zip(*parts)):
         raise AssertionError("summand idempotents do not sum to the identity")
-    return [(s.rep.dims, s.rep.maps, [_frozen(b) for b in s.inclusion.blocks],
-             [_frozen(b) for b in s.projection.blocks]) for s in out]
 
 
 def is_isomorphic(M: Representation, N: Representation) -> bool:
@@ -798,6 +830,8 @@ class RadicalCalculator:
     diagonal.  Higher powers grow one source row at a time,
     rad^{n+1}(M_i, N) = sum_Z rad^1(Z, N) . rad^n(M_i, Z), and a row of
     rad^n, like each rad^1 row it composes with, is built on first use.
+    Each rad^n(M_i, Z) is composed with all of rad^1(Z, -) at once, as
+    one product of total matrices (`_compose_spans`).
     So `ar.category_rank`, which tests rad^n = 0 on the projective rows
     alone, grows no other row beyond the rad^1 rows those compose with;
     with a closed knit the algebra is representation-finite and rad is
@@ -810,6 +844,9 @@ class RadicalCalculator:
         self.F = reps[0].F if reps else None
         # source i -> [n-1] -> {j: echelon basis of nonzero rad^n(i, j)}
         self._rows: dict[int, list[dict[int, np.ndarray]]] = {}
+        # middle k -> rad^1(k, -) stacked over its targets (`_rad1_stack`)
+        self._stacks: dict[int, tuple] = {}
+        self._layouts: dict[tuple[int, int], tuple] = {}   # see `_layout`
 
     def hom(self, i: int, j: int) -> HomSpace:
         return hom_basis(self.reps[i], self.reps[j])
@@ -838,10 +875,9 @@ class RadicalCalculator:
             prev = layers[-1]
             pieces: dict[int, list[np.ndarray]] = {}
             for k, A in prev.items():
-                for j, B in self._row(k, 1).items():
-                    if j in prev:   # rad^{n+1}(i, j) lies in rad^n(i, j)
-                        pieces.setdefault(j, []).append(
-                            self._compose_spans(i, k, j, A, B))
+                # rad^{n+1}(i, j) lies in rad^n(i, j)
+                for j, span in self._compose_spans(i, k, A, prev):
+                    pieces.setdefault(j, []).append(span)
             nxt: dict[int, np.ndarray] = {}
             for j, parts in pieces.items():
                 span = row_space(self.F, np.concatenate(parts, axis=0))
@@ -864,24 +900,59 @@ class RadicalCalculator:
         # a rad^1 row off the diagonal is the Hom basis as solved
         return row_space(self.F, rows) if n == 1 and i != j else rows
 
-    def _compose_spans(self, i: int, k: int, j: int,
-                       A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """All pairwise compositions B o A, A in Hom(i, k), B in Hom(k, j),
-        as stacked morphism vectors (vectorized per vertex)."""
-        F = self.F
-        Mi, Mk, Mj = self.reps[i], self.reps[k], self.reps[j]
-        na, nb = A.shape[0], B.shape[0]
-        parts = []
-        offa = offb = 0
-        for di, dk, dj in zip(Mi.dims, Mk.dims, Mj.dims):
-            Ab = A[:, offa: offa + dk * di].reshape(na, dk, di)
-            Bb = B[:, offb: offb + dj * dk].reshape(nb, dj, dk)
-            prod = np.einsum("bxy,ayz->baxz", Bb, Ab) % F.p
-            parts.append(prod.reshape(nb * na, dj * di))
-            offa += dk * di
-            offb += dj * dk
-        return np.concatenate(parts, axis=1) if parts else \
-            np.zeros((nb * na, 0), dtype=np.int64)
+    def _layout(self, s: int, t: int):
+        """Row and column in the total matrix, reps[t] by reps[s], of each
+        coordinate of a morphism vector reps[s] -> reps[t]: the vertex
+        blocks in vertex order, each row-major."""
+        if (s, t) not in self._layouts:
+            rows, cols, os, ot = [], [], 0, 0
+            for a, b in zip(self.reps[s].dims, self.reps[t].dims):
+                for x in range(ot, ot + b):
+                    rows += [x] * a
+                    cols += range(os, os + a)
+                os, ot = os + a, ot + b
+            self._layouts[s, t] = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        return self._layouts[s, t]
+
+    def _totals(self, s: int, t: int, vecs: np.ndarray) -> np.ndarray:
+        """Morphism vectors reps[s] -> reps[t] as stacked block-diagonal
+        total matrices."""
+        rows, cols = self._layout(s, t)
+        out = np.zeros((len(vecs), self.reps[t].total_dim, self.reps[s].total_dim),
+                       dtype=np.int64)
+        out[:, rows, cols] = vecs
+        return out
+
+    def _rad1_stack(self, k: int):
+        """rad^1(reps[k], -) stacked over its targets j: the total matrices
+        of every basis morphism of every target, one above the other, and
+        per target j its first row and basis size."""
+        if k not in self._stacks:
+            mats, starts, at = [], {}, 0
+            for j, B in self._row(k, 1).items():
+                mats.append(self._totals(k, j, B).reshape(-1, self.reps[k].total_dim))
+                starts[j] = at, B.shape[0]
+                at += mats[-1].shape[0]
+            self._stacks[k] = (np.concatenate(mats) if mats else
+                               np.zeros((0, self.reps[k].total_dim), dtype=np.int64),
+                               starts)
+        return self._stacks[k]
+
+    def _compose_spans(self, i: int, k: int, A: np.ndarray, targets):
+        """(j, all compositions B o A) for A in the rows of Hom(i, k), B in
+        the rad^1(k, j) basis and j in `targets`, as stacked morphism
+        vectors in (B, A) order: one product of total matrices with the
+        stack of `_rad1_stack(k)`, its diagonal blocks read off per target."""
+        stack, starts = self._rad1_stack(k)
+        na, di = A.shape[0], self.reps[i].total_dim
+        prod = self.F.mul(stack, self._totals(i, k, A).transpose(1, 0, 2)
+                          .reshape(-1, na * di))
+        for j, (at, nb) in starts.items():
+            if j in targets:
+                dj = self.reps[j].total_dim
+                rows, cols = self._layout(i, j)
+                yield j, (prod[at: at + nb * dj].reshape(nb, dj, na, di)
+                          [:, rows, :, cols].transpose(1, 2, 0).reshape(nb * na, -1))
 
     def rad_dim(self, i: int, j: int, n: int) -> int:
         """dim rad^n(reps[i], reps[j]) for n >= 1, a row count that needs

@@ -3,6 +3,11 @@ sequence with full stabilizer pushes to a family of sequences glued along a
 shared middle summand, one with proper stabilizer pushes to a single
 sequence.  Every output is verified against the directly-knitted AR quiver
 of the skew algebra.
+
+The pushed middle term F(E) is split along the knitted summands E_i of E:
+the pushdown is additive (Gabriel, "The universal cover of a
+representation-finite algebra", LNM 903, 1981), so F(E) is the sum of the
+F(E_i), each split by its own memoized decomposition.
 """
 
 from __future__ import annotations
@@ -12,10 +17,10 @@ from dataclasses import dataclass
 
 from .action import QuiverAction
 from .ar import (AlmostSplitSequence, ARQuiver, _check_exact)
-from .pushdown import (decompose_pushdown, pushdown_module, pushdown_morphism,
-                       sequence_stabilizer)
-from .rep import (IsoClasses, Representation, Summand, decompose,
-                  module_stabilizer)
+from .pushdown import (PushdownResult, decompose_pushdown, pushdown_module,
+                       pushdown_morphism, sequence_stabilizer)
+from .rep import (IsoClasses, Representation, Summand, check_summands,
+                  decompose, module_stabilizer)
 from .skew import SkewPresentation
 
 
@@ -35,8 +40,27 @@ class GluedSequenceSet:
     stabilizer_order: int
 
 
-def _summand_multiset(arq: ARQuiver, M: Representation) -> tuple:
-    return tuple(sorted(arq.calc.index_of(s.rep) for s in decompose(M)))
+def _summand_multiset(arq: ARQuiver, summands: list[Summand]) -> tuple:
+    return tuple(sorted(arq.calc.index_of(s.rep) for s in summands))
+
+
+def pushed_middle_summands(pres: SkewPresentation, seq: AlmostSplitSequence,
+                           FN: PushdownResult) -> list[Summand]:
+    """The summands of FN = F(E), E the middle term of `seq`, read off the
+    summands E_i of E: a summand t of F(E_i) enters F(E) by
+    F(incl_i) o incl_t and leaves it by proj_t o F(proj_i).  Sorted as
+    `decompose` sorts, by dimension vector and then Loewy label, and
+    checked to split F(E)."""
+    out = []
+    for s in seq.middle_summands:
+        FS = pushdown_module(pres, s.rep)
+        into = pushdown_morphism(pres, s.inclusion, FS, FN)
+        onto = pushdown_morphism(pres, s.projection, FN, FS)
+        out.extend(Summand(t.rep, into.compose(t.inclusion),
+                           t.projection.compose(onto)) for t in decompose(FS.rep))
+    out.sort(key=lambda t: (t.rep.dims, t.rep.label()))
+    check_summands(FN.rep, out)
+    return out
 
 
 def pushdown_sequence(pres: SkewPresentation, action: QuiverAction,
@@ -63,15 +87,17 @@ def pushdown_sequence(pres: SkewPresentation, action: QuiverAction,
     Fproj = pushdown_morphism(pres, seq.proj, FN, FT)
     pushed = AlmostSplitSequence(FM.rep, FN.rep, FT.rep, Fincl, Fproj)
     _check_exact(pushed)  # exactness of the functor on this sequence
+    mid_parts = pushed_middle_summands(pres, seq, FN)
 
     if len(stab) < G.n:
-        pushed.middle_summands = decompose(FN.rep)
+        pushed.middle_summands = mid_parts
         knitted = arq_skew.sequences.get(index(FT.rep))
         if knitted is None:
             raise AssertionError("pushed right term has no knitted mesh")
         if index(knitted.left) != index(FM.rep):
             raise AssertionError("pushed sequence disagrees with knitted mesh (left)")
-        if _summand_multiset(arq_skew, knitted.middle) != _summand_multiset(arq_skew, FN.rep):
+        if (_summand_multiset(arq_skew, knitted.middle_summands)
+                != _summand_multiset(arq_skew, mid_parts)):
             raise AssertionError("pushed sequence disagrees with knitted mesh (middle)")
         return GluedSequenceSet([pushed], [], False, True, len(stab))
 
@@ -80,7 +106,6 @@ def pushdown_sequence(pres: SkewPresentation, action: QuiverAction,
     m_parts = decompose_pushdown(pres, seq.left).summands
     t_parts = decompose_pushdown(pres, seq.right).summands
 
-    mid_parts = decompose(FN.rep)
     stable_parts: list[Summand] = []
     unstable_parts: list[Summand] = []
     for s in mid_parts:
@@ -107,7 +132,7 @@ def pushdown_sequence(pres: SkewPresentation, action: QuiverAction,
             raise AssertionError("knitted mesh left term is not an M-twist")
         sequences.append(knitted)
         # middle shape: Z once plus a transversal of the unstable twists
-        mid_idx = _summand_multiset(arq_skew, knitted.middle)
+        mid_idx = _summand_multiset(arq_skew, knitted.middle_summands)
         for zi in z_idx:
             if zi not in mid_idx:
                 raise AssertionError("gluing summand missing from a glued middle")
@@ -115,8 +140,8 @@ def pushdown_sequence(pres: SkewPresentation, action: QuiverAction,
     # family middles sum to the pushed middle
     family = []
     for s in sequences:
-        family.extend(_summand_multiset(arq_skew, s.middle))
-    if tuple(sorted(family)) != _summand_multiset(arq_skew, FN.rep):
+        family.extend(_summand_multiset(arq_skew, s.middle_summands))
+    if tuple(sorted(family)) != _summand_multiset(arq_skew, mid_parts):
         raise AssertionError("glued family middles do not reassemble F(middle)")
 
     return GluedSequenceSet(sequences, z_classes, bool(z_classes), False, len(stab))

@@ -1,6 +1,7 @@
 import importlib.resources as resources
 import importlib.util
 import sys
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import pytest
@@ -108,3 +109,45 @@ def fig5_skew_arq(fig5_pres):
 @pytest.fixture(scope="session")
 def fig6_arq(fig6):
     return knit_ar_quiver(fig6.algebra)
+
+
+# Inputs whose knits pin the decomposition layer: every module they
+# decompose and every minimal polynomial they factor, over Lambda and
+# Lambda G; the Kronecker algebra is knitted up to dimension 14.
+RECORDED_KEYS = ("fig5", "fig6", "free_action_a3", "star3_1", "star2_2",
+                 "cover2_4", "kronecker_z3")
+
+
+@dataclass
+class RecordedKnit:
+    pres: object                 # the skew presentation of the input
+    arq: object                  # None where the knit hit its cap
+    decomposed: list = dc_field(default_factory=list)   # modules decomposed
+    polynomials: list = dc_field(default_factory=list)  # (F, coefficients)
+
+
+@pytest.fixture(scope="session")
+def recorded_knits():
+    """{(key, "base" or "skew"): RecordedKnit} over RECORDED_KEYS, each
+    knitted on freshly built algebras, so that no memo hides a split."""
+    from skewcover import rep
+    from skewcover.ar import CapExceededError
+    out, current = {}, [None]
+    split, factor = rep._krull_schmidt, rep.factor_poly
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rep, "_krull_schmidt",
+                   lambda M: current[0].decomposed.append(M) or split(M))
+        mp.setattr(rep, "factor_poly", lambda F, c: current[0].polynomials.append(
+            (F, list(c))) or factor(F, c))
+        for key in RECORDED_KEYS:
+            built = (load_generated(key) if key.startswith(("star", "cover"))
+                     else load_built(f"{key}.skw"))
+            pres = build_presentation(built.algebra, built.group, built.action)
+            for side, alg in (("base", built.algebra), ("skew", pres.algebra)):
+                current[0] = out[key, side] = RecordedKnit(pres, None)
+                try:
+                    out[key, side].arq = knit_ar_quiver(
+                        alg, **({"max_dimension": 14} if key == "kronecker_z3" else {}))
+                except CapExceededError:
+                    pass
+    return out

@@ -237,9 +237,10 @@ def _lift_through_cover(d0: RepMorphism, phi: RepMorphism,
 
 class LayerRadicalCalculator(RadicalCalculator):
     """rad^{n+1}(M, N) = sum_Z rad^n(Z, N) . rad^1(M, Z), one layer over all
-    ordered pairs at a time; `hom` and `_compose_spans` are the package's.
-    rad^1 off the diagonal is stored as the Hom basis and reduced to echelon
-    form when read."""
+    ordered pairs at a time; `hom` is the package's.  rad^1 off the diagonal
+    is stored as the Hom basis and reduced to echelon form when read.  The
+    compositions are formed one (source, middle, target) triple at a time,
+    by the package's former `_compose_spans`."""
 
     def __init__(self, reps: list[Representation]):
         self.reps = reps
@@ -280,6 +281,25 @@ class LayerRadicalCalculator(RadicalCalculator):
 
     def rad_dim(self, i: int, j: int, n: int) -> int:
         return self.rad(i, j, n).shape[0]
+
+    def _compose_spans(self, i: int, k: int, j: int,
+                       A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """All pairwise compositions B o A, A in Hom(i, k), B in Hom(k, j),
+        as stacked morphism vectors (vectorized per vertex)."""
+        F = self.F
+        Mi, Mk, Mj = self.reps[i], self.reps[k], self.reps[j]
+        na, nb = A.shape[0], B.shape[0]
+        parts = []
+        offa = offb = 0
+        for di, dk, dj in zip(Mi.dims, Mk.dims, Mj.dims):
+            Ab = A[:, offa: offa + dk * di].reshape(na, dk, di)
+            Bb = B[:, offb: offb + dj * dk].reshape(nb, dj, dk)
+            prod = np.einsum("bxy,ayz->baxz", Bb, Ab) % F.p
+            parts.append(prod.reshape(nb * na, dj * di))
+            offa += dk * di
+            offb += dj * dk
+        return np.concatenate(parts, axis=1) if parts else \
+            np.zeros((nb * na, 0), dtype=np.int64)
 
     def _grow(self):
         """Build the next radical layer, rad^1 first, on first use."""

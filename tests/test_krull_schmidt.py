@@ -1,6 +1,6 @@
-"""The one-pass Krull-Schmidt split of `rep.decompose` against the eager
-scan kept in `oracle_krull_schmidt`, and the Frobenius certificate behind
-NonSplitEndError."""
+"""The one-pass Krull-Schmidt split of `rep.decompose` against the two
+splitters kept in `oracle_krull_schmidt`, and the Frobenius certificate
+behind NonSplitEndError."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from skewcover.rep import (ModuleTable, NonSplitEndError, Representation,
                            decompose, end_algebra, is_isomorphic,
                            match_summands)
 
-from oracle_krull_schmidt import oracle_krull_schmidt
+from oracle_krull_schmidt import (certify_first_krull_schmidt,
+                                  oracle_krull_schmidt)
 from test_module_identity import F, _base_change, _kronecker
 
 # x^2 - c is irreducible for these: c^((p-1)/2) = -1 mod 1009
@@ -204,3 +205,43 @@ def test_splitting_elements_are_drawn_lazily(monkeypatch):
                         lambda F_, A: calls.append(A) or real(F_, A))
     assert len(decompose(M)) == 4
     assert len(calls) == 1
+
+
+def test_root_is_split_before_it_is_certified(monkeypatch):
+    """The four-brick module of the test above splits on its first
+    candidate, so End(M) gets no structure constants and no radical; only
+    the four bricks are certified."""
+    alg = _kronecker()
+    bricks = [_companion_module(alg, [c, 1]) for c in range(4)]
+    M = _base_change(direct_sum(alg, bricks)[0], np.random.default_rng(0))
+    structured, radicals = [], []
+    real_end, real_radical = rep._end_structure, rep.algebra_radical
+    monkeypatch.setattr(rep, "_end_structure",
+                        lambda X, H: structured.append(X) or real_end(X, H))
+    monkeypatch.setattr(rep, "algebra_radical",
+                        lambda E: radicals.append(E) or real_radical(E))
+    assert len(decompose(M)) == 4
+    assert len(structured) == 4 and all(X is not M for X in structured)
+    assert radicals == []
+
+
+def test_summands_match_certify_first_oracle(recorded_knits):
+    """Every module the recorded knits decompose, over Lambda and Lambda G:
+    the same summands as certifying first, down to the maps, the witness
+    blocks and the order."""
+    split = 0
+    for knit in recorded_knits.values():
+        for M in knit.decomposed:
+            got, want = rep._krull_schmidt(M), certify_first_krull_schmidt(M)
+            assert (got is None) == (want is None), M
+            if got is None:
+                continue
+            split += 1
+            assert len(got) == len(want), M
+            for (dims, maps, label, inc, prj), w in zip(got, want):
+                assert dims == w[0]
+                for mine, theirs in zip((maps, inc, prj), w[1:]):
+                    assert len(mine) == len(theirs)
+                    assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+                assert label == Representation(M.algebra, dims, maps).label()
+    assert split >= 40

@@ -1,10 +1,12 @@
+import pytest
+
 from skewcover.field import PrimeField
 from skewcover.rep import (decompose, irr_space, is_isomorphic,
-                           module_stabilizer, twist)
+                           match_summands, module_stabilizer, twist)
 from skewcover.ar import verify_almost_split
 from skewcover.pushdown import (decompose_pushdown, pushdown_module,
                                 pushdown_morphism, sequence_stabilizer)
-from skewcover.transport import pushdown_sequence
+from skewcover.transport import pushdown_sequence, pushed_middle_summands
 
 F = PrimeField(1009)
 
@@ -180,3 +182,19 @@ def _skew_level(pres, skew_arq, Ff):
     miso = [calc.classes.locate(s.rep) for s in mparts]
     niso = [calc.classes.locate(s.rep) for s in nparts]
     return morphism_level(calc, Ff, mparts, nparts, miso, niso)
+
+
+@pytest.mark.parametrize("key", ["fig5", "free_action_a3", "star3_1"])
+def test_pushed_middles_split_along_the_knit(recorded_knits, key):
+    """F(E) split along E's summands has the summands `decompose(F(E))`
+    finds: the same (dims, label) sequence and the same classes."""
+    knit = recorded_knits[key, "base"]
+    assert knit.arq.sequences
+    for seq in knit.arq.sequences.values():
+        FN = pushdown_module(knit.pres, seq.middle)
+        got = pushed_middle_summands(knit.pres, seq, FN)
+        want = decompose(FN.rep)
+        assert ([(s.rep.dims, s.rep.label()) for s in got]
+                == [(s.rep.dims, s.rep.label()) for s in want])
+        pairs = match_summands([s.rep for s in got], [s.rep for s in want])
+        assert pairs is not None and len(pairs) == len(want)
