@@ -55,21 +55,6 @@ class AbelianGroup:
             gens.append(tuple(g))
         return gens
 
-    def generated_by(self, elements) -> list[tuple[int, ...]]:
-        """Subgroup generated by the given elements, as a sorted list."""
-        sub = {self.identity()}
-        frontier = list(sub)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in elements:
-                    gh = self.mul(g, h)
-                    if gh not in sub:
-                        sub.add(gh)
-                        nxt.append(gh)
-            frontier = nxt
-        return sorted(sub)
-
     def __repr__(self):
         return "Z" + " x Z".join(str(n) for n in self.orders)
 
@@ -248,9 +233,6 @@ class QuiverAction:
 
     def vertex_stabilizer(self, v: int) -> list[tuple[int, ...]]:
         return sorted(g for g in self.group.elements if self.vertex(g, v) == v)
-
-    def arrow_orbit(self, a: int) -> list[int]:
-        return sorted({self.arrow(g, a)[1] for g in self.group.elements})
 
 
 @dataclass

@@ -30,8 +30,8 @@ from .field import (in_row_space, nullspace_basis, quotient_map, rank,
 from .quiver import BoundAlgebra, PathWord
 from .rep import (RADICAL_CUTOFF, IsoClasses, RadicalCalculator, RepMorphism,
                   Representation, Summand, combine, decompose, end_algebra,
-                  end_radical, hom_basis, identity_morphism,
-                  morphism_from_vector, sub_from_rows, zero_morphism)
+                  end_radical, hom_basis, identity_morphism, sub_from_rows,
+                  zero_morphism)
 
 
 class CapExceededError(Exception):
@@ -291,14 +291,6 @@ class ARToolkit:
             raise AssertionError("cover not surjective or envelope not injective")
         return H, f, [v for v, _ in picks]
 
-    def projective_cover(self, M: Representation):
-        """(P0, cover morphism d0: P0 -> M, list of projective vertex indices)."""
-        return self._hull(M, dual=False)
-
-    def injective_envelope(self, M: Representation):
-        """(I0, envelope morphism d0: M -> I0, list of injective vertex indices)."""
-        return self._hull(M, dual=True)
-
     def _resolve(self, M: Representation, dual: bool) -> Resolution:
         """The minimal presentation, or (dual) copresentation, of M."""
         alg = self.alg
@@ -370,9 +362,6 @@ class ARToolkit:
         P1 = 0 gives 0."""
         return kernel_subrep(self._nakayama(presentation, dual=False))[0]
 
-    def tau(self, M: Representation) -> Representation:
-        return self.tau_from_presentation(self.minimal_presentation(M))
-
     def tau_minus(self, M: Representation) -> Representation:
         return cokernel_rep(self._nakayama(self.minimal_copresentation(M), dual=True))[0]
 
@@ -420,7 +409,9 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
     End(tau T)-action, which is the socle under the right End(T)-action
     (Auslander-Reiten-Smalø, Representation Theory of Artin Algebras, V.2)
     and needs no lift through P0.  Exactness and the non-split property are
-    verified here, the factorization property by `verify_almost_split`."""
+    verified here; the factorization property, which needs every
+    indecomposable, is checked by `verify_almost_split` in
+    `tests/oracle_paper.py`."""
     alg = tk.alg
     F, q = alg.F, alg.quiver
     if tk.is_projective(T):
@@ -517,46 +508,6 @@ def _check_exact(seq: AlmostSplitSequence):
         comp = F.mul(seq.proj.blocks[v], seq.incl.blocks[v])
         if np.any(comp):
             raise AssertionError("composite of sequence maps nonzero")
-
-
-def _locate(calc: RadicalCalculator, M: Representation):
-    """(i, u: calc.reps[i] -> M); KeyError when M is not in the list."""
-    found = calc.classes.locate(M)
-    if found is None:
-        raise KeyError(f"module {M.dims} is not in the indecomposable list")
-    return found
-
-
-def verify_almost_split(seq: AlmostSplitSequence, ind_list: list[Representation],
-                        calc: RadicalCalculator) -> bool:
-    """Factorization test against a complete list of indecomposables:
-    every radical morphism Y -> T factors through the right-hand map, and
-    dually every radical X -> Y factors through the left-hand map."""
-    F = seq.left.F
-    T, X = seq.right, seq.left
-    iT, uT = _locate(calc, T)
-    iX, uX = _locate(calc, X)
-    for Y in ind_list:
-        iY, uY = _locate(calc, Y)
-        radYT = calc.rad(iY, iT, 1)
-        if radYT.shape[0]:
-            through = _span(F, [seq.proj.compose(g)
-                                for g in hom_basis(Y, seq.middle).basis])
-            for r in range(radYT.shape[0]):
-                f0 = morphism_from_vector(calc.reps[iY], calc.reps[iT], radYT[r])
-                f = uT.compose(f0).compose(uY.inverse())
-                if not in_row_space(F, through, f.to_vector()):
-                    return False
-        radXY = calc.rad(iX, iY, 1)
-        if radXY.shape[0]:
-            through = _span(F, [g.compose(seq.incl)
-                                for g in hom_basis(seq.middle, Y).basis])
-            for r in range(radXY.shape[0]):
-                g0 = morphism_from_vector(calc.reps[iX], calc.reps[iY], radXY[r])
-                g = uY.compose(g0).compose(uX.inverse())
-                if not in_row_space(F, through, g.to_vector()):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def cmd_skew(args):
 def cmd_pushdown(args):
     doc, built = _load(args.file, bound=args.bound)
     if args.module not in built.modules:
-        raise KeyError(f"module {args.module!r} not in input file")
+        raise ValueError(f"module {args.module!r} not in input file")
     pres = _presentation(built, args.bound)
     M = built.modules[args.module]
     res = pushdown_module(pres, M)
@@ -122,7 +122,7 @@ def cmd_hom(args):
     doc, built = _load(args.file, bound=args.bound)
     for name in (args.M, args.N):
         if name not in built.modules:
-            raise KeyError(f"module {name!r} not in input file")
+            raise ValueError(f"module {name!r} not in input file")
     H = hom_basis(built.modules[args.M], built.modules[args.N])
     _report(args, "hom", built.digest,
             {"M": args.M, "N": args.N, "dim": H.dimension})

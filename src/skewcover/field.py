@@ -8,9 +8,9 @@ to 2048 stays below 2^63; `PrimeField.mul` reduces after each slice of
 2048 beyond that.
 
 Every elimination (`rref`, `rank`, `row_space`, `solve_linear`,
-`nullspace_basis`, `sparse_nullspace_basis`, `inverse`, `in_row_space`)
-runs one Gauss-Jordan kernel with three paths, chosen from the shape and
-the nonzero count of its input, an array or sparse rows:
+`nullspace_basis`, `sparse_nullspace_basis`, `in_row_space`) runs one
+Gauss-Jordan kernel with three paths, chosen from the shape and the
+nonzero count of its input, an array or sparse rows:
 
 * at most 64 entries, the bulk of the traffic: Python int lists, one
   `tolist()` in and no array at all for `rank`, `in_row_space` and a
@@ -98,9 +98,6 @@ class PrimeField:
         return PrimeField(p)
 
     # -- scalar arithmetic ------------------------------------------------
-
-    def red(self, a) -> np.ndarray:
-        return np.asarray(a, dtype=np.int64) % self.p
 
     def inv(self, a: int) -> int:
         a = int(a) % self.p
@@ -449,18 +446,6 @@ def sparse_nullspace_basis(F: PrimeField, rows: list, ncols: int) -> np.ndarray:
     return _complement(F.p, *_eliminate_dict_rows(F.p, rows, ncols), ncols)
 
 
-def inverse(F: PrimeField, A: np.ndarray):
-    """Inverse of a square matrix, or None if singular: one elimination of
-    [A | I], whose left block reduces to I exactly when A is invertible."""
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("not square")
-    R, piv = rref(F, np.concatenate([A, F.eye(n)], axis=1))
-    if n and piv[n - 1] != n - 1:
-        return None
-    return R[:, n:].copy()
-
-
 def in_row_space(F: PrimeField, basis: np.ndarray, v: np.ndarray) -> bool:
     """Membership of vector v in the row space of `basis`: v is a
     combination of the rows exactly when it adds no pivot to them."""
@@ -557,14 +542,6 @@ class StructureConstants:
             out[self.K[self._heads]] = np.add.reduceat(terms, self._heads) % p
         return out
 
-    def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of y -> x*y acting on coordinate columns."""
-        return self._dense(*self.mult_entries(x, left=True))
-
-    def right_mult_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of y -> y*x acting on coordinate columns."""
-        return self._dense(*self.mult_entries(x, left=False))
-
     def mult_entries(self, x: np.ndarray, left: bool):
         """The matrix of y -> x*y (left) or y -> y*x as sparse terms
         (rows, cols, values), rows ascending; terms at one position add up.
@@ -580,32 +557,6 @@ class StructureConstants:
         order = np.argsort(owner[f], kind="stable")
         e, f = e[order], f[order]
         return owner[f], self.K[e], free[e], self.C[e] * (x[owner[f], idx[f]] % p) % p
-
-    def _dense(self, rows, cols, vals) -> np.ndarray:
-        p, n = self.F.p, self.dim
-        M = np.zeros(n * n, dtype=np.int64)
-        np.add.at(M, rows * n + cols, vals)
-        return (M % p).reshape(n, n)
-
-    def check_associativity(self) -> bool:
-        """(b_i b_j) b_k == b_i (b_j b_k) for all i, j, k, compared as
-        sparse tensors over (i, j, k, m)."""
-        F, n = self.F, self.dim
-        I, J, K, C = self.I, self.J, self.K, self.C
-        # (b_i b_j) b_k: entry e gives b_i b_j at l, entry f gives b_l b_k
-        e, f = match_pairs(K, I)
-        left = coalesce(F, ((I[e] * n + J[e]) * n + J[f]) * n + K[f],
-                        C[e] * C[f])
-        # b_i (b_j b_k): entry e gives b_j b_k at l, entry f gives b_i b_l
-        e, f = match_pairs(K, J)
-        right = coalesce(F, ((I[f] * n + I[e]) * n + J[e]) * n + K[f],
-                         C[e] * C[f])
-        return all(np.array_equal(a, b) for a, b in zip(left, right))
-
-    def check_identity(self) -> bool:
-        eye = self.F.eye(self.dim)
-        return (np.array_equal(self.left_mult_matrix(self.one), eye)
-                and np.array_equal(self.right_mult_matrix(self.one), eye))
 
 
 def algebra_radical(A: StructureConstants) -> np.ndarray:

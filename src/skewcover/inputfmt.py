@@ -69,11 +69,20 @@ _DIM_RE = re.compile(r"^dim\s+(\S+)\s*=\s*(-?\d+)$")
 _MAP_RE = re.compile(r"^map\s+(\S+)\s*=\s*(.+)$")
 
 
+def _set_once(table: dict, key, value, line_no: int, what: str):
+    """table[key] = value, refusing a second declaration of `what`: a
+    repeated line would otherwise silently replace the first."""
+    if key in table:
+        raise ParseError(line_no, f"{what} is declared twice")
+    table[key] = value
+
+
 def parse_input(text: str) -> InputDocument:
     doc = InputDocument()
     doc.digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     cur_module: ModuleSpec | None = None
     module_line = 0
+    single: dict[str, int] = {}  # field, bound, group: the line declaring each
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,7 +97,8 @@ def parse_input(text: str) -> InputDocument:
                 if int(m.group(2)) < 0:
                     raise ParseError(line_no, f"module {cur_module.name!r}: "
                                               f"negative dimension at {m.group(1)!r}")
-                cur_module.dims[m.group(1)] = int(m.group(2))
+                _set_once(cur_module.dims, m.group(1), int(m.group(2)), line_no,
+                          f"module {cur_module.name!r}: dim {m.group(1)!r}")
                 continue
             m = _MAP_RE.match(line)
             if m:
@@ -100,11 +110,14 @@ def parse_input(text: str) -> InputDocument:
                         isinstance(r, list) and all(type(x) is int for x in r)
                         for r in rows)):
                     raise ParseError(line_no, "a matrix is a list of rows of integers")
-                cur_module.maps[m.group(1)] = rows
+                _set_once(cur_module.maps, m.group(1), rows, line_no,
+                          f"module {cur_module.name!r}: map {m.group(1)!r}")
                 continue
             raise ParseError(line_no, f"unrecognized module line: {line!r}")
 
         head = line.split(None, 1)[0]
+        if head in ("field", "bound", "group"):
+            _set_once(single, head, line_no, line_no, head)
         if head == "field":
             m = re.match(r"^field\s+p\s*=\s*(\d+)$", line)
             if not m:
@@ -159,7 +172,8 @@ def parse_input(text: str) -> InputDocument:
         elif head == "action":
             m = _ACTION_V_RE.match(line)
             if m:
-                doc.action_vertex.setdefault(m.group(1), {})[m.group(2)] = m.group(3)
+                _set_once(doc.action_vertex.setdefault(m.group(1), {}), m.group(2),
+                          m.group(3), line_no, f"action {m.group(1)} on vertex {m.group(2)!r}")
                 continue
             m = _ACTION_A_RE.match(line)
             if m:
@@ -173,7 +187,8 @@ def parse_input(text: str) -> InputDocument:
                     name = name.strip()
                 else:
                     scal, name = 1, rhs
-                doc.action_arrow.setdefault(m.group(1), {})[m.group(2)] = (scal, name)
+                _set_once(doc.action_arrow.setdefault(m.group(1), {}), m.group(2),
+                          (scal, name), line_no, f"action {m.group(1)} on arrow {m.group(2)!r}")
                 continue
             raise ParseError(line_no, "bad action line")
         elif head == "special":

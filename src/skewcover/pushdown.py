@@ -1,7 +1,8 @@
 """The pushdown functor from modules over Lambda to modules over the basic
 skew algebra, its reverse G_lambda, and the verification machinery for the
-Hom-space isomorphisms, decomposition behavior, semi-density, and
-irreducible-morphism recovery.
+Hom-space isomorphisms and decomposition behavior.  The checks of
+semi-density, of irreducible-morphism recovery and of the twist gauge live
+in `tests/oracle_paper.py`.
 
 G_lambda is the pull-up along the semi-covering: a B-module N restricted
 along the map from Lambda's arrows into B described at `GLambda`.  The
@@ -220,19 +221,6 @@ class GLambda:
             maps.append(m[span[arr.target], span[arr.source]])
         return Representation(A, [s.stop - s.start for s in span], maps)
 
-    def apply_morphism(self, f: RepMorphism) -> RepMorphism:
-        """G_lambda f: f made block-diagonal over the same fibres."""
-        soff, sspan = self._fibre_slices(f.source.dims)
-        toff, tspan = self._fibre_slices(f.target.dims)
-        ftot = self.F.zeros(toff[-1], soff[-1])
-        for u, blk in enumerate(f.blocks):
-            ftot[toff[u]: toff[u + 1], soff[u]: soff[u + 1]] = blk
-        out = RepMorphism(self.apply(f.source), self.apply(f.target),
-                          [ftot[t, s] for t, s in zip(tspan, sspan)])
-        if not out.is_valid():
-            raise AssertionError("G_lambda morphism fails commuting squares")
-        return out
-
 
 def restrict_G_lambda(pres: SkewPresentation, N: Representation) -> Representation:
     return GLambda(pres).apply(N)
@@ -390,87 +378,8 @@ def decompose_pushdown(pres: SkewPresentation, M: Representation) -> StableDecom
 
 
 # ---------------------------------------------------------------------------
-# Semi-density and irreducible recovery
+# Sequence stabilizers
 # ---------------------------------------------------------------------------
-
-def semi_dense_witness(pres: SkewPresentation, N: Representation):
-    """(M over Lambda, complement summands): F_lambda M = N + complement
-    with M = G_lambda N."""
-    if N.is_zero():
-        A = pres.context.algebra
-        Z = Representation(A, [0] * A.quiver.n_vertices, [None] * A.quiver.n_arrows)
-        return Z, []
-    M = restrict_G_lambda(pres, N)
-    FM = pushdown_module(pres, M).rep
-    parts = [s.rep for s in decompose(FM)]
-    hits = match_summands([t.rep for t in decompose(N)], parts)
-    if hits is None:
-        raise AssertionError("F G_lambda N does not contain N as a summand")
-    used = {k for k, _ in hits}
-    return M, [s for k, s in enumerate(parts) if k not in used]
-
-
-def recover_irreducible(pres: SkewPresentation, f: RepMorphism,
-                        skew_action: QuiverAction):
-    """Given an irreducible morphism between indecomposables over the skew
-    algebra whose dual-action stabilizers are proper, pull it back to an
-    irreducible morphism over Lambda via G_lambda and summand matching."""
-    full = skew_action.group.n
-    if any(len(module_stabilizer(skew_action, X)) == full for X in (f.source, f.target)):
-        raise ValueError("recovery hypothesis needs proper dual stabilizers")
-    gf = GLambda(pres).apply_morphism(f)
-    mparts, nparts = decompose(gf.source), decompose(gf.target)
-    # proper stabilizers: G_lambda of the ends is indecomposable
-    if len(mparts) != 1 or len(nparts) != 1:
-        raise AssertionError("ends did not restrict to indecomposables")
-    f1 = nparts[0].projection.compose(gf).compose(mparts[0].inclusion)
-    return mparts[0].rep, nparts[0].rep, f1
-
-
-# ---------------------------------------------------------------------------
-# Canonical twist gauges and sequence stabilizers
-# ---------------------------------------------------------------------------
-
-def pushdown_twist_gauge(pres: SkewPresentation, g, M: Representation):
-    """Canonical isomorphism F_lambda(gM) -> F_lambda(M): a slot permutation
-    on full-orbit fibers and the character scalar on fixed copies.  Verifies
-    the two pushdowns agree on the nose up to this fixed gauge."""
-    ctx = pres.context
-    F, G = pres.F, ctx.group
-    FgM = pushdown_module(pres, twist(ctx.action, g, M)).rep
-    FM = pushdown_module(pres, M).rep
-    layout = _slot_layout(pres)
-    blocks = []
-    for qi, qv in enumerate(ctx.vertices):
-        bm = F.zeros(FM.dims[qi], FgM.dims[qi])
-        if ctx.is_full_orbit(qv.rep):
-            # slot h of F(gM) holds M(g h i0): goes to slot g h of F(M)
-            src_off = []
-            tot = 0
-            for h, lv in layout[qv]:
-                src_off.append(tot)
-                tot += M.dims[ctx.action.vertex(G.mul(g, h), qv.rep)]
-            tgt_off = []
-            tot = 0
-            for h, lv in layout[qv]:
-                tgt_off.append(tot)
-                tot += M.dims[lv]
-            for si, (h, lv) in enumerate(layout[qv]):
-                gh = G.mul(g, h)
-                ti = G.eindex[gh]
-                d = M.dims[ctx.action.vertex(gh, qv.rep)]
-                bm[tgt_off[ti]: tgt_off[ti] + d,
-                   src_off[si]: src_off[si] + d] = F.eye(d)
-        else:
-            c = ctx.chars.value(qv.char, g)
-            d = M.dims[qv.rep]
-            bm[:, :] = F.smul(c, F.eye(d))
-        blocks.append(bm)
-    gauge = RepMorphism(FgM, FM, blocks)
-    if not gauge.is_valid() or not gauge.is_invertible():
-        raise AssertionError("canonical pushdown gauge is not an isomorphism")
-    return gauge
-
 
 def sequence_stabilizer(action: QuiverAction, left: Representation,
                         right: Representation) -> list:

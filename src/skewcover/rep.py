@@ -21,7 +21,7 @@ from .field import (factor_poly, in_row_space, minimal_polynomial,
                     nullspace_basis, poly_divmod, poly_gcd_ext, poly_mul,
                     poly_eval_matrix, power, algebra_radical, quotient_map, rank,
                     rref, row_space, solve_linear, sparse_nullspace_basis,
-                    StructureConstants, inverse)
+                    StructureConstants)
 from .quiver import BoundAlgebra, PathWord, path_source, path_target
 from .action import QuiverAction
 
@@ -194,16 +194,6 @@ class RepMorphism:
         if self.source.dims != self.target.dims:
             return False
         return all(rank(F, b) == b.shape[0] == b.shape[1] for b in self.blocks)
-
-    def inverse(self) -> "RepMorphism":
-        F = self.source.F
-        blocks = []
-        for b in self.blocks:
-            binv = inverse(F, b)
-            if binv is None:
-                raise ValueError("morphism is not invertible")
-            blocks.append(binv)
-        return RepMorphism(self.target, self.source, blocks)
 
 
 def zero_morphism(M: Representation, N: Representation) -> RepMorphism:
@@ -986,14 +976,6 @@ def _pair_len(M: Representation, N: Representation) -> int:
     return sum(dm * dn for dm, dn in zip(M.dims, N.dims))
 
 
-def rad_power_basis(calc: RadicalCalculator, M: Representation,
-                    N: Representation, n: int) -> list[RepMorphism]:
-    i, j = calc.index_of(M), calc.index_of(N)
-    rows = calc.rad(i, j, n)
-    return [morphism_from_vector(calc.reps[i], calc.reps[j], rows[r])
-            for r in range(rows.shape[0])]
-
-
 def irr_space(calc: RadicalCalculator, M: Representation, N: Representation):
     """(dim irr(M, N), representative morphisms completing rad^2 to rad)."""
     i, j = calc.index_of(M), calc.index_of(N)
@@ -1013,29 +995,3 @@ def irr_space(calc: RadicalCalculator, M: Representation, N: Representation):
             if len(reps) == d:
                 break
     return d, reps
-
-
-# ---------------------------------------------------------------------------
-# Morphism radical level between decomposable modules (componentwise)
-# ---------------------------------------------------------------------------
-
-def morphism_level(calc: RadicalCalculator, f: RepMorphism,
-                   msum: list[Summand], nsum: list[Summand],
-                   miso: list[tuple[int, RepMorphism]],
-                   niso: list[tuple[int, RepMorphism]]) -> int:
-    """Radical level of f: M -> N through summand decompositions.
-
-    `miso[k] = (index in calc.reps, iso: canonical -> summand rep)`, same
-    for `niso`.  Componentwise per the block criterion: the level of f is
-    the minimum over blocks of their levels (0 = some block not radical).
-    """
-    best = RADICAL_CUTOFF + 1
-    for a, ms in enumerate(msum):
-        ia, ua = miso[a]
-        for b, ns in enumerate(nsum):
-            ib, ub = niso[b]
-            block = ns.projection.compose(f).compose(ms.inclusion)
-            canon = ub.inverse().compose(block).compose(ua)
-            lvl = calc.membership_level(ia, ib, canon)
-            best = min(best, lvl)
-    return best

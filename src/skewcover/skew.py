@@ -241,8 +241,6 @@ class SkewPresentation:
                              else length_bound)
         self.arrows: list[QGArrow] = []
         self.elements: dict[str, np.ndarray] = {}
-        # per Lambda-arrow: (case, D-representative arrow, twist) of its orbit
-        self.orbit_arrow_data: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         self._build_arrows()
         self._build_quiver()
         self._build_algebra()
@@ -280,8 +278,6 @@ class SkewPresentation:
                 if q.arrows[a].source not in rset:  # D(i0, j0): sources in R_{i0 j0}
                     continue
                 chi_a = arrow_character(ctx.action, chars, a, subgroup=joint)
-                for b in ctx.action.arrow_orbit(a):
-                    self.orbit_arrow_data[b] = (case, a, self._case1_twist(i0, a))
                 for rho in ctx.stab_chars[i0]:
                     for sigma in ctx.stab_chars[j0]:
                         lhs = chars.restriction_values(rho, joint)
@@ -314,10 +310,6 @@ class SkewPresentation:
         q = ctx.algebra.quiver
         src = q.arrows[a].source
         return min(g for g in ctx.group.elements if ctx.action.vertex(g, i0) == src)
-
-    def _arrow_vec(self, a: int) -> np.ndarray:
-        A = self.context.algebra
-        return A.unit_vector(A.basis[A.bindex[make_path(A.quiver, (a,))]])
 
     def _realize(self, i0, j0, case, a, rho, sigma, counter):
         ctx = self.context
@@ -392,36 +384,6 @@ class SkewPresentation:
             raise AssertionError(
                 f"bound algebra of Q_G has dim {self.algebra.dim}, "
                 f"expected dim e(LG)e = {self.basic_dim}")
-
-    # -- the semicovering F on the original quiver ---------------------------
-
-    def functor_F_vertex(self, v: int) -> np.ndarray:
-        """F(v) = e-bar_{i0} for the representative i0 of v's orbit."""
-        ctx = self.context
-        rep = ctx.rep_of_vertex(v)
-        out = ctx.F.zeros(1, ctx.skew.dim)[0]
-        for chi in ctx.stab_chars[rep]:
-            out = ctx.F.add(out, ctx.idempotents[QGVertex(rep, chi)])
-        return out
-
-    def functor_F_arrow(self, a: int) -> np.ndarray:
-        """F(a): the canonical element of e(LG)e attached to a's orbit.
-
-        Stable under the group action by construction: F(g a) = F(a).
-        """
-        ctx = self.context
-        S = ctx.skew
-        case, rep_arrow, twist = self.orbit_arrow_data[a]
-        elem = S.group_element(self._arrow_vec(rep_arrow),
-                               twist if case == 1 else ctx.group.identity())
-        return S.multiply(ctx.e_bar, S.multiply(elem, ctx.e_bar))
-
-    def arrow_space_dim(self, i: int, j: int) -> int:
-        """dim Lambda_1 G (F(i), F(j)): count of Q_G arrows between fibers."""
-        ctx = self.context
-        ri, rj = ctx.rep_of_vertex(i), ctx.rep_of_vertex(j)
-        return sum(1 for ar in self.arrows
-                   if ar.source.rep == ri and ar.target.rep == rj)
 
     # -- dual group action ----------------------------------------------------
 

@@ -5,9 +5,9 @@ into the opposite algebra's basis.  Injectives were duals of the opposite
 algebra's projectives, and projectives were built from normal forms one
 path at a time.  The opposite algebra and the linear dual are kept here
 with them, as is the summand scan that decided whether a module is
-projective or injective.  Kept as an oracle for `ar.ARToolkit.tau`,
-`tau_minus`, `is_projective` and `is_injective`, and for the projective and
-injective modules.
+projective or injective.  Kept as an oracle for
+`ar.ARToolkit.tau_from_presentation`, `tau_minus`, `is_projective` and
+`is_injective`, and for the projective and injective modules.
 
 `right_socle_class` is the socle class of Ext^1(T, tau T) that
 `ar.almost_split_sequence` chose under the right End(T)-action, from lifts

@@ -53,19 +53,26 @@ an argument.
 before the terms shared their suffix products: each term's path matrix
 rebuilt from the arrow maps and summed into a dense accumulator, kept
 verbatim with the module as its argument.
+
+The dense multiplication maps of a `StructureConstants` algebra and its
+associativity and identity checks were its methods until only the tests
+used them (the package multiplies through `mult_entries`); they are kept
+verbatim as functions of the algebra.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from skewcover.field import row_space
+from skewcover.field import coalesce, match_pairs, row_space
 from skewcover.rep import _frozen, morphism_from_vector
 from skewcover.quiver import (BoundAlgebra, NotAdmissibleError, PathWord,
                               RelationElement, ideal_closure, make_path,
                               path_source, path_target)
 from skewcover.action import arrow_character
 from skewcover.skew import QGVertex, _apply_terms
+
+from oracle_paper import arrow_orbit
 
 
 def dense_table(alg):
@@ -354,7 +361,7 @@ def _build_arrows(self):
             case = self._case_of(i0, j0)
             for a in d_set(ctx, i0, j0):
                 chi_a = arrow_character(ctx.action, chars, a, subgroup=joint)
-                for b in ctx.action.arrow_orbit(a):
+                for b in arrow_orbit(ctx.action, a):
                     self.orbit_arrow_data[b] = (case, a, self._case1_twist(i0, a))
                 for rho in ctx.stab_chars[i0]:
                     for sigma in ctx.stab_chars[j0]:
@@ -558,7 +565,7 @@ def solve_hom(M, N) -> list[list[np.ndarray]]:
 def trace_form_gram(A) -> np.ndarray:
     F = A.F
     n = A.dim
-    lefts = [A.left_mult_matrix(np.eye(n, dtype=np.int64)[i]) for i in range(n)]
+    lefts = [left_mult_matrix(A, np.eye(n, dtype=np.int64)[i]) for i in range(n)]
     gram = F.zeros(n, n)
     for i in range(n):
         for j in range(i, n):
@@ -566,3 +573,46 @@ def trace_form_gram(A) -> np.ndarray:
             gram[i, j] = t
             gram[j, i] = t
     return gram
+
+
+# ---------------------------------------------------------------------------
+# Dense multiplication maps and the algebra axioms
+# ---------------------------------------------------------------------------
+
+def left_mult_matrix(A, x: np.ndarray) -> np.ndarray:
+    """Matrix of y -> x*y acting on coordinate columns."""
+    return _dense(A, *A.mult_entries(x, left=True))
+
+
+def right_mult_matrix(A, x: np.ndarray) -> np.ndarray:
+    """Matrix of y -> y*x acting on coordinate columns."""
+    return _dense(A, *A.mult_entries(x, left=False))
+
+
+def _dense(A, rows, cols, vals) -> np.ndarray:
+    p, n = A.F.p, A.dim
+    M = np.zeros(n * n, dtype=np.int64)
+    np.add.at(M, rows * n + cols, vals)
+    return (M % p).reshape(n, n)
+
+
+def check_associativity(A) -> bool:
+    """(b_i b_j) b_k == b_i (b_j b_k) for all i, j, k, compared as
+    sparse tensors over (i, j, k, m)."""
+    F, n = A.F, A.dim
+    I, J, K, C = A.I, A.J, A.K, A.C
+    # (b_i b_j) b_k: entry e gives b_i b_j at l, entry f gives b_l b_k
+    e, f = match_pairs(K, I)
+    left = coalesce(F, ((I[e] * n + J[e]) * n + J[f]) * n + K[f],
+                    C[e] * C[f])
+    # b_i (b_j b_k): entry e gives b_j b_k at l, entry f gives b_i b_l
+    e, f = match_pairs(K, J)
+    right = coalesce(F, ((I[f] * n + I[e]) * n + J[e]) * n + K[f],
+                     C[e] * C[f])
+    return all(np.array_equal(a, b) for a, b in zip(left, right))
+
+
+def check_identity(A) -> bool:
+    eye = A.F.eye(A.dim)
+    return (np.array_equal(left_mult_matrix(A, A.one), eye)
+            and np.array_equal(right_mult_matrix(A, A.one), eye))

@@ -16,6 +16,8 @@ from skewcover.quiver import PathWord, make_path, path_source, path_target
 from skewcover.rep import RepMorphism, Representation
 from skewcover.skew import SkewPresentation
 
+from oracle_dense import left_mult_matrix, right_mult_matrix
+
 
 class GLambda:
     """(Lambda G) e-bar (x)_B (-) followed by restriction along
@@ -30,18 +32,18 @@ class GLambda:
         self.F, self.S = F, S
         T = S.structure
         # rows span Z = (Lambda G) e-bar, the images b_i e-bar
-        self.Z = row_space(F, T.right_mult_matrix(ctx.e_bar).T)
+        self.Z = row_space(F, right_mult_matrix(T, ctx.e_bar).T)
         self.zdim = self.Z.shape[0]
         # right multiplication by the presentation's basis paths
         self.right_mults = [
-            self._on_Z(T.right_mult_matrix(self._eval_path(w)), left=False)
+            self._on_Z(right_mult_matrix(T, self._eval_path(w)), left=False)
             for w in pres.algebra.basis]
         # left multiplication by Lambda-basis generators (vertices + arrows)
         A = ctx.algebra
         self.left_vertex = [
-            self._on_Z(T.left_mult_matrix(S.include(A.idempotent(v))), left=True)
+            self._on_Z(left_mult_matrix(T, S.include(A.idempotent(v))), left=True)
             for v in range(A.quiver.n_vertices)]
-        self.left_arrow = [self._on_Z(T.left_mult_matrix(S.include(A.unit_vector(
+        self.left_arrow = [self._on_Z(left_mult_matrix(T, S.include(A.unit_vector(
             A.basis[A.bindex[make_path(A.quiver, (a,))]]))), left=True)
             for a in range(A.quiver.n_arrows)]
 

@@ -13,7 +13,7 @@ from skewcover.quiver import (BoundAlgebra, Quiver, RelationElement,
 from skewcover.inputfmt import build_input, parse_input
 from skewcover.skew import build_presentation
 from skewcover.rep import (decompose, irr_space, is_indecomposable,
-                           is_isomorphic, module_stabilizer, morphism_level)
+                           is_isomorphic, module_stabilizer)
 from skewcover.ar import category_rank, knit_ar_quiver
 from skewcover.pushdown import (decompose_pushdown, pushdown_module,
                                 pushdown_morphism, verify_semi_covering)
@@ -21,6 +21,7 @@ from skewcover.transport import pushdown_sequence
 from skewcover.isosearch import find_algebra_isomorphism, roots_of_unity
 
 from conftest import data_text, golden_text
+from oracle_paper import morphism_level
 
 F = PrimeField(1009)
 

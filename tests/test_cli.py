@@ -88,6 +88,17 @@ def test_cli_pushdown_unknown_module(capsys):
     assert "nope" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("hom", "{fig5}", "S2", "X"),
+    ("pushdown", "{fig5}", "--module", "X"),
+])
+def test_cli_unknown_module_message(capsys, argv):
+    """Raised as a KeyError, the message used to print in repr quotes."""
+    argv = [a.format(fig5=_data_path("fig5.skw")) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: module 'X' not in input file\n")
+
+
 def test_cli_hom(capsys):
     code, out, _ = run_cli(capsys, "--json", "hom", _data_path("fig5.skw"),
                            "S2", "M_1_2")
@@ -193,6 +204,17 @@ def test_cli_refuses_too_large_field(capsys, tmp_path):
     # used to be dropped
     ("dim 1 = 1\n}\naction g2: vertex 3 -> 4",
      "action names undeclared generator 'g2'"),
+    # a repeated single-valued line used to replace the first silently
+    ("dim 1 = 1\n}\nfield p = 13", "line 44: field is declared twice"),
+    ("dim 1 = 1\n}\ngroup Z3", "line 44: group is declared twice"),
+    ("dim 1 = 1\n}\nbound N = 4\nbound N = 5", "line 45: bound is declared twice"),
+    ("dim 1 = 1\n}\naction g1: vertex 3 -> 3",
+     "line 44: action g1 on vertex '3' is declared twice"),
+    ("dim 1 = 1\n}\naction g1: arrow c -> 2*d",
+     "line 44: action g1 on arrow 'c' is declared twice"),
+    ("dim 1 = 1\n  dim 1 = 2\n}", "line 43: module 'T': dim '1' is declared twice"),
+    ("dim 1 = 1\n  dim 2 = 1\n  map a = [[1]]\n  map a = [[0]]\n}",
+     "line 45: module 'T': map 'a' is declared twice"),
 ])
 def test_cli_rejects_bad_module(capsys, tmp_path, body, expected):
     text = data_text("fig5.skw")

@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 from skewcover.field import (PRIME_LIMIT, FieldTooSmallError, PrimeField,
                              StructureConstants, _is_prime,
                              algebra_radical, factor_poly, in_row_space,
-                             inverse, minimal_polynomial,
+                             minimal_polynomial,
                              nullspace_basis, poly_divmod, poly_eval_matrix,
                              poly_mul, rank, solve_linear)
+
+from oracle_dense import check_associativity, check_identity
+from oracle_paper import inverse
 
 F101 = PrimeField(101)
 F = PrimeField(1009)
@@ -39,10 +42,10 @@ def test_solve_inconsistent():
 
 def test_solve_recovers_random_solution():
     rng = np.random.RandomState(42)
-    A = F101.red(rng.randint(0, 101, (6, 6)))
+    A = F101.mat(rng.randint(0, 101, (6, 6)))
     while rank(F101, A) < 6:
-        A = F101.red(rng.randint(0, 101, (6, 6)))
-    X0 = F101.red(rng.randint(0, 101, (6, 4)))
+        A = F101.mat(rng.randint(0, 101, (6, 6)))
+    X0 = F101.mat(rng.randint(0, 101, (6, 4)))
     X = solve_linear(F101, A, F101.mul(A, X0))
     assert np.array_equal(X, X0)
 
@@ -50,8 +53,8 @@ def test_solve_recovers_random_solution():
 def test_solve_exactness_property():
     rng = np.random.RandomState(7)
     for _ in range(20):
-        A = F101.red(rng.randint(0, 101, (4, 6)))
-        B = F101.red(rng.randint(0, 101, (4, 2)))
+        A = F101.mat(rng.randint(0, 101, (4, 6)))
+        B = F101.mat(rng.randint(0, 101, (4, 2)))
         X = solve_linear(F101, A, B)
         if X is not None:
             assert np.array_equal(F101.mul(A, X), B)
@@ -114,7 +117,7 @@ def test_radical_is_nilpotent_ideal():
     t[1, 2] = [0, 1, 0]
     t[2, 2] = [0, 0, 1]
     A = StructureConstants(F, t, np.array([1, 0, 1]))
-    assert A.check_associativity() and A.check_identity()
+    assert check_associativity(A) and check_identity(A)
     radb = algebra_radical(A)
     assert radb.shape[0] == 1
     # ideal: left and right multiples of the radical stay in it

@@ -5,7 +5,8 @@ representative by the representative of their source's orbit;
 `oracle_dense.pair_loop_arrows` takes every ordered pair of
 representatives and re-scans all arrows for each.  Both must give the same
 arrows in the same order, the same realizing elements and the same
-`orbit_arrow_data`.
+per-orbit arrow data, which `oracle_paper.orbit_arrow_data` recomputes with
+the one-pass loop.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from conftest import load_built, load_generated, workload_generated_keys
 from oracle_dense import pair_loop_arrows
+from oracle_paper import orbit_arrow_data
 from skewcover.inputfmt import build_input, parse_input, serialize_presentation
 from skewcover.skew import build_presentation
 
@@ -44,7 +46,7 @@ def _assert_same_arrows(built):
     assert list(pres.elements) == list(old.elements)
     for name, elem in pres.elements.items():
         assert np.array_equal(elem, old.elements[name]), name
-    assert list(pres.orbit_arrow_data.items()) == list(old.orbit_arrow_data.items())
+    assert list(orbit_arrow_data(pres).items()) == list(old.orbit_arrow_data.items())
     return pres
 
 

@@ -7,6 +7,8 @@ from skewcover.quiver import (BoundAlgebra, InhomogeneousRelationError,
                               RelationElement, is_gentle, is_skew_gentle,
                               make_path)
 
+from oracle_dense import check_associativity, check_identity
+
 F = PrimeField(1009)
 
 
@@ -69,9 +71,9 @@ def test_relation_vanishes_in_quotient(fig5):
 
 
 def test_structure_constants_associative(fig5, fig1):
-    assert fig5.algebra.structure.check_associativity()
-    assert fig5.algebra.structure.check_identity()
-    assert fig1.algebra.structure.check_associativity()
+    assert check_associativity(fig5.algebra.structure)
+    assert check_identity(fig5.algebra.structure)
+    assert check_associativity(fig1.algebra.structure)
 
 
 def test_normal_form_idempotent(fig5):
@@ -111,7 +113,7 @@ def test_random_multiplication_associative(fig5):
     alg = fig5.algebra
     rng = np.random.RandomState(3)
     for _ in range(10):
-        x, y, z = (F.red(rng.randint(0, F.p, alg.dim)) for _ in range(3))
+        x, y, z = (F.mat(rng.randint(0, F.p, alg.dim)) for _ in range(3))
         lhs = alg.multiply(alg.multiply(x, y), z)
         rhs = alg.multiply(x, alg.multiply(y, z))
         assert np.array_equal(lhs, rhs)

@@ -14,8 +14,9 @@ import pytest
 
 import oracle_ar
 from conftest import load_built, load_generated
+from oracle_paper import verify_almost_split
 from skewcover import ar
-from skewcover.ar import ARToolkit, knit_ar_quiver, verify_almost_split
+from skewcover.ar import ARToolkit, knit_ar_quiver
 from skewcover.field import PrimeField, rank
 from skewcover.quiver import BoundAlgebra, Quiver, RelationElement, make_path
 from skewcover.rep import Representation, end_algebra, hom_basis

@@ -3,10 +3,11 @@ import pytest
 from skewcover.field import PrimeField
 from skewcover.rep import (decompose, irr_space, is_isomorphic,
                            match_summands, module_stabilizer, twist)
-from skewcover.ar import verify_almost_split
 from skewcover.pushdown import (decompose_pushdown, pushdown_module,
                                 pushdown_morphism, sequence_stabilizer)
 from skewcover.transport import pushdown_sequence, pushed_middle_summands
+
+from oracle_paper import morphism_level, verify_almost_split
 
 F = PrimeField(1009)
 
@@ -175,7 +176,6 @@ def test_radical_level_preserved_on_irreducibles(fig5, fig5_pres, fig5_arq,
 
 
 def _skew_level(pres, skew_arq, Ff):
-    from skewcover.rep import morphism_level
     mparts = decompose(Ff.source)
     nparts = decompose(Ff.target)
     calc = skew_arq.calc
