@@ -120,17 +120,9 @@ def _sum_module(alg: BoundAlgebra, reps: list[Representation]) -> Representation
     """The direct sum of `reps`, without the witnesses of `direct_sum`."""
     q, F = alg.quiver, alg.F
     dims = [sum(r.dims[v] for r in reps) for v in range(q.n_vertices)]
-    maps = []
-    for a, arr in enumerate(q.arrows):
-        m = F.zeros(dims[arr.target], dims[arr.source])
-        ro = co = 0
-        for r in reps:
-            dt, ds = r.dims[arr.target], r.dims[arr.source]
-            m[ro: ro + dt, co: co + ds] = r.maps[a]
-            ro += dt
-            co += ds
-        maps.append(m)
-    return Representation(alg, dims, maps)
+    return Representation(alg, dims, [
+        F.block_diag([r.maps[a] for r in reps], (dims[arr.target], dims[arr.source]))
+        for a, arr in enumerate(q.arrows)])
 
 
 def direct_sum(alg: BoundAlgebra, reps: list[Representation]):
@@ -488,7 +480,7 @@ def split_section(proj: RepMorphism) -> RepMorphism | None:
     if T.is_zero():
         return zero_morphism(T, E)
     H = hom_basis(T, E)
-    if not H.basis:
+    if not H.dimension:
         return None
     A = np.stack([proj.compose(g).to_vector() for g in H.basis], axis=1)
     one = identity_morphism(T).to_vector().reshape(-1, 1)

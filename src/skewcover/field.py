@@ -158,6 +158,18 @@ class PrimeField:
     def smul(self, c: int, a: np.ndarray) -> np.ndarray:
         return (int(c) % self.p * a) % self.p
 
+    def block_diag(self, blocks, shape: tuple[int, int]) -> np.ndarray:
+        """The matrix with `blocks` down its diagonal, each starting where
+        the previous one ends.  `shape` is their summed shape, which the
+        caller knows from its dimension vectors."""
+        out = np.zeros(shape, dtype=np.int64)
+        r = c = 0
+        for b in blocks:
+            h, w = b.shape
+            out[r: r + h, c: c + w] = b
+            r, c = r + h, c + w
+        return out
+
 
 def _prime_divisors(n: int):
     out = []

@@ -128,23 +128,13 @@ def pushdown_morphism(pres: SkewPresentation, f: RepMorphism,
                       FM: PushdownResult | None = None,
                       FN: PushdownResult | None = None) -> RepMorphism:
     """F_lambda f: block-diagonal over the slot layout."""
-    ctx = pres.context
-    F = pres.F
     FM = FM or pushdown_module(pres, f.source)
     FN = FN or pushdown_module(pres, f.target)
     layout = _slot_layout(pres)
-    blocks = []
-    for qi, qv in enumerate(ctx.vertices):
-        bm = F.zeros(FN.rep.dims[qi], FM.rep.dims[qi])
-        ro = co = 0
-        for g, lv in layout[qv]:
-            blk = f.blocks[lv]
-            if blk.size:
-                bm[ro: ro + blk.shape[0], co: co + blk.shape[1]] = blk
-            ro += f.target.dims[lv]
-            co += f.source.dims[lv]
-        blocks.append(bm)
-    out = RepMorphism(FM.rep, FN.rep, blocks)
+    out = RepMorphism(FM.rep, FN.rep, [
+        pres.F.block_diag([f.blocks[lv] for _, lv in layout[qv]],
+                          (FN.rep.dims[qi], FM.rep.dims[qi]))
+        for qi, qv in enumerate(pres.context.vertices)])
     if not out.is_valid():
         raise AssertionError("pushdown of a morphism fails commuting squares")
     return out

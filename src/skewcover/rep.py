@@ -8,12 +8,17 @@ the stable rank is the rank (Auslander, Comm. Algebra 1 (1974)).
 Representations are covariant: M(a): M(s(a)) -> M(t(a)), i.e. left modules
 under the functional composition convention.  Morphisms are per-vertex
 matrices with N(a) f_s = f_t M(a).
+
+A morphism vector lists the vertex blocks in vertex order, each row-major.
+`_cut` reads blocks off such vectors and `_layout` places them in total
+(block-diagonal) matrices; a Hom space keeps its basis as these vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -205,25 +210,39 @@ def identity_morphism(M: Representation) -> RepMorphism:
     return RepMorphism(M, M, [M.F.eye(d) for d in M.dims])
 
 
+def _cut(vectors: np.ndarray, source_dims, target_dims) -> list[np.ndarray]:
+    """The rows of `vectors`, morphism vectors M -> N with these dimension
+    vectors, as per-vertex stacks: views of shape (rows, dim N(v), dim M(v))."""
+    n, out, off = len(vectors), [], 0
+    for dm, dn in zip(source_dims, target_dims):
+        out.append(vectors[:, off: off + dm * dn].reshape(n, dn, dm))
+        off += dm * dn
+    return out
+
+
 def morphism_from_vector(M: Representation, N: Representation,
                          vec: np.ndarray) -> RepMorphism:
-    blocks = []
-    off = 0
-    for dm, dn in zip(M.dims, N.dims):
-        blocks.append(vec[off: off + dm * dn].reshape(dn, dm) % M.F.p)
-        off += dm * dn
-    return RepMorphism(M, N, blocks)
+    return RepMorphism(M, N, [s[0] for s in _cut(vec.reshape(1, -1) % M.F.p,
+                                                 M.dims, N.dims)])
 
 
 @dataclass
 class HomSpace:
+    """Hom(source, target) with its basis as the rows of `vectors` and as
+    the per-vertex stacks `stacks` cut from them, read-only views of one
+    solved array; `basis` wraps them as morphisms on first use."""
     source: Representation
     target: Representation
-    basis: list[RepMorphism]
+    vectors: np.ndarray
+    stacks: tuple[np.ndarray, ...]
+
+    @cached_property
+    def basis(self) -> list[RepMorphism]:
+        return [RepMorphism(self.source, self.target, list(b)) for b in zip(*self.stacks)]
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
 
 
 class ModuleTable:
@@ -274,32 +293,31 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def hom_basis(M: Representation, N: Representation) -> HomSpace:
     """Solve the commuting-square system; echelon-normalized basis.
 
-    Unknowns are the per-vertex blocks flattened row-major in vertex order.
-    Memoized in the module table of M's algebra.
+    Unknowns are the morphism vectors: the per-vertex blocks flattened
+    row-major in vertex order.  Memoized in the module table of M's
+    algebra.
     """
     if M.algebra is not N.algebra and M.algebra.dim != N.algebra.dim:
         raise ValueError("representations over different algebras")
-    basis = module_table(M.algebra).lookup("hom", (M, N),
-                                           lambda: _solve_hom(M, N))
-    return HomSpace(M, N, [RepMorphism(M, N, list(b)) for b in basis])
+    return HomSpace(M, N, *module_table(M.algebra).lookup(
+        "hom", (M, N), lambda: _solve_hom(M, N)))
 
 
-def _solve_hom(M: Representation, N: Representation) -> list[list[np.ndarray]]:
-    """The hom basis as per-vertex block lists, all checked to commute.
+def _solve_hom(M: Representation, N: Representation):
+    """The hom basis as (vectors, stacks): a read-only array whose rows are
+    the basis morphism vectors, and its per-vertex stacks from `_cut`, all
+    checked to commute; the shared entry of `_zero_hom` when there are none.
 
     The system has one row per entry (i, j) of each commuting square
     f_t M(a) - N(a) f_s = 0 of an arrow a: s -> t, built as sparse
     {unknown: coefficient} rows from the nonzeros of M(a) and N(a).  Its
-    nullspace basis is cut into per-vertex stacks of blocks of one array,
-    so the squares are checked by one stacked product per arrow."""
+    nullspace basis is checked on the stacks, by one stacked product per
+    arrow."""
     F, q, p = M.F, M.algebra.quiver, M.F.p
-    sizes = [dm * dn for dm, dn in zip(M.dims, N.dims)]
-    nunk = sum(sizes)
+    offsets = list(accumulate((dm * dn for dm, dn in zip(M.dims, N.dims)), initial=0))
+    nunk = offsets[-1]
     if nunk == 0:
-        return []
-    offsets = [0]
-    for size in sizes:
-        offsets.append(offsets[-1] + size)
+        return _zero_hom(M.dims, N.dims)
     rows: list[dict] = []
     for a, arr in enumerate(q.arrows):
         s, t = arr.source, arr.target
@@ -326,18 +344,25 @@ def _solve_hom(M: Representation, N: Representation) -> list[list[np.ndarray]]:
                         else:
                             del row[c]
     basis = _frozen(sparse_nullspace_basis(F, rows, nunk))
-    n = basis.shape[0]
-    if n == 0:
-        return []
-    blocks = [basis[:, offsets[v]:offsets[v + 1]].reshape(n, dn, dm)
-              for v, (dm, dn) in enumerate(zip(M.dims, N.dims))]
+    if not len(basis):
+        return _zero_hom(M.dims, N.dims)
+    stacks = tuple(_cut(basis, M.dims, N.dims))
     for a, arr in enumerate(q.arrows):
         # a square with no entries (N at t or M at s is zero) always commutes
         if N.dims[arr.target] and M.dims[arr.source] and np.any(
-                F.mul(blocks[arr.target], M.maps[a])
-                != F.mul(N.maps[a], blocks[arr.source])):
+                F.mul(stacks[arr.target], M.maps[a])
+                != F.mul(N.maps[a], stacks[arr.source])):
             raise AssertionError("hom basis element fails commuting squares")
-    return [[b[e] for b in blocks] for e in range(n)]
+    return basis, stacks
+
+
+@lru_cache(maxsize=1024)
+def _zero_hom(source_dims: tuple[int, ...], target_dims: tuple[int, ...]):
+    """The (vectors, stacks) of a zero Hom space, shared by every pair of
+    modules with these dimension vectors: many pairs have no morphisms."""
+    size = sum(m * n for m, n in zip(source_dims, target_dims))
+    vectors = _frozen(np.zeros((0, size), dtype=np.int64))
+    return vectors, tuple(_cut(vectors, source_dims, target_dims))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +400,7 @@ def end_algebra(M: Representation):
     in the span automatically; its coordinates are solved for.  Memoized
     in the module table of M's algebra."""
     H = hom_basis(M, M)
-    if not H.basis:
+    if not H.dimension:
         raise ValueError("End of the zero module is not an algebra here")
     E = module_table(M.algebra).lookup("end", (M,),
                                        lambda: _end_structure(M, H))
@@ -388,20 +413,15 @@ def _end_structure(M: Representation, H: HomSpace) -> StructureConstants:
     F, n = M.F, H.dimension
     if n == 1:
         # a brick: End(M) = F_p, and the one basis element is the identity
-        if not all(np.array_equal(b, F.eye(d))
-                   for b, d in zip(H.basis[0].blocks, M.dims)):
+        if not all(np.array_equal(S[0], F.eye(d)) for S, d in zip(H.stacks, M.dims)):
             raise AssertionError("identity not in End(M) span")
         return StructureConstants.from_coo(F, 1, [0], [0], [0], [1], [1])
-    vecs = np.stack([f.to_vector() for f in H.basis], axis=0)
-    parts = []
-    for v, d in enumerate(M.dims):
-        S = np.stack([f.blocks[v] for f in H.basis])
-        parts.append((np.einsum("ixy,jyz->ijxz", S, S) % F.p).reshape(n * n, d * d))
-    prods = np.concatenate(parts, axis=1)
+    prods = np.concatenate([np.einsum("ixy,jyz->ijxz", S, S).reshape(n * n, -1)
+                            for S in H.stacks], axis=1) % F.p
     one = identity_morphism(M).to_vector()
-    coords = solve_linear(F, vecs.T, np.vstack([prods, one]).T)
+    coords = solve_linear(F, H.vectors.T, np.vstack([prods, one]).T)
     if coords is None:
-        if solve_linear(F, vecs.T, one) is None:
+        if solve_linear(F, H.vectors.T, one) is None:
             raise AssertionError("identity not in End(M) span")
         raise AssertionError("End(M) not closed under composition")
     return StructureConstants(F, coords[:, :-1].T.reshape(n, n, n), coords[:, -1])
@@ -437,7 +457,7 @@ def _split_candidates(M: Representation):
     lift from `_frobenius_fixed`.  Only that lift needs End's structure
     constants and radical."""
     F = M.F
-    mats = np.stack([_total_matrix(f) for f in hom_basis(M, M).basis])
+    mats = _totals(M, M, hom_basis(M, M).vectors)
     n = len(mats)
 
     def combination(x):
@@ -509,25 +529,32 @@ def _frobenius_fixed(M: Representation) -> np.ndarray:
     return lift
 
 
-def _total_matrix(f: RepMorphism) -> np.ndarray:
-    """Block-diagonal total matrix of a morphism M -> M."""
-    F = f.source.F
-    n = f.source.total_dim
-    out = F.zeros(n, n)
-    off = 0
-    for v, d in enumerate(f.source.dims):
-        out[off: off + d, off: off + d] = f.blocks[v]
-        off += d
+@lru_cache(maxsize=1024)
+def _layout(source_dims: tuple[int, ...], target_dims: tuple[int, ...]):
+    """Row and column in the total matrix, target by source, of each
+    coordinate of a morphism vector between modules of these dimension
+    vectors: the vertex blocks in vertex order, each row-major."""
+    rows, cols, os, ot = [], [], 0, 0
+    for a, b in zip(source_dims, target_dims):
+        for x in range(ot, ot + b):
+            rows += [x] * a
+            cols += range(os, os + a)
+        os, ot = os + a, ot + b
+    return (_frozen(np.array(rows, dtype=np.intp)),
+            _frozen(np.array(cols, dtype=np.intp)))
+
+
+def _totals(M: Representation, N: Representation, vecs: np.ndarray) -> np.ndarray:
+    """Morphism vectors M -> N as stacked block-diagonal total matrices."""
+    rows, cols = _layout(M.dims, N.dims)
+    out = np.zeros((len(vecs), N.total_dim, M.total_dim), dtype=np.int64)
+    out[:, rows, cols] = vecs
     return out
 
 
 def _matrix_to_morphism(M: Representation, total: np.ndarray) -> RepMorphism:
-    blocks = []
-    off = 0
-    for d in M.dims:
-        blocks.append(total[off: off + d, off: off + d] % M.F.p)
-        off += d
-    return RepMorphism(M, M, blocks)
+    """The endomorphism of M read off the diagonal blocks of `total`."""
+    return morphism_from_vector(M, M, total[_layout(M.dims, M.dims)])
 
 
 def sub_from_rows(N: Representation, rows: list[np.ndarray]):
@@ -666,32 +693,26 @@ def is_isomorphic(M: Representation, N: Representation) -> bool:
 def isomorphism(M: Representation, N: Representation):
     """An explicit isomorphism M -> N, or None.  Exact and deterministic.
 
-    First a scan: a hom basis element that is invertible, or one f with
-    some g f invertible (g in the hom basis of N -> M), which makes f a
-    split mono and hence an isomorphism at equal dims.  The scan is
-    complete when End(M) is local: an isomorphism u = sum c_i f_i with
-    inverse sum d_j g_j writes 1 as a sum of the products g_j f_i, and
-    non-units of a local ring do not sum to a unit.  Otherwise both modules
-    are decomposed and their Krull-Schmidt summands matched by the same
-    scan, and the isomorphism is assembled from the matched pieces.
+    First a scan for an invertible hom basis element.  It is complete
+    when End(M) is local: let u = sum c_i f_i be an isomorphism with
+    inverse sum d_j g_j (g_j in the hom basis of N -> M).  Then
+    1 = sum c_i d_j g_j f_i, and non-units of a local ring do not sum to
+    a unit, so some g_j f_i is a unit.  That f_i is a split mono between
+    modules of equal dimension, hence invertible, and the scan finds it.
+    Otherwise both modules are decomposed and their Krull-Schmidt summands
+    matched by the same scan, and the isomorphism is assembled from the
+    matched pieces.
     """
     if M.dims != N.dims:
         return None
     if M.is_zero():
         return zero_morphism(M, N)
-    H1 = hom_basis(M, N)
-    if not H1.basis:
+    H = hom_basis(M, N)
+    if not H.dimension:
         return None
-    for f in H1.basis:
+    for f in H.basis:
         if f.is_invertible():
             return f
-    H2 = hom_basis(N, M)
-    for f in H1.basis:
-        for g in H2.basis:
-            if g.compose(f).is_invertible():
-                if not f.is_invertible():
-                    raise AssertionError("split mono with equal dims must be iso")
-                return f
     # an indecomposable N isomorphic to M would make End(M) local too
     if is_indecomposable(M) or is_indecomposable(N):
         return None
@@ -703,29 +724,25 @@ def _match_summands(M: Representation, N: Representation):
     of M is matched to an unused isomorphic summand of N (greedy matching
     is exact, isomorphism being an equivalence), and the isomorphism is the
     sum of incl_N u proj_M over the matched pairs."""
-    F = M.F
     msum, nsum = decompose(M), decompose(N)
     if len(msum) != len(nsum):
         return None
     pairs = match_summands([s.rep for s in msum], [s.rep for s in nsum])
     if pairs is None:
         return None
-    blocks = zero_morphism(M, N).blocks
-    for s, (k, u) in zip(msum, pairs):
-        piece = nsum[k].inclusion.compose(u).compose(s.projection)
-        blocks = [F.add(b, pb) for b, pb in zip(blocks, piece.blocks)]
-    iso = RepMorphism(M, N, blocks)
+    iso = morphism_from_vector(M, N, sum(
+        nsum[k].inclusion.compose(u).compose(s.projection).to_vector()
+        for s, (k, u) in zip(msum, pairs)))
     if not iso.is_valid() or not iso.is_invertible():
         raise AssertionError("matched summands do not assemble an isomorphism")
     return iso
 
 
 def combine(H: HomSpace, coeffs) -> RepMorphism:
+    """The morphism sum_e coeffs[e] b_e over the basis b of H."""
     F = H.source.F
-    blocks = [F.zeros(dn, dm) for dm, dn in zip(H.source.dims, H.target.dims)]
-    for c, f in zip(coeffs, H.basis):
-        blocks = [F.add(b, F.smul(int(c), fb)) for b, fb in zip(blocks, f.blocks)]
-    return RepMorphism(H.source, H.target, blocks)
+    c = np.asarray(coeffs, dtype=np.int64) % F.p
+    return morphism_from_vector(H.source, H.target, F.mul(c, H.vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -836,25 +853,16 @@ class RadicalCalculator:
         self._rows: dict[int, list[dict[int, np.ndarray]]] = {}
         # middle k -> rad^1(k, -) stacked over its targets (`_rad1_stack`)
         self._stacks: dict[int, tuple] = {}
-        self._layouts: dict[tuple[int, int], tuple] = {}   # see `_layout`
 
     def hom(self, i: int, j: int) -> HomSpace:
         return hom_basis(self.reps[i], self.reps[j])
 
     def _rad1_row(self, i: int) -> dict[int, np.ndarray]:
-        row: dict[int, np.ndarray] = {}
-        for j in range(len(self.reps)):
-            H = self.hom(i, j)
-            if not H.basis:
-                continue
-            vecs = np.stack([f.to_vector() for f in H.basis], axis=0)
-            if i != j:
-                row[j] = vecs
-            else:
-                radb = end_radical(self.reps[i])
-                if radb.shape[0]:
-                    row[j] = row_space(self.F, self.F.mul(radb, vecs))
-        return row
+        row = {j: self.hom(i, j).vectors for j in range(len(self.reps))}
+        # rad End(reps[i]) on the diagonal, in echelon form
+        row[i] = self.F.mul(end_radical(self.reps[i]), row[i])
+        return {j: row_space(self.F, v) if j == i else v
+                for j, v in row.items() if len(v)}
 
     def _row(self, i: int, n: int) -> dict[int, np.ndarray]:
         """The nonzero rad^n(reps[i], -), keyed by target, for n >= 1."""
@@ -879,39 +887,12 @@ class RadicalCalculator:
     def rad(self, i: int, j: int, n: int) -> np.ndarray:
         """Echelon row basis of rad^n(reps[i], reps[j]) as morphism vectors."""
         if n <= 0:
-            H = self.hom(i, j)
-            if not H.basis:
-                return np.zeros((0, _pair_len(self.reps[i], self.reps[j])),
-                                dtype=np.int64)
-            return row_space(self.F, np.stack([f.to_vector() for f in H.basis]))
+            return row_space(self.F, self.hom(i, j).vectors)
         rows = self._row(i, n).get(j)
         if rows is None:
             return np.zeros((0, _pair_len(self.reps[i], self.reps[j])), dtype=np.int64)
         # a rad^1 row off the diagonal is the Hom basis as solved
         return row_space(self.F, rows) if n == 1 and i != j else rows
-
-    def _layout(self, s: int, t: int):
-        """Row and column in the total matrix, reps[t] by reps[s], of each
-        coordinate of a morphism vector reps[s] -> reps[t]: the vertex
-        blocks in vertex order, each row-major."""
-        if (s, t) not in self._layouts:
-            rows, cols, os, ot = [], [], 0, 0
-            for a, b in zip(self.reps[s].dims, self.reps[t].dims):
-                for x in range(ot, ot + b):
-                    rows += [x] * a
-                    cols += range(os, os + a)
-                os, ot = os + a, ot + b
-            self._layouts[s, t] = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-        return self._layouts[s, t]
-
-    def _totals(self, s: int, t: int, vecs: np.ndarray) -> np.ndarray:
-        """Morphism vectors reps[s] -> reps[t] as stacked block-diagonal
-        total matrices."""
-        rows, cols = self._layout(s, t)
-        out = np.zeros((len(vecs), self.reps[t].total_dim, self.reps[s].total_dim),
-                       dtype=np.int64)
-        out[:, rows, cols] = vecs
-        return out
 
     def _rad1_stack(self, k: int):
         """rad^1(reps[k], -) stacked over its targets j: the total matrices
@@ -920,7 +901,8 @@ class RadicalCalculator:
         if k not in self._stacks:
             mats, starts, at = [], {}, 0
             for j, B in self._row(k, 1).items():
-                mats.append(self._totals(k, j, B).reshape(-1, self.reps[k].total_dim))
+                mats.append(_totals(self.reps[k], self.reps[j], B)
+                            .reshape(-1, self.reps[k].total_dim))
                 starts[j] = at, B.shape[0]
                 at += mats[-1].shape[0]
             self._stacks[k] = (np.concatenate(mats) if mats else
@@ -935,12 +917,12 @@ class RadicalCalculator:
         stack of `_rad1_stack(k)`, its diagonal blocks read off per target."""
         stack, starts = self._rad1_stack(k)
         na, di = A.shape[0], self.reps[i].total_dim
-        prod = self.F.mul(stack, self._totals(i, k, A).transpose(1, 0, 2)
-                          .reshape(-1, na * di))
+        prod = self.F.mul(stack, _totals(self.reps[i], self.reps[k], A)
+                          .transpose(1, 0, 2).reshape(-1, na * di))
         for j, (at, nb) in starts.items():
             if j in targets:
                 dj = self.reps[j].total_dim
-                rows, cols = self._layout(i, j)
+                rows, cols = _layout(self.reps[i].dims, self.reps[j].dims)
                 yield j, (prod[at: at + nb * dj].reshape(nb, dj, na, di)
                           [:, rows, :, cols].transpose(1, 2, 0).reshape(nb * na, -1))
 
@@ -986,8 +968,7 @@ def irr_space(calc: RadicalCalculator, M: Representation, N: Representation):
     if d > 0:
         F = calc.F
         span = r2
-        for r in range(r1.shape[0]):
-            vec = r1[r]
+        for vec in r1:
             if in_row_space(F, span, vec):
                 continue
             reps.append(morphism_from_vector(calc.reps[i], calc.reps[j], vec))

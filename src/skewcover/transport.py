@@ -106,13 +106,8 @@ def pushdown_sequence(pres: SkewPresentation, action: QuiverAction,
     m_parts = decompose_pushdown(pres, seq.left).summands
     t_parts = decompose_pushdown(pres, seq.right).summands
 
-    stable_parts: list[Summand] = []
-    unstable_parts: list[Summand] = []
-    for s in mid_parts:
-        if len(module_stabilizer(dact, s.rep)) == dual.n:
-            stable_parts.append(s)
-        else:
-            unstable_parts.append(s)
+    stable_parts = [s for s in mid_parts
+                    if len(module_stabilizer(dact, s.rep)) == dual.n]
     # Z: one copy of each stable isomorphism class (they come n at a time)
     z = IsoClasses()
     z_count = Counter(z.add(s.rep) for s in stable_parts)

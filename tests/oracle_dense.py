@@ -54,6 +54,12 @@ before the terms shared their suffix products: each term's path matrix
 rebuilt from the arrow maps and summed into a dense accumulator, kept
 verbatim with the module as its argument.
 
+`loop_combine` is `rep.combine` as it was before a Hom space kept its
+basis as one array: one scaled addition per basis element and vertex.
+`loop_sum_module` is `ar._sum_module` as it was before `block_diag`: each
+arrow's block-diagonal map placed summand by summand.  Both are kept
+verbatim apart from their names.
+
 The dense multiplication maps of a `StructureConstants` algebra and its
 associativity and identity checks were its methods until only the tests
 used them (the package multiplies through `mult_entries`); they are kept
@@ -65,7 +71,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from skewcover.field import coalesce, match_pairs, row_space
-from skewcover.rep import _frozen, morphism_from_vector
+from skewcover.rep import (Representation, RepMorphism, _frozen,
+                           morphism_from_vector)
 from skewcover.quiver import (BoundAlgebra, NotAdmissibleError, PathWord,
                               RelationElement, ideal_closure, make_path,
                               path_source, path_target)
@@ -560,6 +567,31 @@ def solve_hom(M, N) -> list[list[np.ndarray]]:
             raise AssertionError("hom basis element fails commuting squares")
         basis.append([_frozen(b) for b in f.blocks])
     return basis
+
+
+def loop_combine(H, coeffs) -> RepMorphism:
+    F = H.source.F
+    blocks = [F.zeros(dn, dm) for dm, dn in zip(H.source.dims, H.target.dims)]
+    for c, f in zip(coeffs, H.basis):
+        blocks = [F.add(b, F.smul(int(c), fb)) for b, fb in zip(blocks, f.blocks)]
+    return RepMorphism(H.source, H.target, blocks)
+
+
+def loop_sum_module(alg, reps: list[Representation]) -> Representation:
+    """The direct sum of `reps`, without the witnesses of `direct_sum`."""
+    q, F = alg.quiver, alg.F
+    dims = [sum(r.dims[v] for r in reps) for v in range(q.n_vertices)]
+    maps = []
+    for a, arr in enumerate(q.arrows):
+        m = F.zeros(dims[arr.target], dims[arr.source])
+        ro = co = 0
+        for r in reps:
+            dt, ds = r.dims[arr.target], r.dims[arr.source]
+            m[ro: ro + dt, co: co + ds] = r.maps[a]
+            ro += dt
+            co += ds
+        maps.append(m)
+    return Representation(alg, dims, maps)
 
 
 def trace_form_gram(A) -> np.ndarray:

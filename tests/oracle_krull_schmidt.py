@@ -12,6 +12,10 @@ tried a splitting candidate ahead of certifying the module
 indecomposable: it builds End's structure constants and radical for every
 module first.  It fixes the summands themselves (maps, witnesses, order);
 it factors with the Cantor-Zassenhaus oracle of `oracle_factor`.
+
+`_total_matrix` is the loop `rep` built a morphism's block-diagonal total
+matrix with before it placed morphism vectors through one layout; only
+these oracles and their tests used it, and it is kept verbatim.
 """
 
 import numpy as np
@@ -21,8 +25,20 @@ from skewcover.field import (factor_poly, minimal_polynomial, poly_divmod,
                              poly_eval_matrix, poly_gcd_ext, poly_mul, power)
 from skewcover.rep import (NonSplitEndError, RepMorphism, Summand,
                            _frobenius_fixed, _frozen, _image_subrep,
-                           _matrix_to_morphism, _total_matrix, end_algebra,
+                           _matrix_to_morphism, end_algebra,
                            end_radical, identity_morphism, is_indecomposable)
+
+
+def _total_matrix(f: RepMorphism) -> np.ndarray:
+    """Block-diagonal total matrix of a morphism M -> M."""
+    F = f.source.F
+    n = f.source.total_dim
+    out = F.zeros(n, n)
+    off = 0
+    for v, d in enumerate(f.source.dims):
+        out[off: off + d, off: off + d] = f.blocks[v]
+        off += d
+    return out
 
 
 def _find_splitting_idempotent(M):

@@ -5,7 +5,15 @@ checks its basis with one stacked product per arrow; `oracle_dense.solve_hom`
 is the dense solver it replaced.  Both must return the same blocks on every
 ordered pair of knitted indecomposables, and a wrong kernel result or a
 wrong End basis must still be caught.
+
+A Hom space holds its basis as one read-only array of morphism vectors
+and the per-vertex stacks cut from it; on the same pairs the arrays must
+agree with the basis morphisms, and the layout helpers built on them
+(`combine`, `_totals` and `_matrix_to_morphism`, `PrimeField.block_diag`)
+with the loops they replaced.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,6 +26,8 @@ from skewcover.field import PrimeField, StructureConstants, algebra_radical
 from skewcover.quiver import BoundAlgebra, Quiver, RelationElement, make_path
 from skewcover.skew import build_presentation
 
+from oracle_krull_schmidt import _total_matrix
+
 F = PrimeField(1009)
 
 # The bundled representation-finite inputs and the generated inputs of the
@@ -28,7 +38,10 @@ FINITE = ("fig5.skw", "fig6.skw", "free_action_a3.skw", "star3_1", "cover2_4")
 def _same_bases(mods):
     for M in mods:
         for N in mods:
-            got, want = rep._solve_hom(M, N), oracle.solve_hom(M, N)
+            vectors, _ = rep._solve_hom(M, N)
+            got = [[s[e] for s in rep._cut(vectors, M.dims, N.dims)]
+                   for e in range(len(vectors))]
+            want = oracle.solve_hom(M, N)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert all(np.array_equal(x, y) and x.shape == y.shape
@@ -43,6 +56,85 @@ def test_hom_bases_match_the_dense_solver(name, side):
     if side == "skew":
         alg = build_presentation(alg, built.group, built.action).algebra
     _same_bases(knit_ar_quiver(alg).modules)
+
+
+@lru_cache(maxsize=None)
+def _knitted(name, side):
+    """(algebra, knitted modules, every (algebra, summands) the knit handed
+    to `ar._sum_module`), built once per input and side."""
+    built = load_built(name) if name.endswith(".skw") else load_generated(name)
+    alg = built.algebra
+    if side == "skew":
+        alg = build_presentation(alg, built.group, built.action).algebra
+    sums, real = [], ar._sum_module
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ar, "_sum_module",
+                   lambda a, reps: sums.append((a, list(reps))) or real(a, reps))
+        modules = knit_ar_quiver(alg).modules
+    return alg, modules, sums
+
+
+@pytest.mark.parametrize("side", ["algebra", "skew"])
+@pytest.mark.parametrize("name", FINITE)
+def test_hom_space_arrays_are_its_basis(name, side):
+    _, mods, _ = _knitted(name, side)
+    for M in mods:
+        for N in mods:
+            H = rep.hom_basis(M, N)
+            assert H.vectors.shape == (H.dimension, rep._pair_len(M, N))
+            assert len(H.stacks) == len(M.dims)
+            assert not H.vectors.flags.writeable
+            assert not any(s.flags.writeable for s in H.stacks)
+            for e, f in enumerate(H.basis):
+                assert np.array_equal(H.vectors[e], f.to_vector())
+                assert all(np.array_equal(s[e], b) and s[e].shape == b.shape
+                           for s, b in zip(H.stacks, f.blocks))
+
+
+@pytest.mark.parametrize("side", ["algebra", "skew"])
+@pytest.mark.parametrize("name", FINITE)
+def test_combine_matches_the_loop(name, side):
+    _, mods, _ = _knitted(name, side)
+    rng = np.random.default_rng(0)
+    empty = 0
+    for M in mods:
+        for N in mods:
+            H = rep.hom_basis(M, N)
+            empty += H.dimension == 0
+            c = rng.integers(-M.F.p, 2 * M.F.p, size=H.dimension)
+            got, want = rep.combine(H, c), oracle.loop_combine(H, c)
+            assert got.source is M and got.target is N
+            assert all(np.array_equal(x, y) and x.shape == y.shape
+                       for x, y in zip(got.blocks, want.blocks))
+    assert empty
+
+
+@pytest.mark.parametrize("side", ["algebra", "skew"])
+@pytest.mark.parametrize("name", FINITE)
+def test_end_totals_read_back_to_their_basis(name, side):
+    _, mods, _ = _knitted(name, side)
+    for M in mods:
+        H = rep.hom_basis(M, M)
+        totals = rep._totals(M, M, H.vectors)
+        assert len(totals) == H.dimension
+        for f, total in zip(H.basis, totals):
+            assert np.array_equal(total, _total_matrix(f))
+            back = rep._matrix_to_morphism(M, total)
+            assert all(np.array_equal(x, y) and x.shape == y.shape
+                       for x, y in zip(back.blocks, f.blocks))
+
+
+@pytest.mark.parametrize("side", ["algebra", "skew"])
+@pytest.mark.parametrize("name", FINITE)
+def test_block_diag_matches_the_summing_loop(name, side):
+    alg, _, sums = _knitted(name, side)
+    assert sums
+    for a, reps in sums:
+        assert a is alg
+        got, want = ar._sum_module(alg, reps), oracle.loop_sum_module(alg, reps)
+        assert got.dims == want.dims
+        assert all(np.array_equal(x, y) and x.shape == y.shape
+                   for x, y in zip(got.maps, want.maps))
 
 
 def test_hom_bases_match_on_the_capped_kronecker_knit(monkeypatch):
@@ -64,9 +156,9 @@ def test_hom_bases_match_on_the_capped_kronecker_knit(monkeypatch):
 
 def test_a_wrong_kernel_result_fails_the_commuting_squares(fig5, monkeypatch):
     P = ar.projective_module(fig5.algebra, 0)
-    Q = rep._solve_hom(P, P)
-    assert Q
-    good = np.concatenate([b.reshape(-1) for b in Q[0]])
+    Q, _ = rep._solve_hom(P, P)
+    assert len(Q)
+    good = Q[0]
     # the first unit change that breaks a square, as the dense check sees it
     for c in range(good.size):
         bad = good.copy()
@@ -86,6 +178,16 @@ def _a2():
     return BoundAlgebra(F, Quiver(["1", "2"], [("a", "1", "2")]), [])
 
 
+def _plant_end_basis(M, bases):
+    """Plant an End basis, given as per-vertex block lists, in the module
+    table in the form `_solve_hom` returns: (vectors, stacks)."""
+    vectors = np.stack([np.concatenate([b.reshape(-1) for b in blocks])
+                        for blocks in bases])
+    key = rep.ModuleTable.key(M)
+    rep.module_table(M.algebra)._entries[("hom", key, key)] = (
+        vectors, tuple(rep._cut(vectors, M.dims, M.dims)))
+
+
 def test_a_brick_has_the_field_as_end_algebra():
     alg = _a2()
     P1 = rep.Representation(alg, (1, 1), [F.mat([[1]])])
@@ -103,9 +205,8 @@ def test_a_tampered_brick_end_basis_is_refused():
     module table, raises as the general End construction does."""
     alg = _a2()
     M = rep.Representation(alg, (1, 1), [F.mat([[1]])])
-    key = rep.ModuleTable.key(M)
     not_one = [[np.ones((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)]]
-    rep.module_table(alg)._entries[("hom", key, key)] = not_one
+    _plant_end_basis(M, not_one)
     with pytest.raises(AssertionError, match="identity not in End"):
         rep.end_algebra(M)
 
@@ -121,9 +222,7 @@ def test_a_tampered_end_basis_names_what_fails(powers, message):
     alg = BoundAlgebra(F, q, [RelationElement(((1, make_path(q, (0, 0, 0))),))])
     x = np.eye(3, k=-1, dtype=np.int64)
     M = rep.Representation(alg, (3,), [x])
-    key = rep.ModuleTable.key(M)
-    rep.module_table(alg)._entries[("hom", key, key)] = [
-        [np.linalg.matrix_power(x, k)] for k in powers]
+    _plant_end_basis(M, [[np.linalg.matrix_power(x, k)] for k in powers])
     with pytest.raises(AssertionError, match=message):
         rep.end_algebra(M)
 

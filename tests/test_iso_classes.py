@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import skewcover.rep as rep
-from skewcover.ar import ARToolkit, direct_sum
+from skewcover.quiver import BoundAlgebra, Quiver
+from skewcover.ar import ARToolkit, direct_sum, simple_module
 from skewcover.pushdown import decompose_pushdown, pushdown_module
 from skewcover.rep import (IsoClasses, ModuleTable, RadicalCalculator,
                            Representation, decompose, is_isomorphic,
@@ -177,3 +178,16 @@ def test_semi_dense_complement_matches_a_scan(fig5_pres, fig5_skew_arq):
         want = _brute_complement(fig5_pres, M, N)
         assert [ModuleTable.key(R) for R in compl] == \
             [ModuleTable.key(R) for R in want]
+
+
+def test_a_non_isomorphism_solves_no_reverse_hom():
+    """On A_2 (1 -> 2), S1 + S2 and P1 share a dimension vector and have a
+    nonzero Hom(S1 + S2, P1) with no invertible element; the answer None
+    needs no hom basis of P1 -> S1 + S2."""
+    alg = BoundAlgebra(F, Quiver(["1", "2"], [("a", "1", "2")]), [])
+    M = direct_sum(alg, [simple_module(alg, 0), simple_module(alg, 1)])[0]
+    N = Representation(alg, (1, 1), [F.mat([[1]])])
+    assert rep.hom_basis(M, N).dimension == 1
+    assert rep.isomorphism(M, N) is None
+    key = ModuleTable.key
+    assert ("hom", key(N), key(M)) not in rep.module_table(alg)._entries

@@ -14,7 +14,7 @@ from skewcover.rep import (ModuleTable, NonSplitEndError, Representation,
                            decompose, end_algebra, is_isomorphic,
                            match_summands)
 
-from oracle_krull_schmidt import (certify_first_krull_schmidt,
+from oracle_krull_schmidt import (_total_matrix, certify_first_krull_schmidt,
                                   oracle_krull_schmidt)
 from test_module_identity import F, _base_change, _kronecker
 
@@ -117,7 +117,7 @@ def test_non_split_plus_simple_names_the_piece():
 
 def _lift_splits(M, coords):
     _, H = end_algebra(M)
-    f = sum(int(c) * rep._total_matrix(b) for c, b in zip(coords, H.basis)) % F.p
+    f = sum(int(c) * _total_matrix(b) for c, b in zip(coords, H.basis)) % F.p
     return len(factor_poly(F, minimal_polynomial(F, f))) > 1
 
 
