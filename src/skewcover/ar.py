@@ -15,6 +15,12 @@ The arrows of the AR quiver are read off the meshes that knitting builds
 and decomposes (an arrow that lies on two meshes is read from both, and the
 readings must agree); rows of the radical powers rad^n are built only when
 a rank or radical-level question asks for them.
+
+Given a group action, knitting computes one almost split sequence and one
+tau^- per G-orbit of classes.  The twist M -> gM is an exact
+autoequivalence of mod A, so tau(gM) = g tau M and the sequence ending at
+gM is the g-twist of the one ending at M (Reiten and Riedtmann, J. Algebra
+92 (1985)); a twisted sequence is certified as a computed one is.
 """
 
 from __future__ import annotations
@@ -25,13 +31,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import (in_row_space, nullspace_basis, quotient_map, rank,
-                    row_space, rref, solve_linear)
+from .action import QuiverAction
+from .field import (PrimeField, in_row_space, nullspace_basis, quotient_map,
+                    rank, row_space, rref, solve_linear)
 from .quiver import BoundAlgebra, PathWord
 from .rep import (RADICAL_CUTOFF, IsoClasses, RadicalCalculator, RepMorphism,
                   Representation, Summand, combine, decompose, end_algebra,
                   end_radical, hom_basis, identity_morphism, sub_from_rows,
-                  zero_morphism)
+                  twist, twist_morphism, zero_morphism)
 
 
 class CapExceededError(Exception):
@@ -386,12 +393,19 @@ class AlmostSplitSequence:
                    zip(self.left.dims, self.right.dims, self.middle.dims))
 
 
-def _span(F, morphisms: list[RepMorphism]) -> np.ndarray:
-    """Echelon basis of the span of the morphisms' vectors (no rows if
-    there are none)."""
-    if not morphisms:
-        return np.zeros((0, 0), dtype=np.int64)
-    return row_space(F, np.stack([f.to_vector() for f in morphisms]))
+def _composites(F: PrimeField, stacks, before: RepMorphism | None = None,
+                after: RepMorphism | None = None) -> np.ndarray:
+    """The morphism vectors of after o b o before, as rows, over the Hom
+    basis b whose per-vertex stacks are `stacks`: one product per vertex
+    and side, each on a whole stack."""
+    parts = []
+    for v, S in enumerate(stacks):
+        if after is not None:
+            S = F.mul(after.blocks[v], S)
+        if before is not None:
+            S = F.mul(S, before.blocks[v])
+        parts.append(S.reshape(len(S), S.shape[1] * S.shape[2]))
+    return np.concatenate(parts, axis=1)
 
 
 def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequence:
@@ -412,7 +426,7 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
     pres = tk.minimal_presentation(T)
     X = tk.tau_from_presentation(pres)
     P0, d0, K, incl = pres.X0, pres.d0, pres.Z, pres.z
-    W = _span(F, [g.compose(incl) for g in hom_basis(P0, X).basis])
+    W = row_space(F, _composites(F, hom_basis(P0, X).stacks, before=incl))
     h = _socle_class(X, W, hom_basis(K, X).basis)
 
     # pushout of X <-h- K -incl-> P0
@@ -437,11 +451,36 @@ def almost_split_sequence(tk: ARToolkit, T: Representation) -> AlmostSplitSequen
         raise AssertionError("induced map E -> T fails commutation")
 
     seq = AlmostSplitSequence(X, Emod, T, left_map, right_map)
-    _check_exact(seq)
-    if split_section(right_map) is not None:
-        raise AssertionError("candidate sequence splits; socle class wrong")
+    _certify(seq)
     seq.middle_summands = decompose(Emod)
     return seq
+
+
+def twisted_sequence(action: QuiverAction, g, seq: AlmostSplitSequence,
+                     u: RepMorphism) -> AlmostSplitSequence:
+    """The g-twist of the almost split sequence `seq` ending at T, its right
+    end carried along the isomorphism u: gT -> T'.  Twisting by g is an
+    exact autoequivalence of mod A, so it sends almost split sequences to
+    almost split sequences, and tau(gT) = g tau T (Reiten and Riedtmann,
+    J. Algebra 92 (1985)).  The result is certified as
+    `almost_split_sequence` certifies its own, and its middle summands are
+    the twists of those of `seq`, sorted as `decompose` sorts them, each
+    indecomposable as its untwisted summand is."""
+    X = twist(action, g, seq.left, indecomposable=True)
+    E = twist(action, g, seq.middle)
+    incl = twist_morphism(action, g, seq.incl, X, E)
+    proj = u.compose(twist_morphism(action, g, seq.proj, E, u.source))
+    if not (incl.is_valid() and proj.is_valid()):
+        raise AssertionError("twisted sequence maps fail commutation")
+    out = AlmostSplitSequence(X, E, u.target, incl, proj)
+    _certify(out)
+    for s in seq.middle_summands:
+        S = twist(action, g, s.rep, indecomposable=True)
+        out.middle_summands.append(Summand(
+            S, twist_morphism(action, g, s.inclusion, S, E),
+            twist_morphism(action, g, s.projection, E, S)))
+    out.middle_summands.sort(key=lambda s: (s.rep.dims, s.rep.label()))
+    return out
 
 
 def _socle_class(X: Representation, W: np.ndarray,
@@ -482,10 +521,17 @@ def split_section(proj: RepMorphism) -> RepMorphism | None:
     H = hom_basis(T, E)
     if not H.dimension:
         return None
-    A = np.stack([proj.compose(g).to_vector() for g in H.basis], axis=1)
+    A = _composites(T.F, H.stacks, after=proj).T
     one = identity_morphism(T).to_vector().reshape(-1, 1)
     coeffs = solve_linear(T.F, A, one)
     return None if coeffs is None else combine(H, coeffs[:, 0])
+
+
+def _certify(seq: AlmostSplitSequence):
+    """Exactness, and the certificate that the sequence does not split."""
+    _check_exact(seq)
+    if split_section(seq.proj) is not None:
+        raise AssertionError("almost split sequence candidate splits")
 
 
 def _check_exact(seq: AlmostSplitSequence):
@@ -518,11 +564,44 @@ class ARQuiver:
     calc: RadicalCalculator
 
 
+class _Twists:
+    """The twists gM, g != e, of each module whose almost split sequence or
+    tau^- the knit computed itself, with the index of M and g."""
+
+    def __init__(self, action: QuiverAction):
+        self.action = action
+        self.classes = IsoClasses()
+        self.origins: list[tuple[int, tuple]] = []
+
+    def record(self, i: int, M: Representation):
+        seen = {M.content_key}
+        for g in self.action.group.elements:
+            if g == self.action.group.identity():
+                continue
+            gM = twist(self.action, g, M)
+            if gM.content_key not in seen:
+                seen.add(gM.content_key)
+                self.classes.append(gM)
+                self.origins.append((i, g))
+
+    def locate(self, M: Representation):
+        """(i, g, u: gM_i -> M an isomorphism) for a recorded M_i, or None."""
+        found = self.classes.locate(M)
+        return None if found is None else (*self.origins[found[0]], found[1])
+
+
 def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
-                   max_dimension: int = 60) -> ARQuiver:
+                   max_dimension: int = 60,
+                   action: QuiverAction | None = None) -> ARQuiver:
     """Closure knitting: start from projectives, injectives, and simples;
     repeatedly adjoin tau / tau-minus targets and AR-sequence middle
-    summands until stable.  Complete for representation-finite algebras."""
+    summands until stable.  Complete for representation-finite algebras.
+
+    Given a validated `action` of G on the algebra, the knit computes one
+    almost split sequence and one tau^- per G-orbit of classes: a module
+    M' isomorphic to a twist gM of a module M it has already handled gets
+    the g-twist of M's sequence (`twisted_sequence`) and g tau^- M.  The
+    modules, their order and every mesh are those of the knit without it."""
     tk = ARToolkit(alg)
     known = IsoClasses()
     proj_flags: list[bool] = []
@@ -557,30 +636,37 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
 
     sequences: dict[int, AlmostSplitSequence] = {}
     tau_of: dict[int, int] = {}
+    right_of: dict[int, int] = {}        # tau T -> T
+    tau_minus_of: dict[int, Representation] = {}
     middles: dict[int, Counter] = {}     # middle-term summand multiplicities
-    processed_tau = set()
-    processed_tminus = set()
-    while True:
-        progressed = False
-        for i in list(range(len(known))):
-            M = known.reps[i]
-            if i not in processed_tau and not proj_flags[i]:
-                processed_tau.add(i)
-                progressed = True
-                seq = almost_split_sequence(tk, M)
+    twists = None if action is None else _Twists(action)
+    i = 0
+    while i < len(known):                # each class once, in insertion order
+        M = known.reps[i]
+        # M = tau T for a processed T needs no tau^-: add() would only locate T
+        if not proj_flags[i] or not (inj_flags[i] or i in right_of):
+            hit = None if twists is None else twists.locate(M)
+            if hit is None and twists is not None:
+                twists.record(i, M)
+            if not proj_flags[i]:
+                seq = (almost_split_sequence(tk, M) if hit is None else
+                       twisted_sequence(action, hit[1], sequences[hit[0]], hit[2]))
                 sequences[i] = seq
                 tau_of[i] = add(seq.left)
                 if tau_of[i] is None:
                     raise AssertionError("tau of an indecomposable is not indecomposable")
+                right_of.setdefault(tau_of[i], i)
                 middles[i] = Counter(add(s.rep) for s in seq.middle_summands)
-            if i not in processed_tminus and not inj_flags[i]:
-                processed_tminus.add(i)
-                progressed = True
-                # M = tau T for a processed T: add() would only locate T
-                if i not in tau_of.values():
-                    add(tk.tau_minus(M))
-        if not progressed:
-            break
+            if not inj_flags[i] and i not in right_of:
+                if hit is None:
+                    Y = tau_minus_of[i] = tk.tau_minus(M)
+                else:
+                    # tau^- M_o is the one built for M_o, or the T with tau T = M_o
+                    o, g, _ = hit
+                    Y = twist(action, g, tau_minus_of[o] if o in tau_minus_of
+                              else known.reps[right_of[o]], indecomposable=True)
+                add(Y)
+        i += 1
 
     # canonical order
     order = sorted(range(len(known)), key=lambda i: (known.reps[i].total_dim,

@@ -11,6 +11,7 @@ import functools
 import json
 import sys
 
+from .action import validate_action
 from .quiver import is_gentle, is_skew_gentle
 from .inputfmt import build_input, parse_input, serialize_presentation
 from .skew import build_presentation
@@ -34,6 +35,15 @@ def _load(path: str, build_algebra: bool = True, bound: int | None = None):
 def _presentation(built, bound: int | None):
     return build_presentation(built.algebra, built.group, built.action,
                               length_bound=bound)
+
+
+def _valid_action(built):
+    """The input's action when `validate_action` accepts it, else None: a
+    knit given the action builds one almost split sequence per orbit."""
+    if built.action is None or not validate_action(
+            built.algebra, built.group, built.action).valid:
+        return None
+    return built.action
 
 
 def _report(args, command: str, digest: str, results: dict) -> None:
@@ -133,7 +143,7 @@ def cmd_verify_covering(args):
     doc, built = _load(args.file, bound=args.bound)
     pres = _presentation(built, args.bound)
     if args.all_indecomposables:
-        mods = knit_ar_quiver(built.algebra).modules
+        mods = knit_ar_quiver(built.algebra, action=pres.context.action).modules
         names = [f"ind{i}" for i in range(len(mods))]
     else:
         names = sorted(built.modules)
@@ -153,7 +163,7 @@ def cmd_verify_covering(args):
 
 def cmd_ar_quiver(args):
     doc, built = _load(args.file, bound=args.bound)
-    arq = knit_ar_quiver(built.algebra)
+    arq = knit_ar_quiver(built.algebra, action=_valid_action(built))
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(ar_quiver_dot(arq) + "\n")
@@ -173,7 +183,7 @@ def cmd_ar_quiver(args):
 
 def cmd_rank(args):
     doc, built = _load(args.file, bound=args.bound)
-    arq = knit_ar_quiver(built.algebra)
+    arq = knit_ar_quiver(built.algebra, action=_valid_action(built))
     r, s = category_rank(arq)
     _report(args, "rank", built.digest,
             {"rank": str(r), "stable_rank": str(s),
@@ -184,8 +194,8 @@ def cmd_rank(args):
 def cmd_transport_ars(args):
     doc, built = _load(args.file, bound=args.bound)
     pres = _presentation(built, args.bound)
-    arq = knit_ar_quiver(built.algebra)
-    arq_skew = knit_ar_quiver(pres.algebra)
+    arq = knit_ar_quiver(built.algebra, action=pres.context.action)
+    arq_skew = knit_ar_quiver(pres.algebra, action=pres.dual_group_action()[1])
     records = []
     for t, seq in sorted(arq.sequences.items()):
         out = pushdown_sequence(pres, built.action, seq, arq_skew)

@@ -18,8 +18,14 @@ from itertools import product
 from .field import PrimeField
 from .quiver import BoundAlgebra, PathWord, path_source
 
-# Scalar assignments tried per arrow bijection before it is skipped.
+# Scalar assignments tried per arrow bijection; a search that had to skip
+# the scalars of some bijection and found no isomorphism refuses to answer.
 MAX_SCALAR_COMBOS = 200_000
+
+
+class ScalarCapError(Exception):
+    """The search found no isomorphism but skipped the scalar assignments
+    of some arrow bijection, so it cannot answer "not isomorphic"."""
 
 
 def roots_of_unity(F: PrimeField, n: int) -> list[int]:
@@ -109,7 +115,10 @@ def find_algebra_isomorphism(A: BoundAlgebra, B: BoundAlgebra,
     """(vertex map, arrow map, scalars) realizing A = B, or None.
 
     The map sends arrow a to scalars[a] * amap[a]; relations of A must land
-    in the ideal of B.  Scalars all 1 are tried before the pool.
+    in the ideal of B.  Scalars all 1 are tried before the pool.  When the
+    pool's assignments to the arrows in A's relations exceed
+    MAX_SCALAR_COMBOS they are not tried, and a search that finds nothing
+    then raises ScalarCapError rather than return None.
     """
     if A.dim != B.dim:
         return None
@@ -140,6 +149,9 @@ def find_algebra_isomorphism(A: BoundAlgebra, B: BoundAlgebra,
     for i, a in enumerate(qa.arrows):
         slots_a.setdefault((a.source, a.target), []).append(i)
 
+    free_arrows = sorted({a for r in A.relations for _, w in r.terms for a in w.arrows})
+    combos = len(scalar_pool or ()) ** len(free_arrows)
+    skipped = 0
     for vmap in ordered_bijections([(by_prof[g], profs_b[g]) for g in groups],
                                    same_arrows):
         # same_arrows makes every slot's target count match
@@ -154,10 +166,8 @@ def find_algebra_isomorphism(A: BoundAlgebra, B: BoundAlgebra,
                    for r in A.relations):
                 return vmap, amap, ones
             if scalar_pool and len(scalar_pool) > 1:
-                free_arrows = sorted({a for r in A.relations
-                                      for _, w in r.terms for a in w.arrows})
-                combos = len(scalar_pool) ** len(free_arrows)
                 if combos > MAX_SCALAR_COMBOS:
+                    skipped += 1
                     continue
                 for vals in product(scalar_pool, repeat=len(free_arrows)):
                     scal = dict(ones)
@@ -166,4 +176,9 @@ def find_algebra_isomorphism(A: BoundAlgebra, B: BoundAlgebra,
                     if all(_relation_maps_to_zero(A, B, r, vmap, amap, scal)
                            for r in A.relations):
                         return vmap, amap, scal
+    if skipped:
+        raise ScalarCapError(
+            f"no isomorphism found, but the scalars of {skipped} arrow "
+            f"bijection(s) were not tried: {combos} assignments exceed the "
+            f"limit MAX_SCALAR_COMBOS = {MAX_SCALAR_COMBOS}")
     return None

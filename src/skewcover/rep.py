@@ -154,9 +154,13 @@ class Representation:
         return self._label
 
     @cached_property
+    def _layers(self) -> tuple[tuple[int, ...], ...]:
+        return self.radical_layers()
+
+    @cached_property
     def _label(self) -> str:
         return "|".join(",".join(str(d) for d in layer)
-                        for layer in self.radical_layers()) or "0"
+                        for layer in self._layers) or "0"
 
     def __repr__(self):
         return f"Rep{self.dims}"
@@ -189,9 +193,11 @@ class RepMorphism:
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
     def compose(self, earlier: "RepMorphism") -> "RepMorphism":
-        """self after earlier."""
+        """self after earlier; a block with no entries on either side
+        composes to a zero block, with no product."""
         F = self.source.F
-        blocks = [F.mul(b2, b1) for b1, b2 in zip(earlier.blocks, self.blocks)]
+        blocks = [F.mul(b2, b1) if b1.size and b2.size else F.zeros(len(b2), b1.shape[1])
+                  for b1, b2 in zip(earlier.blocks, self.blocks)]
         return RepMorphism(earlier.source, self.target, blocks)
 
     def is_invertible(self) -> bool:
@@ -369,17 +375,36 @@ def _zero_hom(source_dims: tuple[int, ...], target_dims: tuple[int, ...]):
 # Twists
 # ---------------------------------------------------------------------------
 
-def twist(action: QuiverAction, g, M: Representation) -> Representation:
+def twist(action: QuiverAction, g, M: Representation,
+          indecomposable: bool = False) -> Representation:
     """The module gM with (gM)(x) = M(g x), arrows transported with the
-    action scalars: (gM)(a) = c * M(b) for g(a) = c b."""
+    action scalars: (gM)(a) = c * M(b) for g(a) = c b.
+
+    Twisting is an autoequivalence, so what is known of M holds for gM:
+    M's Loewy layers, once computed, give gM's, permuted by g, and with
+    `indecomposable` (M is known to be) gM is recorded as indecomposable,
+    so `decompose` returns it whole."""
     q = M.algebra.quiver
     F = M.F
-    dims = [M.dims[action.vertex(g, v)] for v in range(q.n_vertices)]
+    perm = [action.vertex(g, v) for v in range(q.n_vertices)]
     maps = []
     for a in range(q.n_arrows):
         c, b = action.arrow(g, a)
         maps.append(F.smul(c, M.maps[b]))
-    return Representation(M.algebra, dims, maps)
+    gM = Representation(M.algebra, [M.dims[x] for x in perm], maps)
+    if "_layers" in M.__dict__:
+        gM._layers = tuple(tuple(layer[x] for x in perm) for layer in M._layers)
+    if indecomposable:
+        module_table(M.algebra).lookup("decompose", (gM,), lambda: None)
+    return gM
+
+
+def twist_morphism(action: QuiverAction, g, f: RepMorphism,
+                   source: Representation, target: Representation) -> RepMorphism:
+    """The morphism gf: gM -> gN with (gf)_x = f_{g x}, for f: M -> N and
+    `source`, `target` the twists gM and gN."""
+    return RepMorphism(source, target, [f.blocks[action.vertex(g, v)]
+                                        for v in range(len(f.blocks))])
 
 
 def module_stabilizer(action: QuiverAction, M: Representation) -> list:
@@ -612,7 +637,7 @@ def decompose(M: Representation) -> list[Summand]:
     isomorphism class.  The inclusion/projection pairs compose to idempotents of M
     summing to the identity.  An indecomposable M is its own summand, with
     identity witnesses.  Memoized in the module table of M's algebra, with
-    each summand's Loewy label.
+    each summand's Loewy layers.
     """
     if M.is_zero():
         return []
@@ -621,16 +646,16 @@ def decompose(M: Representation) -> list[Summand]:
     if parts is None:
         return [Summand(M, identity_morphism(M), identity_morphism(M))]
     out = []
-    for dims, maps, label, inc, prj in parts:
+    for dims, maps, layers, inc, prj in parts:
         S = Representation(M.algebra, dims, maps)
-        S._label = label   # seeds the cached property
+        S._layers = layers   # seeds the cached property
         out.append(Summand(S, RepMorphism(S, M, list(inc)),
                            RepMorphism(M, S, list(prj))))
     return out
 
 
 def _krull_schmidt(M: Representation):
-    """The summands of M as (dims, maps, Loewy label, inclusion blocks,
+    """The summands of M as (dims, maps, Loewy layers, inclusion blocks,
     projection blocks), or None when M is indecomposable.  M's first
     splitting candidate is tried before M is certified indecomposable, so a
     module it splits builds no End structure constants or radical.  A piece
@@ -665,7 +690,7 @@ def _krull_schmidt(M: Representation):
                 work.append((piece, None))
     out.sort(key=lambda s: (s.rep.dims, s.rep.label()))
     check_summands(M, out)
-    return [(s.rep.dims, s.rep.maps, s.rep.label(),
+    return [(s.rep.dims, s.rep.maps, s.rep._layers,
              [_frozen(b) for b in s.inclusion.blocks],
              [_frozen(b) for b in s.projection.blocks]) for s in out]
 

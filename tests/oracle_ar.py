@@ -24,7 +24,7 @@ per-row growth of `rep.RadicalCalculator` and for `ar.category_rank`.
 import numpy as np
 
 from skewcover.ar import (ARQuiver, ARToolkit, RankValue, _offsets,
-                          _paths_from, _span, cokernel_rep, direct_sum)
+                          _paths_from, cokernel_rep, direct_sum)
 from skewcover.field import (in_row_space, nullspace_basis, row_space,
                              solve_linear)
 from skewcover.quiver import (BoundAlgebra, PathWord, Quiver, RelationElement,
@@ -33,6 +33,8 @@ from skewcover.rep import (RADICAL_CUTOFF, HomSpace, IsoClasses,
                            RadicalCalculator, RepMorphism, Representation,
                            _pair_len, combine, decompose, end_radical,
                            hom_basis, morphism_from_vector)
+
+from oracle_paper import _span
 
 
 def opposite(alg: BoundAlgebra) -> BoundAlgebra:

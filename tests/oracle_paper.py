@@ -22,13 +22,14 @@ Each is kept verbatim, except that methods became functions of their
 former owner and calls to them follow.  So are the helpers that nothing
 else in the package used: `field.inverse`, `RepMorphism.inverse` (here
 `inverse_morphism`), `AbelianGroup.generated_by` and
-`QuiverAction.arrow_orbit`.
+`QuiverAction.arrow_orbit`.  `_span`, the span of composites that `ar`
+now reads off Hom stacks, is kept for `verify_almost_split`.
 """
 
 import numpy as np
 
-from skewcover.ar import AlmostSplitSequence, _span
-from skewcover.field import PrimeField, in_row_space, rref
+from skewcover.ar import AlmostSplitSequence
+from skewcover.field import PrimeField, in_row_space, row_space, rref
 from skewcover.action import QuiverAction
 from skewcover.pushdown import (GLambda, _slot_layout, pushdown_module,
                                 restrict_G_lambda)
@@ -43,6 +44,14 @@ from skewcover.skew import QGVertex, SkewPresentation
 # ---------------------------------------------------------------------------
 # Linear algebra, groups and actions
 # ---------------------------------------------------------------------------
+
+def _span(F, morphisms: list[RepMorphism]) -> np.ndarray:
+    """Echelon basis of the span of the morphisms' vectors (no rows if
+    there are none)."""
+    if not morphisms:
+        return np.zeros((0, 0), dtype=np.int64)
+    return row_space(F, np.stack([f.to_vector() for f in morphisms]))
+
 
 def inverse(F: PrimeField, A: np.ndarray):
     """Inverse of a square matrix, or None if singular: one elimination of

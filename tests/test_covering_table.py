@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from skewcover import ar, cli, pushdown, rep
+from skewcover import ar, cli, pushdown
 from skewcover.ar import knit_ar_quiver
 from skewcover.pushdown import CoveringTable, verify_semi_covering
 from skewcover.rep import is_isomorphic
@@ -78,13 +78,15 @@ def _counting(monkeypatch, module, name, counts):
 
 def test_all_indecomposables_pushes_and_twists_each_module_once(
         monkeypatch, tmp_path, capsys):
+    """The table pushes each module once and twists it once per g.  Only
+    the table's own twists are counted: the knit also twists, once per
+    handled module and g, to build one sequence per G-orbit."""
     path = tmp_path / "star3_1.skw"
     path.write_text(generated_text("star3_1"))
     order = load_generated("star3_1").group.n
     counts = {"pushdown_module": 0, "twist": 0}
     _counting(monkeypatch, pushdown, "pushdown_module", counts)
-    for module in (pushdown, rep):
-        _counting(monkeypatch, module, "twist", counts)
+    _counting(monkeypatch, pushdown, "twist", counts)
     assert cli.main(["--json", "verify-covering", str(path),
                      "--all-indecomposables"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]

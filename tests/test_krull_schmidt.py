@@ -238,10 +238,10 @@ def test_summands_match_certify_first_oracle(recorded_knits):
                 continue
             split += 1
             assert len(got) == len(want), M
-            for (dims, maps, label, inc, prj), w in zip(got, want):
+            for (dims, maps, layers, inc, prj), w in zip(got, want):
                 assert dims == w[0]
                 for mine, theirs in zip((maps, inc, prj), w[1:]):
                     assert len(mine) == len(theirs)
                     assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
-                assert label == Representation(M.algebra, dims, maps).label()
+                assert layers == Representation(M.algebra, dims, maps).radical_layers()
     assert split >= 40

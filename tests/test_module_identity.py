@@ -242,3 +242,56 @@ def test_bijection_search_prunes_by_arrow_counts(monkeypatch):
     vmap, amap, _ = find_algebra_isomorphism(A, B)
     assert all(B.quiver.vertices[vmap[v]] == name for v, name in enumerate(names))
     assert drawn == [vmap, amap]
+
+
+def _square(sign: str) -> BoundAlgebra:
+    """The commutative square 1 -> 2 -> 4, 1 -> 3 -> 4 with b.a {sign} d.c."""
+    from skewcover.inputfmt import build_input, parse_input
+    return build_input(parse_input(
+        "field p = 1009\nvertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+        "arrow a: 1 -> 2\narrow b: 2 -> 4\narrow c: 1 -> 3\narrow d: 3 -> 4\n"
+        f"relation 1*b.a + {sign}1*d.c\n")).algebra
+
+
+def test_scalar_cap_refuses_rather_than_answers_no(monkeypatch):
+    """b.a - d.c and b.a + d.c are isomorphic only by a sign on an arrow;
+    with the scalar assignments over the cap the search cannot see that,
+    so it must refuse, naming the limit, not report no isomorphism."""
+    A, B = _square("-"), _square("")
+    pool = [1, F.p - 1]
+    vmap, amap, scal = find_algebra_isomorphism(A, B, pool)
+    assert sorted(scal.values()) == [1, 1, 1, F.p - 1]
+    monkeypatch.setattr(isosearch, "MAX_SCALAR_COMBOS", 2 ** 4 - 1)
+    with pytest.raises(isosearch.ScalarCapError, match="MAX_SCALAR_COMBOS = 15"):
+        find_algebra_isomorphism(A, B, pool)
+    # all-ones isomorphisms need no scalars, so the cap does not matter
+    assert find_algebra_isomorphism(A, A, pool) is not None
+
+
+@pytest.mark.parametrize("name", ["fig5", "fig6"])
+def test_composites_off_hom_stacks_match_the_basis_loop(name):
+    """`split_section`'s matrix and the W of `almost_split_sequence`, read
+    off Hom stacks with one product per vertex, equal the old loop over
+    basis morphisms on every sequence of the knit."""
+    from conftest import load_built
+    from skewcover.ar import ARToolkit, _composites, knit_ar_quiver
+    alg = load_built(f"{name}.skw").algebra
+    tk, compared = ARToolkit(alg), 0
+
+    def same(stacked, vectors, size):
+        nonlocal compared
+        compared += bool(vectors)
+        assert np.array_equal(stacked, np.stack(vectors) if vectors
+                              else np.zeros((0, size), dtype=np.int64))
+
+    for seq in knit_ar_quiver(alg).sequences.values():
+        T, H = seq.right, hom_basis(seq.right, seq.middle)
+        same(_composites(F, H.stacks, after=seq.proj),
+             [seq.proj.compose(g).to_vector() for g in H.basis],
+             sum(d * d for d in T.dims))
+        pres = tk.minimal_presentation(T)
+        H = hom_basis(pres.X0, tk.tau_from_presentation(pres))
+        same(_composites(F, H.stacks, before=pres.z),
+             [g.compose(pres.z).to_vector() for g in H.basis],
+             sum(x * k for x, k in zip(H.target.dims, pres.Z.dims)))
+    assert compared
