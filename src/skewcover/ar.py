@@ -574,13 +574,9 @@ class _Twists:
         self.origins: list[tuple[int, tuple]] = []
 
     def record(self, i: int, M: Representation):
-        seen = {M.content_key}
         for g in self.action.group.elements:
-            if g == self.action.group.identity():
-                continue
             gM = twist(self.action, g, M)
-            if gM.content_key not in seen:
-                seen.add(gM.content_key)
+            if gM.content_key != M.content_key:   # g = e among those left out
                 self.classes.append(gM)
                 self.origins.append((i, g))
 
