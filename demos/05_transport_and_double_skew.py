@@ -29,7 +29,7 @@ print("=" * 70)
 for t, seq in sorted(arq.sequences.items()):
     out = pushdown_sequence(pres, b5.action, seq, arq_skew)
     form = ("single" if out.single
-            else "glued pair" if out.glued else "disjoint pair")
+            else "glued pair" if out.gluing else "disjoint pair")
     stab = "full" if out.stabilizer_order == b5.group.n else "trivial"
     glue = (f", glued via {[list(z.dims) for z in out.gluing]}"
             if out.gluing else "")

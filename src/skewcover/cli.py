@@ -203,7 +203,7 @@ def cmd_transport_ars(args):
             "right_term": arq.modules[t].label(),
             "stabilizer_order": out.stabilizer_order,
             "form": "single" if out.single else
-            ("glued" if out.glued else "disjoint"),
+            ("glued" if out.gluing else "disjoint"),
             "pieces": len(out.sequences),
             "gluing_dims": [list(z.dims) for z in out.gluing],
         })

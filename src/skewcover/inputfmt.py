@@ -110,6 +110,9 @@ def parse_input(text: str) -> InputDocument:
                         isinstance(r, list) and all(type(x) is int for x in r)
                         for r in rows)):
                     raise ParseError(line_no, "a matrix is a list of rows of integers")
+                if len({len(r) for r in rows}) > 1:
+                    raise ParseError(line_no, f"module {cur_module.name!r}: map "
+                                              f"{m.group(1)!r} has rows of unequal length")
                 _set_once(cur_module.maps, m.group(1), rows, line_no,
                           f"module {cur_module.name!r}: map {m.group(1)!r}")
                 continue

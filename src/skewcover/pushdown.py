@@ -304,66 +304,46 @@ class StableDecomposition:
     arrow_partition: dict[str, list[str]]
 
 
-def decompose_pushdown(pres: SkewPresentation, M: Representation) -> StableDecomposition:
-    """For G_M = G: F_lambda M = direct sum over characters of the twists of
-    one indecomposable-side summand, produced by generic decomposition and
-    organized along the dual-action twist orbit; the support/arrow partition
-    of the constructive proof is reported alongside."""
-    ctx = pres.context
-    act, G = ctx.action, ctx.group
-    if len(module_stabilizer(act, M)) != G.n:
-        raise ValueError("decompose_pushdown requires a stable module")
-    FM = pushdown_module(pres, M).rep
+def twist_orbit_summands(pres: SkewPresentation,
+                         FM: Representation) -> list[tuple[Character, Summand]]:
+    """The summands of a pushdown FM = F_lambda M with G_M = G, organized
+    along the dual-action twist orbit: per character chi, the summand
+    isomorphic to the chi-twist of the canonically least summand."""
     parts = decompose(FM)
-    dual, dact = pres.dual_group_action()
-    chars = ctx.chars
-
-    # organize: pick the canonically least summand, twist through G-hat
-    base = parts[0]
-    twists = [twist(dact, chi.exponents, base.rep) for chi in chars.characters]
+    _, dact = pres.dual_group_action()
+    chars = pres.context.chars
+    twists = [twist(dact, chi.exponents, parts[0].rep) for chi in chars.characters]
     hits = match_summands(twists, [s.rep for s in parts])
     if hits is None:
         raise AssertionError("pushdown summands are not a twist orbit")
     if len(hits) != len(parts):
         raise AssertionError("pushdown has summands outside the twist orbit")
-    ordered = [(chi, parts[k]) for chi, (k, _) in zip(chars.characters, hits)]
+    return [(chi, parts[k]) for chi, (k, _) in zip(chars.characters, hits)]
+
+
+def decompose_pushdown(pres: SkewPresentation, M: Representation) -> StableDecomposition:
+    """For G_M = G: F_lambda M as its `twist_orbit_summands`, with the
+    support/arrow partition of the constructive proof alongside."""
+    ctx = pres.context
+    act, G = ctx.action, ctx.group
+    if len(module_stabilizer(act, M)) != G.n:
+        raise ValueError("decompose_pushdown requires a stable module")
+    ordered = twist_orbit_summands(pres, pushdown_module(pres, M).rep)
 
     q = ctx.algebra.quiver
-    sup = [v for v in range(q.n_vertices) if M.dims[v] > 0]
-    s_fixed = [v for v in sup if len(act.vertex_stabilizer(v)) == G.n]
-    s_moved = [v for v in sup if v not in s_fixed]
-    def touches(v, others):
-        for a in range(q.n_arrows):
-            arr = q.arrows[a]
-            if not np.any(M.maps[a]):
-                continue
-            if arr.source == v and arr.target in others:
-                return True
-            if arr.target == v and arr.source in others:
-                return True
-        return False
-    s1p = [v for v in s_fixed if not touches(v, set(s_moved))]
-    s2p = [v for v in s_fixed if touches(v, set(s_moved))]
-    s1pp = [v for v in s_moved if not touches(v, set(s_fixed))]
-    s2pp = [v for v in s_moved if touches(v, set(s_fixed))]
-    names = q.vertices
-    support = {"S'1": [names[v] for v in s1p], "S'2": [names[v] for v in s2p],
-               "S''1": [names[v] for v in s1pp], "S''2": [names[v] for v in s2pp]}
+    live = [arr for a, arr in enumerate(q.arrows) if np.any(M.maps[a])]
+    fixed = {v for v in range(q.n_vertices) if len(act.vertex_stabilizer(v)) == G.n}
+    # S'2 and S''2: the ends of nonzero arrows between fixed and moved vertices
+    meets = {v for arr in live if (arr.source in fixed) != (arr.target in fixed)
+             for v in (arr.source, arr.target)}
+    support = {key: [q.vertices[v] for v in range(q.n_vertices) if M.dims[v] > 0
+                     and (v in fixed) == f and (v in meets) == m]
+               for key, f, m in (("S'1", True, False), ("S'2", True, True),
+                                 ("S''1", False, False), ("S''2", False, True))}
     arrows = {"A'1": [], "A'2": [], "A''1": [], "A''2": []}
-    fixedset = set(s_fixed)
-    for a in range(q.n_arrows):
-        arr = q.arrows[a]
-        if not np.any(M.maps[a]):
-            continue
-        s, t = arr.source, arr.target
-        if s in fixedset and t in fixedset:
-            arrows["A'1"].append(q.arrows[a].name)
-        elif s in fixedset:
-            arrows["A'2"].append(q.arrows[a].name)
-        elif t not in fixedset:
-            arrows["A''1"].append(q.arrows[a].name)
-        else:
-            arrows["A''2"].append(q.arrows[a].name)
+    for arr in live:
+        s, t = arr.source in fixed, arr.target in fixed
+        arrows[("A'1" if t else "A'2") if s else ("A''2" if t else "A''1")].append(arr.name)
     return StableDecomposition(ordered, support, arrows)
 
 

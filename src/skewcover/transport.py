@@ -4,6 +4,12 @@ shared middle summand, one with proper stabilizer pushes to a single
 sequence.  Every output is verified against the directly-knitted AR quiver
 of the skew algebra.
 
+A knitted mesh ending at t is read off that quiver: its left term is
+`tau_map[t]` and its middle classes are the arrows into t, with their
+multiplicities (the knit reads both off its meshes and cross-checks them).
+Only modules the push makes are located: F T, F M, the summands of F E and
+the twist summands of F M and F T.
+
 The pushed middle term F(E) is split along the knitted summands E_i of E:
 the pushdown is additive (Gabriel, "The universal cover of a
 representation-finite algebra", LNM 903, 1981), so F(E) is the sum of the
@@ -17,10 +23,10 @@ from dataclasses import dataclass
 
 from .action import QuiverAction
 from .ar import (AlmostSplitSequence, ARQuiver, _check_exact)
-from .pushdown import (PushdownResult, decompose_pushdown, pushdown_module,
-                       pushdown_morphism, sequence_stabilizer)
-from .rep import (IsoClasses, Representation, Summand, check_summands,
-                  decompose, module_stabilizer)
+from .pushdown import (PushdownResult, pushdown_module, pushdown_morphism,
+                       sequence_stabilizer, twist_orbit_summands)
+from .rep import (Representation, Summand, check_summands, decompose,
+                  module_stabilizer)
 from .skew import SkewPresentation
 
 
@@ -28,20 +34,23 @@ from .skew import SkewPresentation
 class GluedSequenceSet:
     """The pushed image of one AR sequence.
 
-    If `glued` the family shares the summand list `gluing` (Z) inside each
-    middle term; with Z = 0 the pushdown is the plain direct sum of the
-    sequences.  `single` holds instead when the stabilizer was proper.
+    With full stabilizer the family shares the summand list `gluing` (Z, as
+    knitted representatives) inside each middle term; with Z = 0 the
+    pushdown is the plain direct sum of the sequences.  `single` holds
+    instead when the stabilizer was proper.
     """
 
     sequences: list[AlmostSplitSequence]
     gluing: list[Representation]
-    glued: bool
     single: bool
     stabilizer_order: int
 
 
-def _summand_multiset(arq: ARQuiver, summands: list[Summand]) -> tuple:
-    return tuple(sorted(arq.calc.index_of(s.rep) for s in summands))
+def _mesh_middle(arq: ARQuiver, t: int) -> list[int]:
+    """The middle classes of the knitted mesh ending at t, with
+    multiplicity: the arrows into t."""
+    return sorted(x for (x, y), mult in arq.arrows.items() if y == t
+                  for _ in range(mult))
 
 
 def pushed_middle_summands(pres: SkewPresentation, seq: AlmostSplitSequence,
@@ -75,8 +84,7 @@ def pushdown_sequence(pres: SkewPresentation, action: QuiverAction,
     plus the matching twist of the unstable part; the direct sum of the
     family's middles reproduces the pushed middle exactly.
     """
-    ctx = pres.context
-    G = ctx.group
+    G = pres.context.group
     index = arq_skew.calc.index_of
     stab = sequence_stabilizer(action, seq.left, seq.right)
 
@@ -88,55 +96,45 @@ def pushdown_sequence(pres: SkewPresentation, action: QuiverAction,
     pushed = AlmostSplitSequence(FM.rep, FN.rep, FT.rep, Fincl, Fproj)
     _check_exact(pushed)  # exactness of the functor on this sequence
     mid_parts = pushed_middle_summands(pres, seq, FN)
+    mid_idx = [index(s.rep) for s in mid_parts]
 
     if len(stab) < G.n:
         pushed.middle_summands = mid_parts
-        knitted = arq_skew.sequences.get(index(FT.rep))
-        if knitted is None:
+        t = index(FT.rep)
+        if t not in arq_skew.sequences:
             raise AssertionError("pushed right term has no knitted mesh")
-        if index(knitted.left) != index(FM.rep):
+        if arq_skew.tau_map[t] != index(FM.rep):
             raise AssertionError("pushed sequence disagrees with knitted mesh (left)")
-        if (_summand_multiset(arq_skew, knitted.middle_summands)
-                != _summand_multiset(arq_skew, mid_parts)):
+        if _mesh_middle(arq_skew, t) != sorted(mid_idx):
             raise AssertionError("pushed sequence disagrees with knitted mesh (middle)")
-        return GluedSequenceSet([pushed], [], False, True, len(stab))
+        return GluedSequenceSet([pushed], [], True, len(stab))
 
-    # full stabilizer: organize by character twists
+    # full stabilizer: G_M = G_T = G, so F M and F T are character-twist orbits
     dual, dact = pres.dual_group_action()
-    m_parts = decompose_pushdown(pres, seq.left).summands
-    t_parts = decompose_pushdown(pres, seq.right).summands
-
-    stable_parts = [s for s in mid_parts
-                    if len(module_stabilizer(dact, s.rep)) == dual.n]
-    # Z: one copy of each stable isomorphism class (they come n at a time)
-    z = IsoClasses()
-    z_count = Counter(z.add(s.rep) for s in stable_parts)
+    # Z: the stable classes of F(E), first seen first; each comes |G| times
+    z_count = Counter(c for s, c in zip(mid_parts, mid_idx)
+                      if len(module_stabilizer(dact, s.rep)) == dual.n)
     if any(c != G.n for c in z_count.values()):
         raise AssertionError("stable middle summands do not come in |G| copies")
-    z_classes = z.reps
-    z_idx = sorted(index(r) for r in z_classes)
 
-    m_idx = {index(m_s.rep) for _, m_s in m_parts}
-    sequences = []
-    for chi, t_s in t_parts:
-        knitted = arq_skew.sequences.get(index(t_s.rep))
-        if knitted is None:
+    m_idx = {index(m_s.rep) for _, m_s in twist_orbit_summands(pres, FM.rep)}
+    sequences, family = [], []
+    for _, t_s in twist_orbit_summands(pres, FT.rep):
+        t = index(t_s.rep)
+        if t not in arq_skew.sequences:
             raise AssertionError("twist of pushed right term has no knitted mesh")
         # the left term must be one of the M-twists
-        if index(knitted.left) not in m_idx:
+        if arq_skew.tau_map[t] not in m_idx:
             raise AssertionError("knitted mesh left term is not an M-twist")
-        sequences.append(knitted)
+        sequences.append(arq_skew.sequences[t])
         # middle shape: Z once plus a transversal of the unstable twists
-        mid_idx = _summand_multiset(arq_skew, knitted.middle_summands)
-        for zi in z_idx:
-            if zi not in mid_idx:
-                raise AssertionError("gluing summand missing from a glued middle")
+        middle = _mesh_middle(arq_skew, t)
+        if any(z not in middle for z in z_count):
+            raise AssertionError("gluing summand missing from a glued middle")
+        family.extend(middle)
 
     # family middles sum to the pushed middle
-    family = []
-    for s in sequences:
-        family.extend(_summand_multiset(arq_skew, s.middle_summands))
-    if tuple(sorted(family)) != _summand_multiset(arq_skew, mid_parts):
+    if sorted(family) != sorted(mid_idx):
         raise AssertionError("glued family middles do not reassemble F(middle)")
-
-    return GluedSequenceSet(sequences, z_classes, bool(z_classes), False, len(stab))
+    return GluedSequenceSet(sequences, [arq_skew.modules[z] for z in z_count],
+                            False, len(stab))

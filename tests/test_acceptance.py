@@ -307,18 +307,18 @@ def test_criterion_10_ar_transport(fig5, fig5_pres, fig5_arq, fig5_skew_arq):
         out = pushdown_sequence(fig5_pres, fig5.action, seq, fig5_skew_arq)
         if out.single:
             single += 1
-        elif out.glued:
+        elif out.gluing:
             glued += 1
         else:
             disjoint += 1
         # E1: left term the stable two-factor module: disjoint pair
         if (seq.left.dims == (1, 1, 0, 0)
                 and seq.left.label() == "1,0,0,0|0,1,0,0"):
-            assert not out.glued and len(out.sequences) == 2
+            assert not out.gluing and len(out.sequences) == 2
         # E2: left term the stable simple: glued pair via the full-orbit
         # projective
         if seq.left.dims == (0, 1, 0, 0):
-            assert out.glued and len(out.sequences) == 2
+            assert out.gluing and len(out.sequences) == 2
             assert [z.dims for z in out.gluing] == [(0, 0, 1, 1, 1)]
     assert single == 6 and glued + disjoint == 10
     report(10, "AR sequences transport to glued / disjoint / single knitted "

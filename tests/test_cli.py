@@ -215,6 +215,9 @@ def test_cli_refuses_too_large_field(capsys, tmp_path):
     ("dim 1 = 1\n  dim 1 = 2\n}", "line 43: module 'T': dim '1' is declared twice"),
     ("dim 1 = 1\n  dim 2 = 1\n  map a = [[1]]\n  map a = [[0]]\n}",
      "line 45: module 'T': map 'a' is declared twice"),
+    # a ragged matrix literal used to fail in numpy, naming no line
+    ("dim 1 = 2\n  dim 2 = 2\n  map a = [[1, 0], [1]]\n}",
+     "line 44: module 'T': map 'a' has rows of unequal length"),
 ])
 def test_cli_rejects_bad_module(capsys, tmp_path, body, expected):
     text = data_text("fig5.skw")

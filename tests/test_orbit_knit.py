@@ -87,6 +87,19 @@ def test_orbit_knit_gives_the_plain_quiver(key, side):
 
 
 @pytest.mark.parametrize("key,side", CASES)
+def test_meshes_read_off_tau_map_and_arrows(key, side):
+    """`transport.pushdown_sequence` reads a knitted mesh ending at t off
+    the quiver: its left term is the class tau_map[t], and its middle
+    classes are the arrows into t, with their multiplicities."""
+    _, orbit, _, _ = _knits(key, side)
+    middles = _middles(orbit)
+    for t, seq in orbit.sequences.items():
+        assert orbit.tau_map[t] == orbit.calc.index_of(seq.left)
+        assert sorted(x for (x, y), mult in orbit.arrows.items() if y == t
+                      for _ in range(mult)) == middles[t]
+
+
+@pytest.mark.parametrize("key,side", CASES)
 def test_one_sequence_and_one_tau_minus_per_orbit(key, side):
     plain, orbit, counts, twisted = _knits(key, side)
     action = _algebra(key, side)[1]

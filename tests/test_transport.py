@@ -1,12 +1,16 @@
 import pytest
 
+from skewcover import pushdown, rep, transport
+from skewcover.ar import knit_ar_quiver
 from skewcover.field import PrimeField
 from skewcover.rep import (decompose, irr_space, is_isomorphic,
                            match_summands, module_stabilizer, twist)
 from skewcover.pushdown import (decompose_pushdown, pushdown_module,
                                 pushdown_morphism, sequence_stabilizer)
+from skewcover.skew import build_presentation
 from skewcover.transport import pushdown_sequence, pushed_middle_summands
 
+from conftest import load_built, load_generated
 from oracle_paper import morphism_level, verify_almost_split
 
 F = PrimeField(1009)
@@ -59,7 +63,7 @@ def test_example_59_disjoint_pair(fig5, fig5_pres, fig5_arq, fig5_skew_arq):
             and s.left.label() == "1,0,0,0|0,1,0,0"]
     assert len(seqs) == 1
     out = pushdown_sequence(fig5_pres, fig5.action, seqs[0], fig5_skew_arq)
-    assert not out.single and not out.glued
+    assert not out.single and not out.gluing
     assert len(out.sequences) == 2 and out.gluing == []
     rights = sorted(s.right.dims for s in out.sequences)
     assert rights == [(0, 1, 1, 2, 1), (1, 0, 2, 1, 1)]
@@ -74,7 +78,7 @@ def test_example_59_glued_pair(fig5, fig5_pres, fig5_arq, fig5_skew_arq):
             if s.left.dims == (0, 1, 0, 0)]
     assert len(seqs) == 1
     out = pushdown_sequence(fig5_pres, fig5.action, seqs[0], fig5_skew_arq)
-    assert out.glued and len(out.sequences) == 2
+    assert out.gluing and len(out.sequences) == 2
     assert [z.dims for z in out.gluing] == [(0, 0, 1, 1, 1)]
     # both glued middles contain the gluing summand
     for s in out.sequences:
@@ -198,3 +202,42 @@ def test_pushed_middles_split_along_the_knit(recorded_knits, key):
                 == [(s.rep.dims, s.rep.label()) for s in want])
         pairs = match_summands([s.rep for s in got], [s.rep for s in want])
         assert pairs is not None and len(pairs) == len(want)
+
+
+@pytest.mark.parametrize("key", ["fig5", "star3_1"])
+def test_each_push_decides_each_fact_once(key, monkeypatch):
+    """Knitted as `transport-ars` knits, each push pushes the ends, the
+    middle and each middle summand of E once, splits F M and F T into twist
+    orbits without pushing them again, builds no class index of its own, and
+    locates only modules it made: no module of a knitted sequence of the
+    skew knit reaches `index_of`."""
+    built = (load_generated(key) if key.startswith("star")
+             else load_built(f"{key}.skw"))
+    pres = build_presentation(built.algebra, built.group, built.action)
+    arq = knit_ar_quiver(built.algebra, action=pres.context.action)
+    arq_skew = knit_ar_quiver(pres.algebra, action=pres.dual_group_action()[1])
+    knitted = {id(M) for s in arq_skew.sequences.values()
+               for M in (s.left, s.middle, s.right, *(x.rep for x in s.middle_summands))}
+    pushes, located, decomposed, indexes = [], [], [], []
+    push, index_of = pushdown.pushdown_module, arq_skew.calc.index_of
+    init = rep.IsoClasses.__init__
+    for module in (pushdown, transport):
+        monkeypatch.setattr(module, "pushdown_module",
+                            lambda pres, M: pushes.append(M) or push(pres, M))
+        monkeypatch.setattr(module, "decompose_pushdown",
+                            lambda *args: decomposed.append(args), raising=False)
+    monkeypatch.setattr(rep.IsoClasses, "__init__",
+                        lambda self, reps=(): indexes.append(self) or init(self, reps))
+    # the recorded modules stay alive, so their ids stay distinct
+    monkeypatch.setattr(arq_skew.calc, "index_of",
+                        lambda M: located.append(M) or index_of(M))
+    forms = set()
+    for t, seq in sorted(arq.sequences.items()):
+        pushes.clear()
+        located.clear()
+        out = pushdown_sequence(pres, built.action, seq, arq_skew)
+        forms.add("single" if out.single else "glued" if out.gluing else "disjoint")
+        assert len(pushes) == 3 + len(seq.middle_summands)
+        assert located and not any(id(M) in knitted for M in located)
+    assert decomposed == [] and indexes == []
+    assert "single" in forms and len(forms) > 1
