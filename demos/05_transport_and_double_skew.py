@@ -9,8 +9,7 @@ import importlib.resources as resources
 
 from skewcover import (build_input, build_presentation, knit_ar_quiver,
                        parse_input)
-from skewcover.pushdown import sequence_stabilizer
-from skewcover.transport import pushdown_sequence
+from skewcover.transport import pushdown_sequences
 from skewcover.isosearch import find_algebra_isomorphism, roots_of_unity
 
 
@@ -20,14 +19,15 @@ def data(name):
 
 b5 = build_input(parse_input(data("fig5.skw")))
 pres = build_presentation(b5.algebra, b5.group, b5.action)
-arq = knit_ar_quiver(b5.algebra)
-arq_skew = knit_ar_quiver(pres.algebra)
+arq = knit_ar_quiver(b5.algebra, action=b5.action)
+arq_skew = knit_ar_quiver(pres.algebra, action=pres.dual_group_action()[1])
+pushed = pushdown_sequences(pres, arq, arq_skew)
 
 print("=" * 70)
 print("Every almost split sequence over the base pushes to knitted meshes")
 print("=" * 70)
-for t, seq in sorted(arq.sequences.items()):
-    out = pushdown_sequence(pres, b5.action, seq, arq_skew)
+for t, out in pushed.items():
+    seq = arq.sequences[t]
     form = ("single" if out.single
             else "glued pair" if out.gluing else "disjoint pair")
     stab = "full" if out.stabilizer_order == b5.group.n else "trivial"
@@ -40,13 +40,12 @@ print()
 print("=" * 70)
 print("The two worked sequences")
 print("=" * 70)
-for seq in arq.sequences.values():
+for t, seq in arq.sequences.items():
+    out = pushed[t]
     if seq.left.dims == (1, 1, 0, 0) and seq.left.label() == "1,0,0,0|0,1,0,0":
-        out = pushdown_sequence(pres, b5.action, seq, arq_skew)
         print("left term the stable two-factor module: the pushdown is the")
         print(f"  direct sum of {len(out.sequences)} sequences (gluing module 0)")
     if seq.left.dims == (0, 1, 0, 0):
-        out = pushdown_sequence(pres, b5.action, seq, arq_skew)
         print("left term the stable simple: the pushdown glues "
               f"{len(out.sequences)} sequences via Z with dims "
               f"{[list(z.dims) for z in out.gluing]}")

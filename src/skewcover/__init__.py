@@ -8,6 +8,6 @@ from .action import AbelianGroup, Character, QuiverAction, character_group, vali
 from .skew import SkewAlgebra, SkewContext, SkewPresentation, build_presentation
 from .rep import Representation, RepMorphism, HomSpace, hom_basis, twist, is_indecomposable, decompose, is_isomorphic, isomorphism, IsoClasses, match_summands, RadicalCalculator, irr_space, module_stabilizer
 from .ar import ARToolkit, AlmostSplitSequence, ARQuiver, almost_split_sequence, knit_ar_quiver, category_rank, RankValue, projective_modules, injective_modules, simple_modules, ar_quiver_dot
-from .pushdown import pushdown_module, pushdown_morphism, restrict_G_lambda, GLambda, verify_semi_covering, decompose_pushdown, sequence_stabilizer
-from .transport import GluedSequenceSet, pushdown_sequence
+from .pushdown import pushdown_module, pushdown_morphism, restrict_G_lambda, GLambda, verify_semi_covering, decompose_pushdown, pushdown_twist_gauge
+from .transport import GluedSequenceSet, pushdown_sequences
 from .inputfmt import parse_input, build_input, serialize_presentation, InputDocument

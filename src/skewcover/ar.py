@@ -13,8 +13,8 @@ the Nakayama functors are its methods.
 
 The arrows of the AR quiver are read off the meshes that knitting builds
 and decomposes (an arrow that lies on two meshes is read from both, and the
-readings must agree); rows of the radical powers rad^n are built only when
-a rank or radical-level question asks for them.
+readings must agree).  The rank grows Yoneda chains along the same meshes,
+so it builds no row of the radical powers rad^n.
 
 Given a group action, knitting computes one almost split sequence and one
 tau^- per G-orbit of classes.  The twist M -> gM is an exact
@@ -37,8 +37,8 @@ from .field import (PrimeField, in_row_space, nullspace_basis, quotient_map,
 from .quiver import BoundAlgebra, PathWord
 from .rep import (RADICAL_CUTOFF, IsoClasses, RadicalCalculator, RepMorphism,
                   Representation, Summand, combine, decompose, end_algebra,
-                  end_radical, hom_basis, identity_morphism, sub_from_rows,
-                  twist, twist_morphism, zero_morphism)
+                  end_radical, hom_basis, identity_morphism, module_stabilizer,
+                  sub_from_rows, twist, twist_morphism, zero_morphism)
 
 
 class CapExceededError(Exception):
@@ -552,6 +552,24 @@ def _check_exact(seq: AlmostSplitSequence):
 # Knitting: complete indecomposable list + AR quiver
 # ---------------------------------------------------------------------------
 
+class Mesh(NamedTuple):
+    """The classes of a knitted almost split sequence 0 -> X -> E -> T -> 0
+    with their isomorphisms from the canonical representatives: `left` is
+    (class x, M_x -> X), and `middle` holds (class k, M_k -> E_i) for each
+    middle summand E_i, in the order of `middle_summands`."""
+    left: tuple[int, RepMorphism]
+    middle: list[tuple[int, RepMorphism]]
+
+
+class Origin(NamedTuple):
+    """The G-orbit origin of a class M: the first class o of its orbit that
+    the knit met, and g with an isomorphism iso: g M_o -> M (the identity
+    of M_o when M is the origin)."""
+    index: int
+    g: tuple
+    iso: RepMorphism
+
+
 @dataclass
 class ARQuiver:
     algebra: BoundAlgebra
@@ -562,6 +580,15 @@ class ARQuiver:
     projective_flags: list[bool]
     injective_flags: list[bool]
     calc: RadicalCalculator
+    meshes: dict[int, Mesh]                      # keyed by right term index
+    # with an action: per class its origin, and per origin its stabilizer
+    orbits: list[Origin] | None = None
+    stabilizers: dict[int, list] | None = None
+
+    def stabilizer(self, k: int) -> list:
+        """G_M for the class k: its origin's (G is abelian, so g M has the
+        stabilizer of M)."""
+        return self.stabilizers[self.orbits[k].index]
 
 
 class _Twists:
@@ -597,13 +624,21 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
     almost split sequence and one tau^- per G-orbit of classes: a module
     M' isomorphic to a twist gM of a module M it has already handled gets
     the g-twist of M's sequence (`twisted_sequence`) and g tau^- M.  The
-    modules, their order and every mesh are those of the knit without it."""
+    modules, their order and every mesh are those of the knit without it.
+
+    The quiver returns what the knit located: each mesh's classes with
+    their isomorphisms from the canonical representatives (`Mesh`), and
+    with the action each class's G-orbit origin (`Origin`) and each
+    origin's stabilizer (`_orbit_stabilizer`).  Every class is looked up
+    among the recorded twists, so each orbit is whole."""
     tk = ARToolkit(alg)
     known = IsoClasses()
     proj_flags: list[bool] = []
     inj_flags: list[bool] = []
 
     def add(M: Representation):
+        """(i, u: known.reps[i] -> M) for an indecomposable M, else None;
+        the summands of M join the known classes."""
         if M.is_zero():
             return None
         if M.total_dim > max_dimension:
@@ -611,7 +646,7 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
                 f"module of total dimension {M.total_dim} exceeds cap {max_dimension}")
         found = known.locate(M)
         if found is not None:
-            return found[0]
+            return found
         # summands are indecomposable; a sole summand is M, looked up above
         parts = decompose(M)
         for s in parts:
@@ -621,7 +656,7 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
                     raise CapExceededError(f"more than {max_modules} indecomposables")
                 proj_flags.append(tk.is_projective(s.rep))
                 inj_flags.append(tk.is_injective(s.rep))
-        return len(known) - 1 if len(parts) == 1 else None
+        return (len(known) - 1, identity_morphism(M)) if len(parts) == 1 else None
 
     for P in tk.projectives:
         add(P)
@@ -631,28 +666,33 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
         add(S)
 
     sequences: dict[int, AlmostSplitSequence] = {}
+    meshes: dict[int, tuple] = {}        # (left, middle) as in `Mesh`
     tau_of: dict[int, int] = {}
     right_of: dict[int, int] = {}        # tau T -> T
     tau_minus_of: dict[int, Representation] = {}
-    middles: dict[int, Counter] = {}     # middle-term summand multiplicities
     twists = None if action is None else _Twists(action)
+    origins: dict[int, tuple] = {}
     i = 0
     while i < len(known):                # each class once, in insertion order
         M = known.reps[i]
+        hit = None
+        if twists is not None:           # every class, so orbits are whole
+            hit = twists.locate(M)
+            if hit is None:
+                twists.record(i, M)
+            origins[i] = hit or (i, action.group.identity(), identity_morphism(M))
         # M = tau T for a processed T needs no tau^-: add() would only locate T
         if not proj_flags[i] or not (inj_flags[i] or i in right_of):
-            hit = None if twists is None else twists.locate(M)
-            if hit is None and twists is not None:
-                twists.record(i, M)
             if not proj_flags[i]:
                 seq = (almost_split_sequence(tk, M) if hit is None else
                        twisted_sequence(action, hit[1], sequences[hit[0]], hit[2]))
                 sequences[i] = seq
-                tau_of[i] = add(seq.left)
-                if tau_of[i] is None:
+                left = add(seq.left)
+                if left is None:
                     raise AssertionError("tau of an indecomposable is not indecomposable")
+                tau_of[i] = left[0]
                 right_of.setdefault(tau_of[i], i)
-                middles[i] = Counter(add(s.rep) for s in seq.middle_summands)
+                meshes[i] = left, [add(s.rep) for s in seq.middle_summands]
             if not inj_flags[i] and i not in right_of:
                 if hit is None:
                     Y = tau_minus_of[i] = tk.tau_minus(M)
@@ -683,15 +723,43 @@ def knit_ar_quiver(alg: BoundAlgebra, max_modules: int = 500,
         if arrows.setdefault(key, mult) != mult:
             raise AssertionError(f"meshes disagree on the AR arrow {key}")
 
-    for t, counts in middles.items():
-        for x, mult in counts.items():
+    for t, (_, middle) in meshes.items():
+        for x, mult in Counter(k for k, _ in middle).items():
             arrow((perm[x], perm[t]), mult)
             arrow((perm[tau_of[t]], perm[x]), mult)
     arrows = dict(sorted(arrows.items()))
     proj_flags = [proj_flags[i] for i in order]
     inj_flags = [inj_flags[i] for i in order]
+    mesh_map = {perm[t]: Mesh((perm[x], v), [(perm[k], u) for k, u in middle])
+                for t, ((x, v), middle) in meshes.items()}
+    orbits = stabilizers = None
+    if action is not None:
+        sizes = Counter(o for o, _, _ in origins.values())
+        stabilizers = {perm[o]: _orbit_stabilizer(action, known.reps[o], size)
+                       for o, size in sizes.items()}
+        orbits = [Origin(perm[origins[i][0]], *origins[i][1:]) for i in order]
     return ARQuiver(alg, modules, arrows, tau_map, seqs, proj_flags, inj_flags,
-                    RadicalCalculator(modules))
+                    RadicalCalculator(modules), mesh_map, orbits, stabilizers)
+
+
+def _orbit_stabilizer(action: QuiverAction, M: Representation, size: int) -> list:
+    """G_M for the origin M of a G-orbit of `size` classes, by the
+    orbit-stabilizer count |G_M| = |G| / size: the elements g with g^d = e,
+    d = |G_M|, form a subgroup holding every subgroup of order d, so when
+    there are exactly d of them they are G_M.  Only otherwise (a non-cyclic
+    G) are the twists of M tested."""
+    G = action.group
+    if G.n % size:
+        raise AssertionError(f"a G-orbit of {size} classes, which does not divide |G|")
+    d = G.n // size
+    fixed = [g for g in G.elements
+             if all(d * x % n == 0 for x, n in zip(g, G.orders))]
+    if len(fixed) == d:
+        return fixed
+    stab = module_stabilizer(action, M)
+    if len(stab) != d:
+        raise AssertionError("stabilizer order disagrees with the orbit size")
+    return stab
 
 
 # ---------------------------------------------------------------------------
@@ -709,20 +777,66 @@ class RankValue:
 
 def category_rank(arq: ARQuiver) -> tuple[RankValue, RankValue]:
     """(rank, stable rank) of mod A over the knitted list: the first n with
-    rad^n = 0, tested on the rows of the projectives P_a alone.  A nonzero
-    f in rad^n(X, Y) with f(x) != 0 for some x in X(a) gives the nonzero
-    f o g in rad^n(P_a, Y), where g(e_a) = x.  A closed knit means A is
-    representation-finite (Auslander, Comm. Algebra 1 (1974)), so rad is
+    rad^n = 0, tested on the maps out of the projectives P_a alone.  A
+    nonzero f in rad^n(X, Y) with f(x) != 0 for some x in X(a) gives the
+    nonzero f o g in rad^n(P_a, Y), where g(e_a) = x.  A closed knit means A
+    is representation-finite (Auslander, Comm. Algebra 1 (1974)), so rad is
     nilpotent, rad^n = rad^{n+1} only where rad^n = 0, and the stable rank
-    is the rank.  Both are cut off at RADICAL_CUTOFF."""
-    calc, m = arq.calc, len(arq.modules)
-    projectives = [a for a, p in enumerate(arq.projective_flags) if p]
-    for n in range(1, RADICAL_CUTOFF + 1):
-        if not any(calc.rad_dim(a, j, n) for a in projectives for j in range(m)):
+    is the rank.  Both are cut off at RADICAL_CUTOFF.
+
+    rad^n(P_a, Y) is read through Hom(P_a, Y) = Y(a), f -> f(e_a), as the
+    Yoneda chain U_n^a(Y) = {f(e_a) : f in rad^n(P_a, Y)}, so U_0^a(Y) =
+    Y(a).  Every radical map into Y factors through a minimal right almost
+    split map g = (g_i): E_1 + ... + E_m -> Y, so rad^{n+1}(P_a, Y) = g o
+    rad^n(P_a, E) and U_{n+1}^a(Y) = sum_i (g_i)_a U_n^a(E_i) (Auslander,
+    Reiten and Smalo, Representation Theory of Artin Algebras, V).  The
+    chains of all a are grown together, as subspaces of the total space,
+    along the irreducible maps of `_irreducible_maps`; no Hom is solved."""
+    for n, chains in zip(range(1, RADICAL_CUTOFF + 1), _yoneda_chains(arq)):
+        if not any(len(c) for c in chains):
             value = RankValue(True, n)
             return value, value
     cut = RankValue(False, RADICAL_CUTOFF)
     return cut, cut
+
+
+def _yoneda_chains(arq: ARQuiver):
+    """U_1, U_2, ...: per class Y, an echelon basis (rows) of the sum over
+    the vertices a of U_n^a(Y), in Y's total space.  A row lies in one
+    vertex block, as each U_n^a(Y) lies in Y(a)."""
+    F = arq.algebra.F
+    into = _irreducible_maps(arq)
+    chains = [F.eye(M.total_dim) for M in arq.modules]
+    while True:
+        grown = []
+        for Y, maps in zip(arq.modules, into):
+            images = [F.mul(chains[x], f) for x, f in maps if len(chains[x])]
+            grown.append(row_space(F, np.concatenate(images, axis=0)) if images
+                         else F.zeros(0, Y.total_dim))
+        chains = grown
+        yield chains
+
+
+def _irreducible_maps(arq: ARQuiver) -> list[list[tuple[int, np.ndarray]]]:
+    """Per class Y, the components M_x -> M_Y of a minimal right almost split
+    map into M_Y, as (x, transposed total matrix), in canonical coordinates.
+    A non-projective Y has the mesh ending at Y, whose middle summands map
+    to Y.  Into a projective Y they are read off the meshes starting at each
+    X with an arrow X -> Y (X is not injective): the components X -> E_i
+    with E_i = Y of the minimal left almost split map give a basis of
+    irr(X, Y) modulo rad^2, and bases of every irr(X, Y) make a minimal
+    right almost split map (ARS V.5)."""
+    F = arq.algebra.F
+    into: list[list[tuple[int, RepMorphism]]] = [[] for _ in arq.modules]
+    for t, seq in arq.sequences.items():
+        x, v = arq.meshes[t].left
+        for s, (k, u) in zip(seq.middle_summands, arq.meshes[t].middle):
+            into[t].append((k, seq.proj.compose(s.inclusion).compose(u)))
+            if arq.projective_flags[k]:
+                into[k].append((x, u.inverse().compose(s.projection)
+                                .compose(seq.incl).compose(v)))
+    return [[(x, F.block_diag(f.blocks, (f.target.total_dim, f.source.total_dim)).T)
+             for x, f in maps] for maps in into]
 
 
 # ---------------------------------------------------------------------------

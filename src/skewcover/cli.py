@@ -18,7 +18,7 @@ from .skew import build_presentation
 from .rep import decompose, hom_basis
 from .ar import ar_quiver_dot, category_rank, knit_ar_quiver
 from .pushdown import CoveringTable, pushdown_module
-from .transport import pushdown_sequence
+from .transport import pushdown_sequences
 from .isosearch import find_algebra_isomorphism, roots_of_unity
 
 
@@ -197,8 +197,7 @@ def cmd_transport_ars(args):
     arq = knit_ar_quiver(built.algebra, action=pres.context.action)
     arq_skew = knit_ar_quiver(pres.algebra, action=pres.dual_group_action()[1])
     records = []
-    for t, seq in sorted(arq.sequences.items()):
-        out = pushdown_sequence(pres, built.action, seq, arq_skew)
+    for t, out in pushdown_sequences(pres, arq, arq_skew).items():
         records.append({
             "right_term": arq.modules[t].label(),
             "stabilizer_order": out.stabilizer_order,

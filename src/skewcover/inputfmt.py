@@ -14,23 +14,25 @@
     }
 
 Paths are dotted arrow names in functional order (rightmost applied
-first).  Group generators are named g1, g2, ... matching the declared
-cyclic factors.  Omitted action rules default to fixing the vertex or
-arrow.  The same format is emitted by the skew construction (with the dual
+first).  A matrix is a bracketed list of bracketed rows of optionally
+signed decimal integers, separated by commas, with whitespace allowed
+around each bracket, comma and integer.  Group generators are named g1,
+g2, ... matching the declared cyclic factors.  Omitted action rules
+default to fixing the vertex or arrow.  The same format is emitted by the skew construction (with the dual
 action), so skew output can be re-ingested.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import re
 from dataclasses import dataclass, field as dc_field
 
 from .field import PrimeField
-from .quiver import BoundAlgebra, Quiver, RelationElement, make_path
+from .quiver import (BoundAlgebra, Quiver, RelationElement, check_relation,
+                     make_path)
 from .action import AbelianGroup, QuiverAction
-from .rep import Representation
+from .rep import RelationError, Representation
 from .skew import SkewPresentation
 
 
@@ -43,8 +45,10 @@ class ParseError(Exception):
 @dataclass
 class ModuleSpec:
     name: str
+    line: int = 0                     # the line of `module <name> {`
     dims: dict[str, int] = dc_field(default_factory=dict)
     maps: dict[str, list] = dc_field(default_factory=dict)
+    map_lines: dict[str, int] = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -54,6 +58,8 @@ class InputDocument:
     vertices: list[str] = dc_field(default_factory=list)
     arrows: list[tuple[str, str, str]] = dc_field(default_factory=list)
     relations: list[list[tuple[int, list[str]]]] = dc_field(default_factory=list)
+    relation_lines: list[tuple[int, str]] = dc_field(default_factory=list)  # (line, text)
+    field_line: int = 0
     group_orders: tuple[int, ...] = ()
     action_vertex: dict[str, dict[str, str]] = dc_field(default_factory=dict)
     action_arrow: dict[str, dict[str, tuple[int, str]]] = dc_field(default_factory=dict)
@@ -67,6 +73,19 @@ _ACTION_V_RE = re.compile(r"^action\s+(\S+)\s*:\s*vertex\s+(\S+)\s*->\s*(\S+)$")
 _ACTION_A_RE = re.compile(r"^action\s+(\S+)\s*:\s*arrow\s+(\S+)\s*->\s*(.+)$")
 _DIM_RE = re.compile(r"^dim\s+(\S+)\s*=\s*(-?\d+)$")
 _MAP_RE = re.compile(r"^map\s+(\S+)\s*=\s*(.+)$")
+_INT = r"[+-]?\d+"
+_ROW = rf"\[\s*(?:{_INT}\s*(?:,\s*{_INT}\s*)*)?\]"
+_MATRIX_RE = re.compile(rf"\[\s*(?:{_ROW}\s*(?:,\s*{_ROW}\s*)*)?\]")
+_ROWS_RE = re.compile(r"\[([^\[\]]*)\]")
+
+
+def matrix_literal(text: str) -> list[list[int]] | None:
+    """The rows of a matrix literal, or None when `text` is not one: the
+    whole of it must match the grammar, so no evaluator is needed."""
+    if not _MATRIX_RE.fullmatch(text):
+        return None
+    return [[int(x) for x in row.split(",")] if row.strip() else []
+            for row in _ROWS_RE.findall(text[1:-1])]
 
 
 def _set_once(table: dict, key, value, line_no: int, what: str):
@@ -81,7 +100,6 @@ def parse_input(text: str) -> InputDocument:
     doc = InputDocument()
     doc.digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     cur_module: ModuleSpec | None = None
-    module_line = 0
     single: dict[str, int] = {}  # field, bound, group: the line declaring each
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -102,19 +120,15 @@ def parse_input(text: str) -> InputDocument:
                 continue
             m = _MAP_RE.match(line)
             if m:
-                try:
-                    rows = ast.literal_eval(m.group(2))
-                except (ValueError, SyntaxError, TypeError) as exc:
-                    raise ParseError(line_no, f"bad matrix literal: {exc}")
-                if not (isinstance(rows, list) and all(
-                        isinstance(r, list) and all(type(x) is int for x in r)
-                        for r in rows)):
-                    raise ParseError(line_no, "a matrix is a list of rows of integers")
+                what = f"module {cur_module.name!r}: map {m.group(1)!r}"
+                rows = matrix_literal(m.group(2))
+                if rows is None:
+                    raise ParseError(line_no, f"{what} is not a matrix: a list of "
+                                              f"rows of integers, as [[1, 0], [0, -1]]")
                 if len({len(r) for r in rows}) > 1:
-                    raise ParseError(line_no, f"module {cur_module.name!r}: map "
-                                              f"{m.group(1)!r} has rows of unequal length")
-                _set_once(cur_module.maps, m.group(1), rows, line_no,
-                          f"module {cur_module.name!r}: map {m.group(1)!r}")
+                    raise ParseError(line_no, f"{what} has rows of unequal length")
+                _set_once(cur_module.maps, m.group(1), rows, line_no, what)
+                cur_module.map_lines[m.group(1)] = line_no
                 continue
             raise ParseError(line_no, f"unrecognized module line: {line!r}")
 
@@ -126,6 +140,7 @@ def parse_input(text: str) -> InputDocument:
             if not m:
                 raise ParseError(line_no, "expected 'field p = <int>'")
             doc.prime = int(m.group(1))
+            doc.field_line = line_no
         elif head == "bound":
             m = re.match(r"^bound\s+N\s*=\s*(\d+)$", line)
             if not m:
@@ -137,11 +152,15 @@ def parse_input(text: str) -> InputDocument:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(line_no, "expected 'vertex <name>'")
+            if parts[1] in doc.vertices:
+                raise ParseError(line_no, f"vertex {parts[1]!r} is declared twice")
             doc.vertices.append(parts[1])
         elif head == "arrow":
             m = _ARROW_RE.match(line)
             if not m:
                 raise ParseError(line_no, "expected 'arrow <name>: <v> -> <w>'")
+            if any(a == m.group(1) for a, _, _ in doc.arrows):
+                raise ParseError(line_no, f"arrow {m.group(1)!r} is declared twice")
             doc.arrows.append((m.group(1), m.group(2), m.group(3)))
         elif head == "relation":
             body = line[len("relation"):].strip()
@@ -163,6 +182,7 @@ def parse_input(text: str) -> InputDocument:
                     raise ParseError(line_no, f"bad path {ptxt!r}")
                 terms.append((coeff, path))
             doc.relations.append(terms)
+            doc.relation_lines.append((line_no, body))
         elif head == "group":
             body = line[len("group"):].strip()
             orders = []
@@ -205,12 +225,11 @@ def parse_input(text: str) -> InputDocument:
                 raise ParseError(line_no, "expected 'module <name> {'")
             if m.group(1) in doc.modules:
                 raise ParseError(line_no, f"module {m.group(1)!r} is declared twice")
-            cur_module = ModuleSpec(m.group(1))
-            module_line = line_no
+            cur_module = ModuleSpec(m.group(1), line_no)
         else:
             raise ParseError(line_no, f"unrecognized directive {head!r}")
     if cur_module is not None:
-        raise ParseError(module_line, f"unterminated module block {cur_module.name!r}")
+        raise ParseError(cur_module.line, f"unterminated module block {cur_module.name!r}")
     if not doc.vertices:
         raise ParseError(0, "no quiver block (no vertices declared)")
     return doc
@@ -241,8 +260,11 @@ def build_input(doc: InputDocument, length_bound: int | None = None,
     if bound < 1:
         raise ValueError(f"length bound {bound} is below 1")
     group = AbelianGroup(doc.group_orders or (1,))
-    F = (PrimeField(doc.prime) if doc.prime
-         else PrimeField.for_group(group.exponent))
+    try:
+        F = (PrimeField(doc.prime) if doc.prime
+             else PrimeField.for_group(group.exponent))
+    except ValueError as exc:
+        raise ParseError(doc.field_line, str(exc)) from None
     if (F.p - 1) % group.exponent != 0:
         raise ValueError(f"field prime {F.p} is not 1 mod exp(G) = {group.exponent}")
     generators = [f"g{i + 1}" for i in range(len(group.orders))]
@@ -251,16 +273,21 @@ def build_input(doc: InputDocument, length_bound: int | None = None,
             raise ValueError(f"action names undeclared generator {gname!r}")
     quiver = Quiver(doc.vertices, doc.arrows)
     relations = []
-    for terms in doc.relations:
-        rterms = []
-        for coeff, names in terms:
-            idxs = []
-            for nm in names:
-                if nm not in quiver.aindex:
-                    raise ValueError(f"relation uses unknown arrow {nm!r}")
-                idxs.append(quiver.aindex[nm])
-            rterms.append((coeff % F.p, make_path(quiver, tuple(idxs))))
-        relations.append(RelationElement(tuple(rterms)))
+    for terms, (line_no, text) in zip(doc.relations, doc.relation_lines):
+        try:
+            rterms = []
+            for coeff, names in terms:
+                idxs = []
+                for nm in names:
+                    if nm not in quiver.aindex:
+                        raise ValueError(f"relation uses unknown arrow {nm!r}")
+                    idxs.append(quiver.aindex[nm])
+                rterms.append((coeff % F.p, make_path(quiver, tuple(idxs))))
+            relations.append(RelationElement(tuple(rterms)))
+            if build_algebra:
+                check_relation(quiver, relations[-1])
+        except ValueError as exc:
+            raise ParseError(line_no, f"relation {text!r}: {exc}") from None
 
     algebra = None
     action = None
@@ -294,9 +321,21 @@ def build_input(doc: InputDocument, length_bound: int | None = None,
             maps = []
             for a in quiver.arrows:
                 rows = spec.maps.get(a.name)
-                maps.append(None if rows is None else
-                            F.mat([[x % F.p for x in r] for r in rows]))
-            modules[name] = Representation(algebra, dims, maps)
+                if rows is not None:
+                    shape = (len(rows), len(rows[0]) if rows else 0)
+                    want = (dims[a.target], dims[a.source])
+                    if shape != want:
+                        raise ParseError(spec.map_lines[a.name], f"module {name!r}: map "
+                                         f"{a.name!r} has shape {shape}, want {want}")
+                    rows = F.mat([[x % F.p for x in r] for r in rows]).reshape(want)
+                maps.append(rows)
+            try:
+                modules[name] = Representation(algebra, dims, maps)
+            except RelationError as exc:
+                broken = ", ".join(f"{doc.relation_lines[i][1]!r} (line "
+                                   f"{doc.relation_lines[i][0]})" for i in exc.indices)
+                raise ParseError(spec.line, f"module {name!r} violates "
+                                            f"relation {broken}") from None
     return BuiltInput(F, quiver, relations, algebra, group, action, modules,
                       list(doc.special_loops), doc.digest)
 

@@ -30,9 +30,10 @@ import numpy as np
 
 from .field import solve_linear
 from .quiver import PathWord, make_path, path_source, path_target
-from .action import Character, QuiverAction
+from .action import Character
 from .rep import (IsoClasses, RepMorphism, Representation, Summand, decompose,
-                  hom_basis, match_summands, module_stabilizer, twist)
+                  hom_basis, identity_morphism, match_summands, module_stabilizer,
+                  twist)
 from .skew import SkewPresentation
 
 
@@ -130,14 +131,62 @@ def pushdown_morphism(pres: SkewPresentation, f: RepMorphism,
     """F_lambda f: block-diagonal over the slot layout."""
     FM = FM or pushdown_module(pres, f.source)
     FN = FN or pushdown_module(pres, f.target)
-    layout = _slot_layout(pres)
-    out = RepMorphism(FM.rep, FN.rep, [
-        pres.F.block_diag([f.blocks[lv] for _, lv in layout[qv]],
-                          (FN.rep.dims[qi], FM.rep.dims[qi]))
-        for qi, qv in enumerate(pres.context.vertices)])
+    out = RepMorphism(FM.rep, FN.rep, _pushed_blocks(pres, f))
     if not out.is_valid():
         raise AssertionError("pushdown of a morphism fails commuting squares")
     return out
+
+
+def _pushed_blocks(pres: SkewPresentation, f: RepMorphism) -> list[np.ndarray]:
+    """The blocks of F_lambda f, per Q_G vertex the slot blocks of f down
+    the diagonal; they depend on f alone, not on the pushed modules."""
+    layout = _slot_layout(pres)
+    out = []
+    for qv in pres.context.vertices:
+        blocks = [f.blocks[lv] for _, lv in layout[qv]]
+        out.append(pres.F.block_diag(blocks, (sum(len(b) for b in blocks),
+                                              sum(b.shape[1] for b in blocks))))
+    return out
+
+
+def pushdown_twist_gauge(pres: SkewPresentation, g, M: Representation,
+                         FgM: Representation | None = None,
+                         FM: Representation | None = None,
+                         via: RepMorphism | None = None) -> RepMorphism:
+    """The canonical isomorphism F_lambda(gM) -> F_lambda(M), the
+    certificate F(gM) ~ F(M) that makes F constant on G-orbits.  On a
+    full-orbit fibre, slot h of F(gM), which holds M(g h i0), goes to slot
+    g h of F(M); a fixed copy (i0, chi) is multiplied by chi(g).  It is checked
+    to commute with every arrow and to be invertible, so F(gM) and F(M)
+    agree on the nose up to this fixed gauge.
+
+    FgM and FM are the pushdowns, built here when not given.  With `via`
+    an isomorphism u: N -> gM, FgM is the pushdown of N and the result is
+    the gauge after F(u), an isomorphism F(N) -> F(M)."""
+    ctx = pres.context
+    F, G = pres.F, ctx.group
+    FgM = FgM or pushdown_module(pres, twist(ctx.action, g, M)).rep
+    FM = FM or pushdown_module(pres, M).rep
+    layout = _slot_layout(pres)
+    blocks = []
+    for qi, qv in enumerate(ctx.vertices):
+        if ctx.is_full_orbit(qv.rep):
+            # slot h of F(gM) holds M(g h i0): it goes to slot g h of F(M)
+            sizes = [M.dims[lv] for _, lv in layout[qv]]
+            starts = np.cumsum([0, *sizes])
+            perm = [G.eindex[G.mul(g, h)] for h, _ in layout[qv]]
+            rows = np.concatenate([np.arange(starts[k], starts[k + 1]) for k in perm])
+            bm = F.eye(FM.dims[qi])[:, rows]
+        else:
+            bm = F.smul(ctx.chars.value(qv.char, g), F.eye(FM.dims[qi]))
+        blocks.append(bm)
+    if via is not None:
+        blocks = [F.mul(b, p) if b.size else F.zeros(len(b), p.shape[1])
+                  for b, p in zip(blocks, _pushed_blocks(pres, via))]
+    gauge = RepMorphism(FgM, FM, blocks)
+    if not gauge.is_valid() or not gauge.is_invertible():
+        raise AssertionError("the twist gauge is not an isomorphism of pushdowns")
+    return gauge
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +284,36 @@ class CoveringTable:
     """The semi-covering identity over a module list, with each per-module
     fact computed once: the pushdown F M, and the class of M and of every
     twist gM in one IsoClasses, so G_M = {g : class(gM) = class(M)}.  The
-    Lambda side sums Hom dimensions between classes, each solved once; the
-    skew side, dim Hom(F M, F N), is solved per pair as the oracle."""
+    Lambda side sums Hom dimensions between classes, each solved once.
+
+    The skew side, dim Hom(F M, F N), is solved once per pair of G-orbits
+    of classes: F is constant on an orbit, F(gM) ~ F(M) through the twist
+    gauge.  Each module past the first of its orbit is tied to that first
+    one M_f by the gauge after F(u), u: M -> g M_f found by the class
+    index, checked to be an isomorphism F M -> F M_f."""
 
     def __init__(self, pres: SkewPresentation, modules: list[Representation]):
         act, G = pres.context.action, pres.context.group
         self.order = G.n
         self.pushdowns = [pushdown_module(pres, M).rep for M in modules]
         classes = IsoClasses()
-        self._cls = [classes.add(M) for M in modules]
-        self._twists = [[classes.add(twist(act, g, M)) for g in G.elements]
-                        for M in modules]
+        located = [_class_of(classes, M) for M in modules]
+        twists = [[_class_of(classes, twist(act, g, M)) for g in G.elements]
+                  for M in modules]
+        self._cls = [c for c, _ in located]
+        self._twists = [[c for c, _ in row] for row in twists]
         reps = classes.reps
         self._h = functools.cache(lambda c, d: hom_basis(reps[c], reps[d]).dimension)
+        self._first, firsts = [], {}
+        for i, M in enumerate(modules):
+            f = firsts.setdefault(min(self._twists[i]), i)
+            if f != i:
+                k = self._twists[f].index(self._cls[i])   # g M_f ~ M
+                pushdown_twist_gauge(pres, G.elements[k], modules[f],
+                                     self.pushdowns[i], self.pushdowns[f],
+                                     via=twists[f][k][1].compose(located[i][1].inverse()))
+            self._first.append(f)
+        self._lhs: dict[tuple[int, int], int] = {}
 
     def report(self, i: int, j: int) -> SemiCoveringReport:
         """Both sides of the identity for modules i and j."""
@@ -259,8 +325,17 @@ class CoveringTable:
             case, rhs = "G_N != G", sum(self._h(ci, c) for c in self._twists[j])
         else:
             case, rhs = "G_MN = G", self.order * self._h(ci, cj)
-        lhs = hom_basis(self.pushdowns[i], self.pushdowns[j]).dimension
+        fi, fj = self._first[i], self._first[j]
+        if (fi, fj) not in self._lhs:
+            self._lhs[fi, fj] = hom_basis(self.pushdowns[fi], self.pushdowns[fj]).dimension
+        lhs = self._lhs[fi, fj]
         return SemiCoveringReport(case, lhs, rhs, stab_M, stab_N, lhs == rhs)
+
+
+def _class_of(classes: IsoClasses, M: Representation) -> tuple[int, RepMorphism]:
+    """(c, u: classes.reps[c] -> M), appending M when its class is new."""
+    found = classes.locate(M)
+    return found if found is not None else (classes.append(M), identity_morphism(M))
 
 
 def verify_semi_covering(pres: SkewPresentation, M: Representation,
@@ -304,12 +379,13 @@ class StableDecomposition:
     arrow_partition: dict[str, list[str]]
 
 
-def twist_orbit_summands(pres: SkewPresentation,
-                         FM: Representation) -> list[tuple[Character, Summand]]:
+def twist_orbit_summands(pres: SkewPresentation, FM: Representation,
+                         parts: list[Summand] | None = None) -> list[tuple[Character, Summand]]:
     """The summands of a pushdown FM = F_lambda M with G_M = G, organized
     along the dual-action twist orbit: per character chi, the summand
-    isomorphic to the chi-twist of the canonically least summand."""
-    parts = decompose(FM)
+    isomorphic to the chi-twist of the canonically least summand.  `parts`
+    is `decompose(FM)` when the caller has it."""
+    parts = decompose(FM) if parts is None else parts
     _, dact = pres.dual_group_action()
     chars = pres.context.chars
     twists = [twist(dact, chi.exponents, parts[0].rep) for chi in chars.characters]
@@ -345,18 +421,3 @@ def decompose_pushdown(pres: SkewPresentation, M: Representation) -> StableDecom
         s, t = arr.source in fixed, arr.target in fixed
         arrows[("A'1" if t else "A'2") if s else ("A''2" if t else "A''1")].append(arr.name)
     return StableDecomposition(ordered, support, arrows)
-
-
-# ---------------------------------------------------------------------------
-# Sequence stabilizers
-# ---------------------------------------------------------------------------
-
-def sequence_stabilizer(action: QuiverAction, left: Representation,
-                        right: Representation) -> list:
-    """G_E for an almost split sequence, certified through the equivalence
-    with the end-term stabilizers."""
-    sM = set(map(tuple, module_stabilizer(action, left)))
-    sT = set(map(tuple, module_stabilizer(action, right)))
-    if sM != sT:
-        raise AssertionError("end-term stabilizers differ on an AR sequence")
-    return sorted(sM)

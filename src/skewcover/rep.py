@@ -1,9 +1,10 @@
 """Representations of a bound quiver algebra: hom spaces, twists,
 indecomposability, Krull-Schmidt decomposition, and radical powers of the
 module category relative to a complete list of indecomposables.  Those
-grow one source row at a time, so a rank question reads only the rows of
-the projectives; `ar.category_rank` says why those rows suffice, and why
-the stable rank is the rank (Auslander, Comm. Algebra 1 (1974)).
+grow one source row at a time; they are the reference for radical levels,
+while `ar.category_rank` reads the rank off Yoneda chains along the
+meshes and says why the stable rank is the rank (Auslander, Comm.
+Algebra 1 (1974)).
 
 Representations are covariant: M(a): M(s(a)) -> M(t(a)), i.e. left modules
 under the functional composition convention.  Morphisms are per-vertex
@@ -32,6 +33,15 @@ from .action import QuiverAction
 
 
 RADICAL_CUTOFF = 64  # largest n of rad^n looked at, for ranks and levels
+
+
+class RelationError(ValueError):
+    """The maps of a module violate relations of its algebra; `indices`
+    lists them."""
+
+    def __init__(self, indices: list[int]):
+        super().__init__(f"relations violated: {indices}")
+        self.indices = indices
 
 
 class NonSplitEndError(Exception):
@@ -65,7 +75,7 @@ class Representation:
         self.maps = tuple(frozen)
         bad = self.relation_defects()
         if bad:
-            raise ValueError(f"relations violated: {bad}")
+            raise RelationError(bad)
 
     # -- structure ----------------------------------------------------------
 
@@ -205,6 +215,15 @@ class RepMorphism:
         if self.source.dims != self.target.dims:
             return False
         return all(rank(F, b) == b.shape[0] == b.shape[1] for b in self.blocks)
+
+    def inverse(self) -> "RepMorphism":
+        """The inverse of an isomorphism, solved block by block."""
+        F = self.source.F
+        blocks = [solve_linear(F, b, F.eye(len(b))) if b.size else b.T.copy()
+                  for b in self.blocks]
+        if any(b is None for b in blocks) or self.source.dims != self.target.dims:
+            raise ValueError("morphism is not invertible")
+        return RepMorphism(self.target, self.source, blocks)
 
 
 def zero_morphism(M: Representation, N: Representation) -> RepMorphism:
@@ -781,13 +800,16 @@ class IsoClasses:
 
     A lookup of M tries `reps[i] is M` and then `isomorphism(reps[i], M)`
     over the modules with M's dimension vector, in insertion order; the
-    first match wins.  Modules passed to the constructor are taken as
+    first match wins.  The first module stored with M's contents is a
+    match found without a test: equal contents make the identity blocks
+    an isomorphism.  Modules passed to the constructor are taken as
     given, without checking that they are pairwise non-isomorphic.
     """
 
     def __init__(self, reps=()):
         self.reps: list[Representation] = []
         self._buckets: dict[tuple[int, ...], list[int]] = {}
+        self._contents: dict[tuple, int] = {}   # first index per content key
         for M in reps:
             self.append(M)
 
@@ -800,7 +822,10 @@ class IsoClasses:
         for i in bucket:
             if self.reps[i] is M:
                 return i, None
+        same = self._contents.get(M.content_key) if bucket else None
         for i in bucket:
+            if i == same and self.reps[i].algebra is M.algebra:
+                return i, RepMorphism(self.reps[i], M, [M.F.eye(d) for d in M.dims])
             u = isomorphism(self.reps[i], M)
             if u is not None:
                 return i, u
@@ -823,6 +848,7 @@ class IsoClasses:
     def append(self, M: Representation) -> int:
         """Store M as a new class, unchecked (after a `locate` miss)."""
         self._buckets.setdefault(M.dims, []).append(len(self.reps))
+        self._contents.setdefault(M.content_key, len(self.reps))
         self.reps.append(M)
         return len(self.reps) - 1
 
@@ -863,11 +889,10 @@ class RadicalCalculator:
     rad^{n+1}(M_i, N) = sum_Z rad^1(Z, N) . rad^n(M_i, Z), and a row of
     rad^n, like each rad^1 row it composes with, is built on first use.
     Each rad^n(M_i, Z) is composed with all of rad^1(Z, -) at once, as
-    one product of total matrices (`_compose_spans`).
-    So `ar.category_rank`, which tests rad^n = 0 on the projective rows
-    alone, grows no other row beyond the rad^1 rows those compose with;
-    with a closed knit the algebra is representation-finite and rad is
-    nilpotent (Auslander 1974), so its stable rank is its rank.
+    one product of total matrices (`_compose_spans`).  It is the
+    reference that radical-level checks and the tests read; the dimensions
+    of its rows rad^n(P_a, -) are those of `ar.category_rank`'s Yoneda
+    chains.
     """
 
     def __init__(self, reps: list[Representation]):

@@ -1,11 +1,14 @@
-"""The semi-covering check the package made before `CoveringTable`: one
-pair at a time, with both pushdowns, both stabilizers and every twist
-rebuilt for each pair.  Kept as an oracle for the table's reports.
+"""The semi-covering checks the package made before: `verify_semi_covering`
+one pair at a time, with both pushdowns, both stabilizers and every twist
+rebuilt for each pair, and `PairCoveringTable`, the table that solved
+dim Hom(F M, F N) on every pair.  Kept as oracles for the table's reports.
 """
+
+import functools
 
 from skewcover.pushdown import (SemiCoveringReport, _block_pattern,
                                 pushdown_module)
-from skewcover.rep import hom_basis, is_isomorphic, twist
+from skewcover.rep import IsoClasses, hom_basis, is_isomorphic, twist
 
 
 def module_stabilizer(action, M):
@@ -44,3 +47,35 @@ def verify_semi_covering(pres, M, N, with_pattern=False):
         pattern = _block_pattern(pres, M, N, FM, FN)
     return SemiCoveringReport(case, lhs, rhs, len(stab_M), len(stab_N),
                               lhs == rhs, pattern)
+
+
+class PairCoveringTable:
+    """The semi-covering identity over a module list, with each per-module
+    fact computed once: the pushdown F M, and the class of M and of every
+    twist gM in one IsoClasses, so G_M = {g : class(gM) = class(M)}.  The
+    Lambda side sums Hom dimensions between classes, each solved once; the
+    skew side, dim Hom(F M, F N), is solved per pair as the oracle."""
+
+    def __init__(self, pres, modules):
+        act, G = pres.context.action, pres.context.group
+        self.order = G.n
+        self.pushdowns = [pushdown_module(pres, M).rep for M in modules]
+        classes = IsoClasses()
+        self._cls = [classes.add(M) for M in modules]
+        self._twists = [[classes.add(twist(act, g, M)) for g in G.elements]
+                        for M in modules]
+        reps = classes.reps
+        self._h = functools.cache(lambda c, d: hom_basis(reps[c], reps[d]).dimension)
+
+    def report(self, i, j):
+        """Both sides of the identity for modules i and j."""
+        ci, cj = self._cls[i], self._cls[j]
+        stab_M, stab_N = self._twists[i].count(ci), self._twists[j].count(cj)
+        if stab_M < self.order:
+            case, rhs = "G_M != G", sum(self._h(c, cj) for c in self._twists[i])
+        elif stab_N < self.order:
+            case, rhs = "G_N != G", sum(self._h(ci, c) for c in self._twists[j])
+        else:
+            case, rhs = "G_MN = G", self.order * self._h(ci, cj)
+        lhs = hom_basis(self.pushdowns[i], self.pushdowns[j]).dimension
+        return SemiCoveringReport(case, lhs, rhs, stab_M, stab_N, lhs == rhs)

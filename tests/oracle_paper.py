@@ -4,10 +4,9 @@ The command line answers what the paper applies: the irreducible
 morphisms, almost split sequences and (stable) rank of Lambda G.  The
 claims on the way there are checked here, by the tests only:
 
-* semi-density of F_lambda (`semi_dense_witness`), irreducible maps
+* semi-density of F_lambda (`semi_dense_witness`) and irreducible maps
   recovered through G_lambda (`recover_irreducible`, `apply_morphism`),
-  and the gauge F(gM) ~ F(M) (`pushdown_twist_gauge`), once in
-  `skewcover.pushdown`;
+  once in `skewcover.pushdown`;
 * F on vertices and arrows, and the arrow spaces between fibres
   (`functor_F_vertex`, `functor_F_arrow`, `arrow_space_dim`), once methods
   of `skew.SkewPresentation`; `orbit_arrow_data` recomputes the per-orbit
@@ -31,13 +30,12 @@ import numpy as np
 from skewcover.ar import AlmostSplitSequence
 from skewcover.field import PrimeField, in_row_space, row_space, rref
 from skewcover.action import QuiverAction
-from skewcover.pushdown import (GLambda, _slot_layout, pushdown_module,
-                                restrict_G_lambda)
+from skewcover.pushdown import GLambda, pushdown_module, restrict_G_lambda
 from skewcover.quiver import make_path
 from skewcover.rep import (RADICAL_CUTOFF, RadicalCalculator, RepMorphism,
                            Representation, Summand, decompose, hom_basis,
                            match_summands, module_stabilizer,
-                           morphism_from_vector, twist)
+                           morphism_from_vector)
 from skewcover.skew import QGVertex, SkewPresentation
 
 
@@ -208,51 +206,6 @@ def recover_irreducible(pres: SkewPresentation, f: RepMorphism,
         raise AssertionError("ends did not restrict to indecomposables")
     f1 = nparts[0].projection.compose(gf).compose(mparts[0].inclusion)
     return mparts[0].rep, nparts[0].rep, f1
-
-
-# ---------------------------------------------------------------------------
-# Canonical twist gauges
-# ---------------------------------------------------------------------------
-
-def pushdown_twist_gauge(pres: SkewPresentation, g, M: Representation):
-    """Canonical isomorphism F_lambda(gM) -> F_lambda(M): a slot permutation
-    on full-orbit fibers and the character scalar on fixed copies.  Verifies
-    the two pushdowns agree on the nose up to this fixed gauge."""
-    ctx = pres.context
-    F, G = pres.F, ctx.group
-    FgM = pushdown_module(pres, twist(ctx.action, g, M)).rep
-    FM = pushdown_module(pres, M).rep
-    layout = _slot_layout(pres)
-    blocks = []
-    for qi, qv in enumerate(ctx.vertices):
-        bm = F.zeros(FM.dims[qi], FgM.dims[qi])
-        if ctx.is_full_orbit(qv.rep):
-            # slot h of F(gM) holds M(g h i0): goes to slot g h of F(M)
-            src_off = []
-            tot = 0
-            for h, lv in layout[qv]:
-                src_off.append(tot)
-                tot += M.dims[ctx.action.vertex(G.mul(g, h), qv.rep)]
-            tgt_off = []
-            tot = 0
-            for h, lv in layout[qv]:
-                tgt_off.append(tot)
-                tot += M.dims[lv]
-            for si, (h, lv) in enumerate(layout[qv]):
-                gh = G.mul(g, h)
-                ti = G.eindex[gh]
-                d = M.dims[ctx.action.vertex(gh, qv.rep)]
-                bm[tgt_off[ti]: tgt_off[ti] + d,
-                   src_off[si]: src_off[si] + d] = F.eye(d)
-        else:
-            c = ctx.chars.value(qv.char, g)
-            d = M.dims[qv.rep]
-            bm[:, :] = F.smul(c, F.eye(d))
-        blocks.append(bm)
-    gauge = RepMorphism(FgM, FM, blocks)
-    if not gauge.is_valid() or not gauge.is_invertible():
-        raise AssertionError("canonical pushdown gauge is not an isomorphism")
-    return gauge
 
 
 # ---------------------------------------------------------------------------

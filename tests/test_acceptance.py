@@ -17,7 +17,7 @@ from skewcover.rep import (decompose, irr_space, is_indecomposable,
 from skewcover.ar import category_rank, knit_ar_quiver
 from skewcover.pushdown import (decompose_pushdown, pushdown_module,
                                 pushdown_morphism, verify_semi_covering)
-from skewcover.transport import pushdown_sequence
+from skewcover.transport import pushdown_sequences
 from skewcover.isosearch import find_algebra_isomorphism, roots_of_unity
 
 from conftest import data_text, golden_text
@@ -299,12 +299,16 @@ def test_criterion_09_rank_equality(fig5_arq, fig6_arq):
     report(9, "rank and stable rank equality at the frozen value 13", t0, 10.0)
 
 
-def test_criterion_10_ar_transport(fig5, fig5_pres, fig5_arq, fig5_skew_arq):
+def test_criterion_10_ar_transport(fig5, fig5_pres):
     t0 = time.time()
     n = fig5.group.n
     glued = disjoint = single = 0
-    for t, seq in sorted(fig5_arq.sequences.items()):
-        out = pushdown_sequence(fig5_pres, fig5.action, seq, fig5_skew_arq)
+    # knitted with the actions, as `transport-ars` knits
+    arq = knit_ar_quiver(fig5.algebra, action=fig5.action)
+    arq_skew = knit_ar_quiver(fig5_pres.algebra,
+                              action=fig5_pres.dual_group_action()[1])
+    for t, out in pushdown_sequences(fig5_pres, arq, arq_skew).items():
+        seq = arq.sequences[t]
         if out.single:
             single += 1
         elif out.gluing:

@@ -1,8 +1,10 @@
 """The AR quiver read off the knitted meshes equals the radical oracle
 dim irr(X, Y) = dim rad(X, Y) - dim rad^2(X, Y) over every ordered pair;
 the radical powers grown one source row at a time equal the all-pairs
-layers of the oracle, and so do the rank and stable rank read off the
-projective rows; knitting builds no radical row."""
+layers of the oracle; the Yoneda chains grown along the meshes have the
+dimensions of the oracle's rad^n(P_a, Y), and the rank and stable rank
+read off them equal the oracle's; neither knitting nor the rank builds a
+radical row."""
 
 from functools import cache
 
@@ -10,8 +12,8 @@ import numpy as np
 import pytest
 
 import skewcover.ar
-from skewcover.ar import category_rank, knit_ar_quiver
-from skewcover.field import row_space
+from skewcover.ar import category_rank, knit_ar_quiver, projective_modules
+from skewcover.field import rank, row_space
 from skewcover.rep import RadicalCalculator, irr_space
 from skewcover.skew import build_presentation
 
@@ -78,6 +80,30 @@ def test_radical_rows_match_layer_oracle(name, skew):
 
 
 @pytest.mark.parametrize("skew", [False, True], ids=["base", "skew"])
+@pytest.mark.parametrize("name", ["fig5", "fig6", "free_action_a3", "star3_1"])
+def test_yoneda_chains_match_radical_oracle(name, skew):
+    """For every vertex a, class Y and n up to the rank, dim U_n^a(Y), the
+    rows of Y's chain inside Y(a), is dim rad^n(P_a, Y) of the layer
+    oracle; each row lies in one vertex block, and at the rank every chain
+    is zero."""
+    arq = _knit(name, skew)
+    r, _ = category_rank(arq)
+    F = arq.algebra.F
+    oracle = LayerRadicalCalculator(arq.modules)
+    tops = [arq.calc.index_of(P) for P in projective_modules(arq.algebra)]
+    levels = list(zip(range(1, r.value + 1), skewcover.ar._yoneda_chains(arq)))
+    for n, chains in levels:
+        for y, (Y, U) in enumerate(zip(arq.modules, chains)):
+            starts = np.cumsum([0, *Y.dims])
+            blocks = [U[:, starts[a]: starts[a + 1]] for a in range(len(Y.dims))]
+            assert all(sum(b[row].any() for b in blocks) == 1 for row in range(len(U)))
+            for a, pa in enumerate(tops):
+                assert rank(F, blocks[a]) == oracle.rad(pa, y, n).shape[0], (n, a, y)
+    assert not any(len(U) for U in levels[-1][1])
+    assert any(len(U) for U in levels[-2][1])
+
+
+@pytest.mark.parametrize("skew", [False, True], ids=["base", "skew"])
 @pytest.mark.parametrize("name", ["cover3_3", "star2_3"])
 def test_rank_matches_layer_oracle(name, skew):
     arq = _knit(name, skew)
@@ -93,11 +119,17 @@ def test_rank_cutoff_reported_on_both_values(fig5_arq, monkeypatch):
 
 
 def test_knitting_builds_no_radical_layer(fig5):
+    """Neither the knit nor the rank builds a radical row: the rank grows
+    Yoneda chains along the meshes the knit records, one per sequence."""
     arq = knit_ar_quiver(fig5.algebra)
     assert arq.calc._rows == {}
     r, s = category_rank(arq)
     assert (r.finite, r.value, s.finite, s.value) == (True, 13, True, 13)
-    assert arq.calc._rows
+    assert arq.calc._rows == {}
+    assert set(arq.meshes) == set(arq.sequences)
+    for t, mesh in arq.meshes.items():
+        assert [k for k, _ in mesh.middle] == [
+            arq.calc.index_of(s.rep) for s in arq.sequences[t].middle_summands]
 
 
 @pytest.mark.parametrize("arq_name", ["fig5_arq", "fig6_arq"])

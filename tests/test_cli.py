@@ -218,6 +218,20 @@ def test_cli_refuses_too_large_field(capsys, tmp_path):
     # a ragged matrix literal used to fail in numpy, naming no line
     ("dim 1 = 2\n  dim 2 = 2\n  map a = [[1, 0], [1]]\n}",
      "line 44: module 'T': map 'a' has rows of unequal length"),
+    # errors of the build used to name no line
+    ("dim 1 = 1\n}\nrelation 0*b.a",
+     "line 44: relation '0*b.a': zero coefficient in relation"),
+    ("dim 1 = 1\n}\nrelation a.a",
+     "line 44: relation 'a.a': non-composable at 'a' after 'a'"),
+    ("dim 1 = 1\n  dim 2 = 1\n  dim 3 = 1\n  map b = [[1]]\n  map c = [[1]]\n}",
+     "line 41: module 'T' violates relation 'b.c' (line 15)"),
+    ("dim 1 = 2\n  dim 2 = 2\n  map a = [[1, 0], [0, 1], [1, 1]]\n}",
+     "line 44: module 'T': map 'a' has shape (3, 2), want (2, 2)"),
+    ("dim 1 = 1\n}\nvertex 1", "line 44: vertex '1' is declared twice"),
+    ("dim 1 = 1\n}\narrow c: 3 -> 2", "line 44: arrow 'c' is declared twice"),
+    ("dim 1 = 1\n  map a = [[1.5]]\n}",
+     "line 43: module 'T': map 'a' is not a matrix: a list of rows of "
+     "integers, as [[1, 0], [0, -1]]"),
 ])
 def test_cli_rejects_bad_module(capsys, tmp_path, body, expected):
     text = data_text("fig5.skw")
@@ -228,6 +242,18 @@ def test_cli_rejects_bad_module(capsys, tmp_path, body, expected):
     assert code == 1
     assert out == ""
     assert err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("field, expected", [
+    ("field p = 4", "line 4: 4 is not prime"),
+    ("field p = 67108879", "line 4: field prime 67108879 is too large"),
+])
+def test_cli_names_the_line_of_a_bad_prime(capsys, tmp_path, field, expected):
+    path = tmp_path / "fig5_bad_field.skw"
+    path.write_text(data_text("fig5.skw").replace("field p = 1009", field))
+    code, out, err = run_cli(capsys, "hom", str(path), "S2", "S2")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {expected}")
 
 
 def test_cli_rejects_action_of_undeclared_generator(capsys, tmp_path):

@@ -15,6 +15,7 @@ from skewcover.rep import is_isomorphic
 from skewcover.skew import build_presentation
 
 from conftest import generated_text, load_built, load_generated
+from oracle_covering import PairCoveringTable
 from oracle_covering import verify_semi_covering as oracle_semi_covering
 from test_module_identity import _base_change
 
@@ -41,6 +42,30 @@ def test_table_matches_oracle_on_knitted_list(name):
     built = _load(name)
     _assert_table_matches_oracle(_presentation(built),
                                  knit_ar_quiver(built.algebra).modules)
+
+
+@pytest.mark.parametrize("side", ["base", "skew"])
+@pytest.mark.parametrize("name", ["fig5", "fig6", "free_action_a3", "star3_1",
+                                  "star2_2", "cover2_4"])
+def test_table_matches_per_pair_table_on_both_sides(name, side, monkeypatch):
+    """Solving dim Hom(F M, F N) once per pair of G-orbits, carried through
+    the gauge, reports what solving it on every pair reports; the skew side
+    transports Lambda G with the dual action.  Each module past the first
+    of its orbit is tied to it by one checked gauge."""
+    built = _load(name)
+    pres = _presentation(built)
+    if side == "skew":
+        pres = build_presentation(pres.algebra, *pres.dual_group_action())
+    mods = knit_ar_quiver(pres.context.algebra).modules
+    gauges, gauge = [], pushdown.pushdown_twist_gauge
+    monkeypatch.setattr(pushdown, "pushdown_twist_gauge",
+                        lambda *args, **kw: gauges.append(args) or gauge(*args, **kw))
+    table, oracle = CoveringTable(pres, mods), PairCoveringTable(pres, mods)
+    for i in range(len(mods)):
+        for j in range(len(mods)):
+            assert table.report(i, j) == oracle.report(i, j), (i, j)
+    orbits = {min(row) for row in table._twists}
+    assert len(gauges) == len(mods) - len(orbits)
 
 
 @pytest.mark.parametrize("name", ["fig5", "kronecker_z3"])

@@ -11,15 +11,15 @@ from skewcover.rep import (Representation, decompose, hom_basis,
 from skewcover.ar import (direct_sum, knit_ar_quiver, projective_module,
                           simple_module)
 from skewcover.pushdown import (decompose_pushdown, pushdown_module,
-                                pushdown_morphism, restrict_G_lambda,
-                                verify_semi_covering)
+                                pushdown_morphism, pushdown_twist_gauge,
+                                restrict_G_lambda, verify_semi_covering)
 from skewcover.skew import build_presentation
 
 from conftest import golden_text, load_built, load_generated
 import oracle_paper
 from oracle_glambda import GLambda
-from oracle_paper import (apply_morphism, pushdown_twist_gauge,
-                          recover_irreducible, semi_dense_witness)
+from oracle_paper import (apply_morphism, recover_irreducible,
+                          semi_dense_witness)
 from oracle_tensor import loop_tensor_relations, oracle_pushdown_matrices
 
 F = PrimeField(1009)
